@@ -21,10 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from . import eig
-from .errors import SingularConfiguration
+from .errors import NonConvergence, SingularConfiguration
 from .hermite import PermutationId
-from .polynomials import as_complex_vector, pairwise_separation, reduced_esp_table
+from .polynomials import as_complex_vector, esp_table
 
 __all__ = [
     "KIND_M1",
@@ -34,11 +33,13 @@ __all__ = [
     "DiophantineMatrix",
     "SpectrumReport",
     "w_table",
+    "build_stack",
     "build_m1",
     "build_m2",
     "expected_spectrum",
     "expected_trace",
     "expected_determinant",
+    "spectrum_stack",
     "spectrum_check",
     "permutation_similarity_check",
 ]
@@ -113,19 +114,76 @@ class SpectrumReport:
         object.__setattr__(self, "expected", tuple(int(e) for e in self.expected))
 
 
+def _w_stack(z: np.ndarray) -> np.ndarray:
+    """WTable entries for every row of a (B, N) zero stack, as (B, N, N)."""
+    n = z.shape[1]
+    others = np.array([[k for k in range(n) if k != m] for m in range(n)])
+    # reduced[b, m, j-1] = d sigma_j / d z_m = e_{j-1} of row b without z_m.
+    reduced = esp_table(z[:, others])
+    signs = (-1.0) ** np.arange(1, n + 1)
+    return signs[:, None] * reduced.transpose(0, 2, 1)
+
+
 def w_table(z) -> WTable:
     """Coefficient-perturbation table for the ordered zeros z."""
-    zz = _zeros_array(z)
-    n = zz.size
-    signs = (-1.0) ** np.arange(1, n + 1)
-    table = np.empty((n, n), dtype=complex)
-    for m in range(1, n + 1):
-        table[:, m - 1] = signs * reduced_esp_table(zz, m)
-    return WTable(table)
+    return WTable(_w_stack(_zeros_array(z)[None, :])[0])
+
+
+def _set_diagonals(stack: np.ndarray, value) -> None:
+    b, n, _ = stack.shape
+    stack.reshape(b, n * n)[:, ::n + 1] = value
+
+
+def _separations(diff: np.ndarray) -> np.ndarray:
+    """Minimum off-diagonal |diff| of each (N, N) difference matrix."""
+    dist = np.abs(diff)
+    _set_diagonals(dist, np.inf)
+    return dist.min(axis=(1, 2))
+
+
+def build_stack(zeros: np.ndarray, coefficients: np.ndarray, kinds: tuple):
+    """Build the requested kinds of matrix for every row of (B, N) stacks of
+    ordered zeros and their polynomial's coefficients; both kinds share one
+    WTable stack.
+
+    Returns ({kind: (B, N, N) entries}, zero_separation, coeff_separation),
+    the separations being (B,) arrays.  Rows are computed independently.
+    """
+    z = np.asarray(zeros, dtype=complex)
+    c = np.asarray(coefficients, dtype=complex)
+    zdiff = z[:, :, None] - z[:, None, :]
+    cdiff = c[:, :, None] - c[:, None, :]
+    zero_sep = _separations(zdiff)
+    coeff_sep = _separations(cdiff)
+    if np.any(zero_sep == 0.0):
+        raise SingularConfiguration("coincident zeros")
+    if np.any(coeff_sep == 0.0):
+        raise SingularConfiguration("coincident coefficients")
+
+    w = _w_stack(z)
+    _set_diagonals(zdiff, 1.0)
+    prefactor = -1.0 / np.prod(zdiff, axis=2)
+    _set_diagonals(cdiff, 1.0)
+    z_col = z[:, :, None]
+
+    entries = {}
+    for kind in kinds:
+        factor, power = _profiles[kind]
+        inv_pow = 1.0 / cdiff ** power
+        _set_diagonals(inv_pow, 0.0)
+        # sum_{s != j} (w[j] - w[s]) / (c_j - c_s)^P, vectorised over m.
+        coupled = w + factor * (w * inv_pow.sum(axis=2)[:, :, None] - inv_pow @ w)
+        # Horner accumulation over j (descending powers of z_n) limits
+        # cancellation.
+        acc = np.zeros_like(w)
+        for j in range(z.shape[1]):
+            acc *= z_col
+            acc += coupled[:, j, None, :]
+        entries[kind] = prefactor[:, :, None] * acc
+    return entries, zero_sep, coeff_sep
 
 
 def _build(z, c, kind: str, source_perm: Optional[PermutationId]) -> DiophantineMatrix:
-    factor, power = _profiles[kind]
     zz = _zeros_array(z)
     cc = as_complex_vector(c, "coefficients")
     n = zz.size
@@ -134,35 +192,9 @@ def _build(z, c, kind: str, source_perm: Optional[PermutationId]) -> Diophantine
             f"zeros ({n}) and coefficients ({cc.size}) must have equal length")
     if n < 2:
         raise SingularConfiguration("need at least two zeros")
-
-    zdiff = zz[:, None] - zz[None, :]
-    cdiff = cc[:, None] - cc[None, :]
-    off = ~np.eye(n, dtype=bool)
-    if np.any(zdiff[off] == 0.0):
-        raise SingularConfiguration("coincident zeros")
-    if np.any(cdiff[off] == 0.0):
-        raise SingularConfiguration("coincident coefficients")
-    zero_sep = pairwise_separation(zz)
-    coeff_sep = pairwise_separation(cc)
-
-    w = w_table(zz).entries
-
-    np.fill_diagonal(cdiff, 1.0)
-    inv_pow = 1.0 / cdiff ** power
-    np.fill_diagonal(inv_pow, 0.0)
-    # sum_{s != j} (w[j] - w[s]) / (c_j - c_s)^P, vectorised over m.
-    coupled = w + factor * (w * inv_pow.sum(axis=1)[:, None] - inv_pow @ w)
-
-    np.fill_diagonal(zdiff, 1.0)
-    prefactor = -1.0 / np.prod(zdiff, axis=1)
-
-    # Horner accumulation over j (descending powers of z_n) limits cancellation.
-    acc = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        acc = acc * zz[:, None] + coupled[j][None, :]
-
-    return DiophantineMatrix(kind, n, prefactor[:, None] * acc,
-                             source_perm, zero_sep, coeff_sep)
+    entries, zero_sep, coeff_sep = build_stack(zz[None, :], cc[None, :], (kind,))
+    return DiophantineMatrix(kind, n, entries[kind][0], source_perm,
+                             float(zero_sep[0]), float(coeff_sep[0]))
 
 
 def build_m1(z, c, source_perm: Optional[PermutationId] = None) -> DiophantineMatrix:
@@ -189,23 +221,33 @@ def expected_determinant(kind: str, n: int) -> float:
     return float(expected_spectrum(kind, n).prod())
 
 
-def spectrum_check(matrix: DiophantineMatrix, tol: float = 1e-6,
-                   eig_tol: float = 1e-13) -> SpectrumReport:
-    """Compare the matrix spectrum against its expected integer list.
+def spectrum_stack(entries: np.ndarray, kind: str):
+    """LAPACK eigenvalues of a (B, N, N) stack of matrices of one kind, each
+    row sorted by real part, and each row's maximum deviation from the
+    expected integers.
 
-    Eigenvalues are sorted by real part and compared positionally; any
-    imaginary parts feed straight into the deviation, so a complex eigenvalue
-    cannot sneak past the check.  NonConvergence from the eigensolver
-    propagates to the caller.
+    Eigenvalues are compared positionally; any imaginary parts feed straight
+    into the deviation, so a complex eigenvalue cannot sneak past the check.
     """
+    try:
+        lam = np.linalg.eigvals(entries)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"eigenvalue computation failed: {exc}") from exc
+    lam = np.take_along_axis(lam, np.argsort(lam.real, axis=1, kind="stable"), axis=1)
+    deviation = np.abs(lam - expected_spectrum(kind, entries.shape[-1])).max(axis=1)
+    return lam, deviation
+
+
+def spectrum_check(matrix: DiophantineMatrix, tol: float = 1e-6) -> SpectrumReport:
+    """Compare the matrix spectrum against its expected integer list:
+    ``spectrum_stack`` on a one-matrix stack."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    result = eig.eigenvalues(matrix.entries, tol=eig_tol)
-    lam = result.eigenvalues[np.argsort(result.eigenvalues.real, kind="stable")]
-    expected = expected_spectrum(matrix.kind, matrix.n)
-    deviation = float(np.max(np.abs(lam - expected)))
-    return SpectrumReport(matrix.kind, lam, tuple(expected), deviation,
-                          deviation <= tol, matrix.source_perm)
+    lam, deviation = spectrum_stack(matrix.entries[None], matrix.kind)
+    return SpectrumReport(matrix.kind, lam[0],
+                          tuple(expected_spectrum(matrix.kind, matrix.n)),
+                          float(deviation[0]), bool(deviation[0] <= tol),
+                          matrix.source_perm)
 
 
 def permutation_similarity_check(z, c, kind: str, swap: tuple) -> float:

@@ -22,9 +22,11 @@ from .errors import DimensionMismatch, NonConvergence
 __all__ = [
     "MonicPolynomial",
     "ZeroVector",
+    "esp_table",
     "evaluate",
     "poly_from_zeros",
     "roots",
+    "roots_stack",
     "sigma",
     "sigma_brute",
     "sigma_excluding",
@@ -115,15 +117,24 @@ def evaluate(p: MonicPolynomial, x):
     return acc if acc.ndim else complex(acc)
 
 
-def _horner_with_derivative(coefficients: np.ndarray, x: np.ndarray):
-    """Value and derivative of the monic polynomial with the given trailing
-    coefficients, both by one Horner pass."""
-    val = np.ones_like(x)
-    der = np.zeros_like(x)
-    for c in coefficients:
-        der = der * x + val
-        val = val * x + c
+def _horner_with_derivative(columns: list, x: np.ndarray):
+    """Value and derivative of each row's monic polynomial at the matching row
+    of x, both by one in-place Horner pass; ``columns`` holds the trailing
+    coefficients as (B, 1) column slices."""
+    # The first step, 1 * x + c_1 and 0 * x + 1, is x + c_1 and 1 exactly
+    # for finite x, up to the sign of a zero.
+    val = x + columns[0]
+    der = np.ones_like(x)
+    for c in columns[1:]:
+        der *= x
+        der += val
+        val *= x
+        val += c
     return val, der
+
+
+def _columns(c: np.ndarray) -> list:
+    return [c[:, k, None] for k in range(c.shape[1])]
 
 
 def poly_from_zeros(z) -> MonicPolynomial:
@@ -138,71 +149,131 @@ def poly_from_zeros(z) -> MonicPolynomial:
     return MonicPolynomial(full[1:])
 
 
-def roots(p: MonicPolynomial, tol: float = 1e-12, max_iter: int = 200,
-          start_phase: float = 0.4) -> ZeroVector:
-    """All zeros of p by Aberth-Ehrlich simultaneous iteration.
+def _aberth(c: np.ndarray, tol: float, max_iter: int, start_phase: float):
+    """Aberth-Ehrlich iteration on every row of the (B, N) coefficient stack.
+
+    Returns (z, converged).  A row stops, and leaves the active set, at the
+    first step where |p(z_n)| <= tol * (1 + max|c_m|) holds for all its zeros;
+    rows still active after ``max_iter`` steps are not converged.
+    """
+    b, n = c.shape
+    radius = 1.0 + np.abs(c).max(axis=1)
+    z = radius[:, None] * np.exp(1j * (start_phase + _GOLDEN_ANGLE * np.arange(n)))
+    target = tol * radius
+    tiny = np.finfo(float).tiny
+    out = np.empty_like(z)
+    converged = np.zeros(b, dtype=bool)
+    active = np.arange(b)
+    columns = _columns(c)
+
+    for _ in range(max_iter):
+        val, der = _horner_with_derivative(columns, z)
+        done = np.abs(val).max(axis=1) <= target
+        if done.any():
+            out[active[done]] = z[done]
+            converged[active[done]] = True
+            keep = ~done
+            if not keep.any():
+                break
+            active, z, val, der, target = (
+                active[keep], z[keep], val[keep], der[keep], target[keep])
+            columns = [col[keep] for col in columns]
+        der = np.where(np.abs(der) < tiny, tiny, der)
+        newton = val / der
+        inv = z[:, :, None] - z[:, None, :]
+        diagonal = inv.reshape(len(z), n * n)[:, ::n + 1]
+        diagonal[...] = 1.0
+        np.divide(1.0, inv, out=inv)
+        diagonal[...] = 0.0
+        denom = 1.0 - newton * inv.sum(axis=2)
+        denom = np.where(np.abs(denom) < tiny, 1.0, denom)
+        z = z - newton / denom
+    return out, converged
+
+
+def _polish(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Two guarded Newton steps per zero, each kept only where it does not
+    increase the residual."""
+    tiny = np.finfo(float).tiny
+    columns = _columns(c)
+    val, der = _horner_with_derivative(columns, z)
+    best = np.abs(val)
+    for _ in range(2):
+        der = np.where(np.abs(der) < tiny, tiny, der)
+        candidate = z - val / der
+        cval, cder = _horner_with_derivative(columns, candidate)
+        resid = np.abs(cval)
+        improved = resid <= best
+        z = np.where(improved, candidate, z)
+        val = np.where(improved, cval, val)
+        der = np.where(improved, cder, der)
+        best = np.minimum(resid, best)
+    return z
+
+
+def roots_stack(coefficients, tol: float = 1e-12, max_iter: int = 200,
+                start_phases: tuple = (0.4,)):
+    """Zeros of every monic polynomial in a (B, N) stack of trailing
+    coefficients, by Aberth-Ehrlich simultaneous iteration.
 
     Starting guesses sit on a circle of radius 1 + max|c_m| with golden-angle
-    spacing; convergence requires |p(z_n)| <= tol * (1 + max|c_m|) for every
-    zero, after which each zero gets a guarded Newton polish.  Output is
-    sorted by (re, im) ascending so repeated runs are reproducible.
+    spacing, rotated by the start phase.  Each start phase in turn is tried on
+    the rows no earlier phase converged.  Converged rows get a guarded Newton
+    polish and are sorted by (re, im) ascending.
+
+    Returns (zeros, failed): ``failed`` marks the rows no phase converged,
+    whose zeros are NaN.  Zeros of a row can differ in the last bits with the
+    other rows of the stack, never with repeats of the same stack.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    c = np.asarray(coefficients, dtype=complex)
+    b, n = c.shape
+    if n == 1:
+        return -c, np.zeros(b, dtype=bool)
+
+    zeros = np.full((b, n), np.nan, dtype=complex)
+    pending = np.arange(b)
+    for phase in start_phases:
+        if not pending.size:
+            break
+        z, converged = _aberth(c[pending], tol, max_iter, phase)
+        zeros[pending[converged]] = z[converged]
+        pending = pending[~converged]
+    failed = np.zeros(b, dtype=bool)
+    failed[pending] = True
+
+    ok = ~failed
+    polished = _polish(c[ok], zeros[ok])
+    order = np.lexsort((polished.imag, polished.real), axis=-1)
+    zeros[ok] = np.take_along_axis(polished, order, axis=1)
+    return zeros, failed
+
+
+def roots(p: MonicPolynomial, tol: float = 1e-12, max_iter: int = 200,
+          start_phase: float = 0.4) -> ZeroVector:
+    """All zeros of p: ``roots_stack`` on a one-row stack.
 
     Raises NonConvergence when the iteration budget is exhausted; callers may
     retry with a different ``start_phase``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    c = p.coefficients
-    n = p.degree
-    if n == 1:
-        return ZeroVector(np.array([-c[0]]))
-
-    radius = 1.0 + float(np.max(np.abs(c)))
-    z = radius * np.exp(1j * (start_phase + _GOLDEN_ANGLE * np.arange(n)))
-    target = tol * radius
-    tiny = np.finfo(float).tiny
-
-    for _ in range(max_iter):
-        val, der = _horner_with_derivative(c, z)
-        if np.all(np.abs(val) <= target):
-            break
-        der = np.where(np.abs(der) < tiny, tiny, der)
-        newton = val / der
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
-        denom = 1.0 - newton * inv.sum(axis=1)
-        denom = np.where(np.abs(denom) < tiny, 1.0, denom)
-        z = z - newton / denom
-    else:
+    zeros, failed = roots_stack(p.coefficients[None, :], tol, max_iter, (start_phase,))
+    if failed[0]:
+        target = tol * (1.0 + float(np.max(np.abs(p.coefficients))))
         raise NonConvergence(
             f"Aberth iteration did not reach |p| <= {target:.3e} in {max_iter} steps")
-
-    # Newton polish, kept only where it actually reduces the residual.
-    best = np.abs(_horner_with_derivative(c, z)[0])
-    for _ in range(2):
-        val, der = _horner_with_derivative(c, z)
-        der = np.where(np.abs(der) < tiny, tiny, der)
-        candidate = z - val / der
-        resid = np.abs(_horner_with_derivative(c, candidate)[0])
-        improved = resid <= best
-        z = np.where(improved, candidate, z)
-        best = np.minimum(resid, best)
-
-    order = np.lexsort((z.imag, z.real))
-    return ZeroVector(z[order])
+    return ZeroVector(zeros[0])
 
 
-def _esp_table(values: np.ndarray) -> np.ndarray:
-    """Elementary symmetric functions e_0..e_n of the entries, by the stable
-    triangular recurrence (one linear-factor multiplication per entry)."""
-    n = values.size
-    e = np.zeros(n + 1, dtype=complex)
-    e[0] = 1.0
+def esp_table(values: np.ndarray) -> np.ndarray:
+    """Elementary symmetric functions e_0..e_n of the entries along the last
+    axis, by the stable triangular recurrence (one linear-factor
+    multiplication per entry)."""
+    n = values.shape[-1]
+    e = np.zeros(values.shape[:-1] + (n + 1,), dtype=complex)
+    e[..., 0] = 1.0
     for i in range(n):
-        hi = min(i + 1, n)
-        e[1:hi + 1] = e[1:hi + 1] + values[i] * e[0:hi]
+        e[..., 1:i + 2] += values[..., i, None] * e[..., 0:i + 1]
     return e
 
 
@@ -211,7 +282,7 @@ def sigma(j: int, z) -> complex:
     zz = _zeros_of(z)
     if j < 0 or j > zz.size:
         raise IndexError(f"sigma degree {j} outside 0..{zz.size}")
-    return complex(_esp_table(zz)[j])
+    return complex(esp_table(zz)[j])
 
 
 def sigma_excluding(m: int, j: int, z) -> complex:
@@ -228,7 +299,7 @@ def sigma_excluding(m: int, j: int, z) -> complex:
         raise IndexError(f"degree index {j} outside 1..{n}")
     if j == 1:
         return 0j
-    return complex(_esp_table(np.delete(zz, m - 1))[j - 1])
+    return complex(esp_table(np.delete(zz, m - 1))[j - 1])
 
 
 def sigma_brute(j: int, z) -> complex:
@@ -257,18 +328,6 @@ def sigma_excluding_brute(m: int, j: int, z) -> complex:
     return complex(sum(math.prod(t) for t in combinations(reduced, j - 1)))
 
 
-def reduced_esp_table(z, m: int) -> np.ndarray:
-    """e_0..e_{n-1} of z with entry m (1-based) removed.
-
-    Entry j-1 is the true directional derivative d sigma_j / d z_m, i.e. the
-    convention-adjusted value delta_{j,1} + sigma_excluding(m, j, z).
-    """
-    zz = _zeros_of(z)
-    if not 1 <= m <= zz.size:
-        raise IndexError(f"excluded index {m} outside 1..{zz.size}")
-    return _esp_table(np.delete(zz, m - 1))[:zz.size]
-
-
 def vieta_jacobian_apply(z, v) -> np.ndarray:
     """First-order change of the monic coefficients when the zeros move by v.
 
@@ -283,5 +342,5 @@ def vieta_jacobian_apply(z, v) -> np.ndarray:
     signs = (-1.0) ** np.arange(1, n + 1)
     w = np.zeros(n, dtype=complex)
     for m in range(n):
-        w += vv[m] * signs * _esp_table(np.delete(zz, m))[:n]
+        w += vv[m] * signs * esp_table(np.delete(zz, m))[:n]
     return w

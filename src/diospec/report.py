@@ -18,22 +18,23 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence, Union
 
 import numpy as np
 
 from . import __version__
 from .errors import NonConvergence
-from .hermite import PermutationId, hermite_zeros, permuted_polynomial
+from .hermite import hermite_zeros, word_from_rank
 from .matrices import (
     CONDITIONING_FLOOR,
     KIND_M1,
     KIND_M2,
-    build_m1,
-    build_m2,
-    spectrum_check,
+    build_stack,
+    expected_spectrum,
+    spectrum_stack,
 )
-from .polynomials import roots
+from .polynomials import roots_stack
 
 __all__ = [
     "MU_WORDS_N3",
@@ -76,6 +77,15 @@ _FREQUENCY_NOTE = (
 )
 
 _ALL_KINDS = (KIND_M1, KIND_M2)
+
+# Aberth start phases: the second is tried on the orderings the first leaves
+# unconverged.
+_START_PHASES = (0.4, 1.9)
+
+# Matrix entries per chunk of orderings, so that chunk boundaries depend on
+# n and the ranks alone (a full n = 6 sweep is one chunk, n = 8 chunks hold
+# 1,024 orderings).
+_CHUNK_ENTRIES = 2 ** 16
 
 
 @dataclass
@@ -205,67 +215,61 @@ class VerificationReport:
     timing_seconds: float = 0.0
 
 
-def verify_one_ordering(n: int, rank: int, kinds: tuple, root_tol: float,
-                        pass_tol: float, eig_tol: float) -> list:
-    """Full pipeline for one ordering: permute, solve for zeros, build each
-    requested matrix, and check its spectrum.  Returns one OrderingOutcome
-    per kind."""
-    herm = hermite_zeros(n)
-    perm = PermutationId.from_rank(n, rank)
-    poly = permuted_polynomial(herm, perm)
-    try:
-        zeros = roots(poly, tol=root_tol)
-    except NonConvergence:
-        zeros = roots(poly, tol=root_tol, start_phase=1.9)
+def _verify_chunk(n: int, ranks: list, kinds: tuple, root_tol: float,
+                  pass_tol: float) -> list:
+    """The batched pipeline on one chunk of orderings: permute the Hermite
+    zeros into coefficient rows, solve for all zeros at once, build each
+    requested matrix stack and check its spectra.  Returns one
+    OrderingOutcome per (ordering, kind), ordering-major."""
+    words = [word_from_rank(n, rank) for rank in ranks]
+    coeffs = hermite_zeros(n).zeros[np.array(words) - 1].astype(complex)
+    zeros, failed = roots_stack(coeffs, tol=root_tol, start_phases=_START_PHASES)
+    if failed.any():
+        bad = [rank for rank, f in zip(ranks, failed) if f]
+        more = f" (and {len(bad) - 1} more in its chunk)" if len(bad) > 1 else ""
+        raise NonConvergence(
+            f"Aberth iteration did not converge from start phases {_START_PHASES} "
+            f"at n={n} rank={bad[0]}{more}")
 
-    coeffs = poly.coefficients
-    outcomes = []
+    entries, zero_sep, coeff_sep = build_stack(zeros, coeffs, kinds)
+    warned = np.minimum(zero_sep, coeff_sep) < CONDITIONING_FLOOR
+    columns = []
     for kind in kinds:
-        builder = build_m1 if kind == KIND_M1 else build_m2
-        matrix = builder(zeros, coeffs, source_perm=perm)
-        report = spectrum_check(matrix, tol=pass_tol, eig_tol=eig_tol)
-        if report.passed:
-            status = "pass"
-        elif matrix.conditioning_warning:
-            status = "inconclusive"
-        else:
-            status = "fail"
-        outcomes.append(OrderingOutcome(
-            rank=rank,
-            word=perm.word,
-            kind=kind,
-            eigenvalues=report.eigenvalues,
-            expected=report.expected,
-            max_deviation=report.max_deviation,
-            status=status,
-            zero_separation=matrix.zero_separation,
-            coeff_separation=matrix.coeff_separation,
-        ))
-    return outcomes
-
-
-def _worker(args) -> list:
-    return verify_one_ordering(*args)
+        lam, deviation = spectrum_stack(entries[kind], kind)
+        status = np.where(deviation <= pass_tol, "pass",
+                          np.where(warned, "inconclusive", "fail"))
+        columns.append((kind, tuple(expected_spectrum(kind, n).tolist()), lam,
+                        deviation.tolist(), status.tolist()))
+    zero_sep, coeff_sep = zero_sep.tolist(), coeff_sep.tolist()
+    return [
+        OrderingOutcome(rank, word, kind, lam[i], expected, deviation[i],
+                        status[i], zero_sep[i], coeff_sep[i])
+        for i, (rank, word) in enumerate(zip(ranks, words))
+        for kind, expected, lam, deviation, status in columns
+    ]
 
 
 def run_verification(config: RunConfig) -> VerificationReport:
     """Run the sweep described by ``config`` and aggregate the outcomes.
 
-    With jobs > 1 the orderings are mapped over a process pool; reduction is
-    order-preserving, so reports are deterministic either way.
+    The orderings are checked in fixed chunks; with jobs > 1 the chunks are
+    mapped over a process pool.  Reduction is order-preserving and a chunk's
+    arithmetic does not depend on where it runs, so reports are identical
+    either way.
     """
     config.validate()
     ranks = config.ordering_ranks()
     started = time.perf_counter()
 
-    tasks = [(config.n, rank, config.kinds, config.root_tol,
-              config.pass_tol, config.eig_tol) for rank in ranks]
-    if config.jobs > 1 and len(tasks) > 1:
-        chunk = max(1, len(tasks) // (4 * config.jobs))
+    size = max(1, _CHUNK_ENTRIES // config.n ** 2)
+    chunks = [ranks[i:i + size] for i in range(0, len(ranks), size)]
+    verify = partial(_verify_chunk, config.n, kinds=config.kinds,
+                     root_tol=config.root_tol, pass_tol=config.pass_tol)
+    if config.jobs > 1 and len(chunks) > 1:
         with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            grouped = list(pool.map(_worker, tasks, chunksize=chunk))
+            grouped = list(pool.map(verify, chunks))
     else:
-        grouped = [_worker(task) for task in tasks]
+        grouped = [verify(chunk) for chunk in chunks]
 
     results = [outcome for group in grouped for outcome in group]
     deviations = [r.max_deviation for r in results]
@@ -311,57 +315,66 @@ def mu_assignment_table() -> dict:
 
 
 def _format_float(x: float) -> str:
-    if x != x or x in (math.inf, -math.inf):
+    if not math.isfinite(x):
         raise ValueError(f"cannot serialise non-finite float {x}")
     text = f"{x:.17g}"
     # Keep a float-typed token so the round trip preserves types.
-    if not any(ch in text for ch in ".eE"):
-        text += ".0"
-    return text
+    return text if "." in text or "e" in text else text + ".0"
+
+
+def _scalar_token(obj):
+    """The JSON token of a scalar, or None for a container."""
+    if isinstance(obj, (float, np.floating)):
+        return _format_float(float(obj))
+    if isinstance(obj, (complex, np.complexfloating)):
+        c = complex(obj)
+        return '{"re": ' + _format_float(c.real) + ', "im": ' + _format_float(c.imag) + "}"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, str):
+        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
+        return f'"{escaped}"'
+    if obj is None:
+        return "null"
+    return None
 
 
 def _write_json(obj, out: list, indent: int, level: int):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+    token = _scalar_token(obj)
+    if token is not None:
+        out.append(token)
+        return
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            out.append(f'{pad_in}"{key}": ')
-            _write_json(value, out, indent, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
+        opener, closer, prefixes = "{", "}", (f'"{key}": ' for key in obj)
+        values = obj.values()
     elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(seq):
-            out.append(pad_in)
-            _write_json(value, out, indent, level + 1)
-            out.append(",\n" if i < len(seq) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_format_float(float(obj)))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        c = complex(obj)
-        out.append('{"re": ' + _format_float(c.real) + ', "im": ' + _format_float(c.imag) + "}")
-    elif isinstance(obj, str):
-        escaped = obj.replace("\\", "\\\\").replace('"', '\\"')
-        out.append(f'"{escaped}"')
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, np.ndarray):
-        _write_json(obj.tolist(), out, indent, level)
+        opener, closer, prefixes = "[", "]", None
+        values = obj
     else:
         raise TypeError(f"cannot serialise {type(obj)!r}")
+    if not values:
+        out.append(opener + closer)
+        return
+    # Scalars, the bulk of a report, are written here without recursing.
+    # Every element after the first shares one separator string, so the
+    # pieces list holds no per-element copy of it.
+    pad_in = "\n" + " " * (indent * (level + 1))
+    separator, following = opener + pad_in, "," + pad_in
+    for value in values:
+        out.append(separator)
+        if prefixes is not None:
+            out.append(next(prefixes))
+        token = _scalar_token(value)
+        if token is None:
+            _write_json(value, out, indent, level + 1)
+        else:
+            out.append(token)
+        separator = following
+    out.append("\n" + " " * (indent * level) + closer)
 
 
 def to_json(obj, indent: int = 2) -> str:
@@ -378,21 +391,36 @@ def determinism_hash(payload: dict) -> str:
     return hashlib.sha256(to_json(filtered).encode()).hexdigest()
 
 
-def report_to_dict(report: VerificationReport) -> dict:
-    payload = {
+def _hashed_payload(report: VerificationReport) -> dict:
+    """The report entries the determinism hash covers."""
+    return {
         "version": report.version,
         "config": report.config.to_dict(),
         "results": [r.to_dict() for r in report.results],
         "aggregate": report.aggregate,
         "notes": list(report.notes),
     }
+
+
+def report_to_dict(report: VerificationReport) -> dict:
+    payload = _hashed_payload(report)
     payload["determinism_sha256"] = determinism_hash(payload)
     payload["timing"] = {"seconds": report.timing_seconds}
     return payload
 
 
 def report_to_json(report: VerificationReport) -> str:
-    return to_json(report_to_dict(report))
+    """``to_json(report_to_dict(report))``, rendering the payload once: the
+    hash is taken over the rendered hash-free payload, whose closing brace
+    is then replaced by the hash and timing entries."""
+    body = to_json(_hashed_payload(report))
+    tail = to_json({
+        "determinism_sha256": hashlib.sha256(body.encode()).hexdigest(),
+        "timing": {"seconds": report.timing_seconds},
+    })
+    # body ends with "\n}\n" and tail starts with "{\n": splice at the
+    # shared nesting level.
+    return body[:-3] + ",\n" + tail[2:]
 
 
 def _complex_token(value: complex) -> str:

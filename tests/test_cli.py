@@ -11,6 +11,7 @@ from diospec.cli import (
     EXIT_USAGE,
     main,
 )
+from diospec.errors import NonConvergence
 from diospec.report import (
     RunConfig,
     determinism_hash,
@@ -226,6 +227,33 @@ class TestReportSerialization:
             assert a.rank == b.rank and a.kind == b.kind
             assert a.max_deviation == b.max_deviation
             np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
+
+        # The 5,040 orderings at n = 7 span several chunks: the pool must
+        # reproduce the serial run, and a repeat the first run, bit for bit.
+        # The jobs setting is part of the hashed config, so the pooled run is
+        # hashed as if it had been serial.
+        first, pooled, repeat = (run_verification(RunConfig(n=7, kinds=("M1",), jobs=jobs))
+                                 for jobs in (1, 2, 1))
+        pooled.config.jobs = 1
+        digest = report_to_dict(first)["determinism_sha256"]
+        for other in (pooled, repeat):
+            assert report_to_dict(other)["determinism_sha256"] == digest
+            assert len(other.results) == len(first.results) == 5040
+            for a, b in zip(first.results, other.results):
+                assert a.rank == b.rank
+                np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
+
+    @pytest.mark.parametrize("n, kinds", [(2, ("M1", "M2")), (3, ("M1",)),
+                                          (6, ("M1", "M2"))])
+    def test_json_matches_rendered_dict(self, n, kinds):
+        report = run_verification(RunConfig(n=n, kinds=kinds))
+        assert report_to_json(report) == to_json(report_to_dict(report))
+
+    def test_unconverged_ordering_aborts_the_sweep(self):
+        # Rank 657 at n = 9 defeats Aberth from both start phases; the error
+        # names it even among orderings that converge.
+        with pytest.raises(NonConvergence, match=r"n=9 rank=657\b"):
+            run_verification(RunConfig(n=9, orderings=(5000, 657, 90000)))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

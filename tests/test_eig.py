@@ -12,7 +12,10 @@ from diospec.eig import (
     hessenberg_reduce,
 )
 from diospec.errors import DegenerateSpectrum, DimensionMismatch, NonConvergence
+from diospec.hermite import PermutationId, hermite_zeros, permuted_polynomial
+from diospec.matrices import KIND_M1, build_m1, build_m2
 from diospec.polynomials import MonicPolynomial, roots
+from diospec.report import RunConfig, run_verification
 
 SQRT2 = math.sqrt(2.0)
 
@@ -173,3 +176,20 @@ class TestEigenvectors:
         for i in range(5):
             u = res.eigenvectors[:, i]
             assert np.linalg.norm(m @ u - lam[i] * u) <= 1e-8 * np.linalg.norm(m)
+
+
+class TestSweepSpectraAgainstReference:
+    def test_lapack_sweep_matches_shifted_qr(self):
+        # The sweep takes its spectra from LAPACK; the shifted QR here stays
+        # the independent check on a seeded sample of n = 7 orderings.
+        report = run_verification(RunConfig(n=7, orderings=("sample", 50), seed=2024))
+        assert len(report.results) == 100
+        herm = hermite_zeros(7)
+        for result in report.results:
+            perm = PermutationId.from_rank(7, result.rank)
+            poly = permuted_polynomial(herm, perm)
+            builder = build_m1 if result.kind == KIND_M1 else build_m2
+            matrix = builder(roots(poly, start_phase=0.4), poly.coefficients)
+            qr = eigenvalues(matrix.entries).eigenvalues
+            qr = qr[np.argsort(qr.real, kind="stable")]
+            assert np.max(np.abs(qr - result.eigenvalues)) <= 1e-9, result.rank
