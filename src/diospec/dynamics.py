@@ -40,7 +40,7 @@ from .errors import (
     StepFloorReached,
 )
 from .matrices import KIND_M1, KIND_M2, DiophantineMatrix
-from .polynomials import as_complex_vector, pairwise_separation, poly_from_zeros
+from .polynomials import _expand, as_complex_vector, pairwise_separation
 
 __all__ = [
     "SYSTEMS",
@@ -84,7 +84,7 @@ class FirstOrderState:
 
     @property
     def gamma(self) -> np.ndarray:
-        return poly_from_zeros(self.zeta).coefficients
+        return _finite(_expand(self.zeta), "coefficients")
 
 
 @dataclass(frozen=True)
@@ -127,23 +127,50 @@ class TrajectoryRecord:
         return np.array([t for t, _ in self.samples])
 
 
-def _checked_vector(values, what: str) -> np.ndarray:
-    arr = as_complex_vector(values, what)
-    if arr.size < 2:
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} must have finite components")
+    return values
+
+
+def _diff_checked(values: np.ndarray, what: str) -> np.ndarray:
+    """Pairwise differences v_m - v_l with a unit diagonal; raises
+    NearCollision when two components lie closer than COLLISION_FLOOR."""
+    if values.size < 2:
         raise ValueError(f"{what} needs at least two components")
-    gap = pairwise_separation(arr)
+    diff = values[:, None] - values[None, :]
+    dist = np.abs(diff)
+    np.fill_diagonal(dist, np.inf)
+    gap = dist.min()
     if gap < COLLISION_FLOOR:
         raise NearCollision(f"{what} separation {gap:.3e} below {COLLISION_FLOOR}")
-    return arr
-
-
-def _inverse_power_sums(values: np.ndarray, power: int) -> np.ndarray:
-    """Component m gets sum_{l != m} 1/(v_m - v_l)^power."""
-    diff = values[:, None] - values[None, :]
     np.fill_diagonal(diff, 1.0)
-    inv = 1.0 / diff
+    return diff
+
+
+def _gamma_rate(gamma: np.ndarray, order: int) -> np.ndarray:
+    """Velocity (order 1) or acceleration (order 2) of the coefficient flow,
+    from the sums over l != m of 1/(gamma_m - gamma_l)^(2 order - 1)."""
+    inv = 1.0 / _diff_checked(gamma, "gamma")
     np.fill_diagonal(inv, 0.0)
-    return (inv ** power).sum(axis=1)
+    if order == 1:
+        return 1j * (gamma - inv.sum(axis=1))
+    return -gamma + 2.0 * (inv ** 3).sum(axis=1)
+
+
+def _zeta_rate(zeta: np.ndarray, order: int, zeta_dot=None) -> np.ndarray:
+    """Coefficient-flow rate at the Vieta coefficients of zeta, transported to
+    zero space: component n is -(sum_m rate_m zeta_n^(N-m)) / prod_{l != n}
+    (zeta_n - zeta_l).  ``zeta_dot`` adds the goldfish coupling
+    2 zdot_n zdot_l / (zeta_n - zeta_l) from the same difference matrix."""
+    diff = _diff_checked(zeta, "zeta")
+    rate = _gamma_rate(_finite(_expand(zeta), "coefficients"), order)
+    field = -np.polyval(rate, zeta) / np.prod(diff, axis=1)
+    if zeta_dot is None:
+        return field
+    pull = zeta_dot[None, :] / diff
+    np.fill_diagonal(pull, 0.0)
+    return 2.0 * zeta_dot * pull.sum(axis=1) + field
 
 
 def rhs_gamma_first(gamma) -> np.ndarray:
@@ -152,25 +179,12 @@ def rhs_gamma_first(gamma) -> np.ndarray:
     Stationary exactly at configurations with zero first-order equilibrium
     residual, Hermite zeros among them.
     """
-    g = _checked_vector(gamma, "gamma")
-    return 1j * (g - _inverse_power_sums(g, 1))
+    return _gamma_rate(as_complex_vector(gamma, "gamma"), 1)
 
 
 def rhs_gamma_second(gamma) -> np.ndarray:
     """Acceleration of the second-order coefficient flow."""
-    g = _checked_vector(gamma, "gamma")
-    return -g + 2.0 * _inverse_power_sums(g, 3)
-
-
-def _coefficient_rate_to_zero_rate(zeta: np.ndarray, rate: np.ndarray) -> np.ndarray:
-    """Transport a coefficient-space rate through the inverse Vieta Jacobian:
-    component n is -(sum_m rate_m zeta_n^(N-m)) / prod_{l != n}(zeta_n - zeta_l)."""
-    numer = np.zeros_like(zeta)
-    for r in rate:
-        numer = numer * zeta + r
-    diff = zeta[:, None] - zeta[None, :]
-    np.fill_diagonal(diff, 1.0)
-    return -numer / np.prod(diff, axis=1)
+    return _gamma_rate(as_complex_vector(gamma, "gamma"), 2)
 
 
 def rhs_zeta_first(zeta) -> np.ndarray:
@@ -181,82 +195,50 @@ def rhs_zeta_first(zeta) -> np.ndarray:
     space.  Raises NearCollision when either the zeros or the derived
     coefficients nearly coincide.
     """
-    z = _checked_vector(zeta, "zeta")
-    gamma = poly_from_zeros(z).coefficients
-    rate = rhs_gamma_first(gamma)
-    return _coefficient_rate_to_zero_rate(z, rate)
+    return _zeta_rate(as_complex_vector(zeta, "zeta"), 1)
 
 
 def zeta_force(zeta) -> np.ndarray:
     """Acceleration of the second-order zero flow at zero velocity."""
-    z = _checked_vector(zeta, "zeta")
-    gamma = poly_from_zeros(z).coefficients
-    accel = rhs_gamma_second(gamma)
-    return _coefficient_rate_to_zero_rate(z, accel)
+    return _zeta_rate(as_complex_vector(zeta, "zeta"), 2)
 
 
 def rhs_zeta_second(state: SecondOrderState) -> np.ndarray:
     """Acceleration of the second-order zero flow: goldfish velocity coupling
     2 zdot_n zdot_l / (zeta_n - zeta_l) plus the transported coefficient
     acceleration."""
-    z = _checked_vector(state.zeta, "zeta")
+    z = as_complex_vector(state.zeta, "zeta")
     v = as_complex_vector(state.zeta_dot, "zeta_dot")
     if v.size != z.size:
         raise DimensionMismatch("zeta and zeta_dot lengths differ")
-    diff = z[:, None] - z[None, :]
-    np.fill_diagonal(diff, np.inf)
-    coupling = 2.0 * v * (v[None, :] / diff).sum(axis=1)
-    return coupling + zeta_force(z)
+    return _zeta_rate(z, 2, v)
 
 
-# Dormand-Prince 5(4) tableau.
-_DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+# Fields of the packed state y (n positions, then any velocities); each rejects non-finite y.
+_STEP_FIELDS = {
+    "gamma1": lambda y, n: _gamma_rate(_finite(y, "gamma"), 1),
+    "zeta1": lambda y, n: _zeta_rate(_finite(y, "zeta"), 1),
+    "gamma2": lambda y, n: np.concatenate([y[n:], _gamma_rate(_finite(y[:n], "gamma"), 2)]),
+    "zeta2": lambda y, n: np.concatenate(
+        [y[n:], _zeta_rate(_finite(y[:n], "zeta"), 2, _finite(y[n:], "zeta_dot"))]),
+}
+
+# Dormand-Prince 5(4) tableau: row i of _DP_A weights the stages feeding
+# stage i; the last row is the fifth-order solution (first-same-as-last).
+# Stage sums multiply and add row by row in a fixed order, not through a
+# BLAS product, so trajectories do not depend on the BLAS kernel.
+_DP_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                    187 / 2100, 1 / 40])
-
-
-def _packed_system(system: str, initial):
-    """Normalise the initial condition and return (y0, rhs, n_positions)."""
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
-
-    if system in ("gamma1", "zeta1"):
-        if isinstance(initial, FirstOrderState):
-            y0 = initial.zeta.copy()
-        else:
-            y0 = as_complex_vector(initial, "initial").copy()
-        rhs = rhs_gamma_first if system == "gamma1" else rhs_zeta_first
-        return y0, rhs, y0.size
-
-    if isinstance(initial, SecondOrderState):
-        pos, vel = initial.zeta, initial.zeta_dot
-    else:
-        pos, vel = initial
-        pos = as_complex_vector(pos, "initial position")
-        vel = as_complex_vector(vel, "initial velocity")
-    if pos.size != vel.size:
-        raise DimensionMismatch("position and velocity lengths differ")
-    n = pos.size
-    accel = rhs_gamma_second if system == "gamma2" else None
-
-    def rhs(y):
-        if accel is not None:
-            a = accel(y[:n])
-        else:
-            a = rhs_zeta_second(SecondOrderState(0.0, y[:n], y[n:]))
-        return np.concatenate([y[n:], a])
-
-    return np.concatenate([pos, vel]).astype(complex), rhs, n
+_DP_ERR = _DP_A[6] - _DP_B4
 
 
 def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
@@ -274,19 +256,35 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
         raise ValueError("t_end must be positive")
     if rel_tol <= 0 or abs_tol <= 0:
         raise ValueError("tolerances must be positive")
+    if system not in SYSTEMS:
+        raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
 
-    y, rhs, n_pos = _packed_system(system, initial)
+    # Validate and copy the start once; the steps work on raw arrays.
+    if system.endswith("1"):
+        pos = (initial.zeta if isinstance(initial, FirstOrderState)
+               else as_complex_vector(initial, "initial"))
+        y = pos.copy()
+    else:
+        pos, vel = ((initial.zeta, initial.zeta_dot)
+                    if isinstance(initial, SecondOrderState) else initial)
+        pos = as_complex_vector(pos, "initial position")
+        vel = as_complex_vector(vel, "initial velocity")
+        if pos.size != vel.size:
+            raise DimensionMismatch("position and velocity lengths differ")
+        y = np.concatenate([pos, vel])
+    n_pos = pos.size
+    field = _STEP_FIELDS[system]
     t = 0.0
-    samples = [(0.0, y.copy())]
+    samples = [(0.0, y)]
     min_sep = pairwise_separation(y[:n_pos])
     accepted = rejected = 0
 
+    stages = np.empty((7, y.size), dtype=complex)
     try:
-        k1 = rhs(y)
+        stages[0] = field(y, n_pos)
     except NearCollision as exc:  # a collision at the start is not recoverable
         raise CollisionAbort(str(exc)) from exc
     h = min(t_end, 1e-2)
-    stages = [None] * 7
 
     for _ in range(max_steps):
         if t >= t_end:
@@ -295,11 +293,10 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
         if final_step:
             h = t_end - t
 
-        stages[0] = k1
         try:
             for i in range(1, 7):
-                yi = y + h * sum(a * stages[j] for j, a in enumerate(_DP_A[i]))
-                stages[i] = rhs(yi)
+                y_stage = y + h * (_DP_A[i, :i, None] * stages[:i]).sum(axis=0)
+                stages[i] = field(y_stage, n_pos)
         except NearCollision:
             rejected += 1
             h *= 0.5
@@ -308,17 +305,15 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
                     f"collision pressure drove the step below {STEP_FLOOR} at t={t:.6f}")
             continue
 
-        y5 = y + h * sum(b * k for b, k in zip(_DP_B5, stages) if b != 0.0)
-        err_vec = h * sum((b5 - b4) * k for b5, b4, k in zip(_DP_B5, _DP_B4, stages)
-                          if b5 != b4)
-        weight = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y5))
+        err_vec = h * (_DP_ERR[:, None] * stages).sum(axis=0)
+        weight = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_stage))
         err = float(np.sqrt(np.mean((np.abs(err_vec) / weight) ** 2)))
 
         if err <= 1.0:
             t = t_end if final_step else t + h
-            y = y5
-            k1 = stages[6]  # first-same-as-last
-            samples.append((t, y.copy()))
+            y = y_stage  # the last stage point is the fifth-order solution
+            stages[0] = stages[6]
+            samples.append((t, y))
             accepted += 1
             min_sep = min(min_sep, pairwise_separation(y[:n_pos]))
             grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))

@@ -32,8 +32,9 @@ __all__ = [
     "permuted_polynomial",
 ]
 
-# Full-pipeline cap: the N! sweep and the matrix spectra are desk-scale below
-# this; zero computation itself would be fine far beyond.
+# Full-pipeline cap on N, also the one RunConfig enforces.  It bounds what is
+# accepted, not what succeeds: Aberth root finding already fails on some
+# orderings from N = 9 and on nearly all of them by N = 20.
 MAX_ORDER = 30
 
 # Coefficients involve factorial ratios; past 170 even the intermediate

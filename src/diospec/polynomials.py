@@ -11,6 +11,7 @@ matrices built downstream, so it is never silently canonicalised.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -137,16 +138,19 @@ def _columns(c: np.ndarray) -> list:
     return [c[:, k, None] for k in range(c.shape[1])]
 
 
+def _expand(zz: np.ndarray) -> np.ndarray:
+    """Trailing coefficients of prod_n (x - zz_n), expanded factor by factor
+    from a non-empty complex vector."""
+    full = functools.reduce(np.convolve, [np.array([1.0, -root]) for root in zz])
+    return full[1:]
+
+
 def poly_from_zeros(z) -> MonicPolynomial:
     """Expand prod_n (x - z_n) by incremental multiplication of linear factors.
 
     Coefficient m of the result equals (-1)^m * sigma(m, z).
     """
-    zz = _zeros_of(z)
-    full = np.ones(1, dtype=complex)
-    for root in zz:
-        full = np.convolve(full, np.array([1.0, -root]))
-    return MonicPolynomial(full[1:])
+    return MonicPolynomial(_expand(_zeros_of(z)))
 
 
 def _aberth(c: np.ndarray, tol: float, max_iter: int, start_phase: float):

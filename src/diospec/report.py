@@ -15,6 +15,7 @@ import hashlib
 import io
 import math
 import random
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NonConvergence
-from .hermite import hermite_zeros, word_from_rank
+from .hermite import MAX_ORDER, hermite_zeros, word_from_rank
 from .matrices import (
     CONDITIONING_FLOOR,
     KIND_M1,
@@ -110,8 +111,8 @@ class RunConfig:
         self.validate()
 
     def validate(self):
-        if not 2 <= self.n <= 30:
-            raise ValueError(f"n must be in 2..30, got {self.n}")
+        if not 2 <= self.n <= MAX_ORDER:
+            raise ValueError(f"n must be in 2..{MAX_ORDER}, got {self.n}")
         for kind in self.kinds:
             if kind not in _ALL_KINDS:
                 raise ValueError(f"unknown kind {kind!r}")
@@ -146,7 +147,16 @@ class RunConfig:
             k = int(self.orderings[1])
             if k > total:
                 raise ValueError(f"cannot sample {k} from {total} orderings")
-            return sorted(random.Random(self.seed).sample(range(1, total + 1), k))
+            rng = random.Random(self.seed)
+            if total <= sys.maxsize:
+                return sorted(rng.sample(range(1, total + 1), k))
+            # random.sample cannot take len() of a range this large.  Its own
+            # rule for populations above its pooling threshold (every one this
+            # large) is randrange(total) with repeats redrawn, so use that.
+            ranks = set()
+            while len(ranks) < k:
+                ranks.add(rng.randrange(total) + 1)
+            return sorted(ranks)
         return sorted(set(int(r) for r in self.orderings))
 
     def _orderings_payload(self):

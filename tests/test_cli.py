@@ -267,3 +267,18 @@ class TestReportSerialization:
             RunConfig(n=3, pass_tol=0.0)
         with pytest.raises(ValueError):
             RunConfig(n=3, orderings=(0, 1))
+        with pytest.raises(ValueError, match=r"n must be in 2\.\.30, got 31"):
+            RunConfig(n=31, orderings=("sample", 1))
+
+    def test_sampled_ranks_beyond_ssize_t(self):
+        # 20! still fits random.sample's population length; 21! does not,
+        # so from N = 21 ranks are drawn with random.sample's own rule for
+        # large populations.  Both sides stay seeded and pinned.
+        assert RunConfig(n=20, orderings=("sample", 3), seed=42).ordering_ranks() == [
+            513423962427980190, 643505098263385823, 1129364348903903832]
+        assert RunConfig(n=21, orderings=("sample", 3), seed=42).ordering_ranks() == [
+            2053695854357871006, 5073395517033431292, 39467508541891565279]
+        for n in (21, 30):
+            ranks = RunConfig(n=n, orderings=("sample", 20), seed=7).ordering_ranks()
+            assert len(set(ranks)) == 20 and ranks == sorted(ranks)
+            assert 1 <= ranks[0] and ranks[-1] <= math.factorial(n)

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -68,6 +69,11 @@ class TestCoefficientFlows:
             rhs_gamma_first([1.0, 1.0 + 1e-12])
         with pytest.raises(NearCollision):
             rhs_gamma_second([0.5, 0.5 + 1e-11, -1.0])
+        # Well-separated zeros whose derived coefficients coincide:
+        # (x - 1)(x + 0.5) = x^2 - 0.5 x - 0.5.
+        for field in (rhs_zeta_first, zeta_force):
+            with pytest.raises(NearCollision, match="gamma separation 0.000e"):
+                field([1.0, -0.5])
 
     def test_first_order_flow_rate_matches_short_step_oracle(self):
         # Richardson from two short integrations:
@@ -208,6 +214,26 @@ class TestIntegrate:
     def test_collision_at_start_aborts(self):
         with pytest.raises(CollisionAbort):
             integrate("gamma1", np.array([1.0, 1.0 + 1e-12]), 1.0)
+        # The zeros are apart; their coefficients (-0.5, -0.5) collide.
+        with pytest.raises(CollisionAbort, match="gamma separation"):
+            integrate("zeta1", [1.0, -0.5], 1.0)
+        with pytest.raises(CollisionAbort, match="gamma separation"):
+            integrate("zeta2", ([1.0, -0.5], [0.0, 0.0]), 1.0)
+
+    def test_stage_collision_rejects_the_step(self):
+        # gamma1 from gamma = (d/2, -d/2): the separation obeys
+        # d' = i (d - 2/d), so the first Dormand-Prince stage point, at
+        # h a k1 with h = 1e-2 and a = 1/5, has separation
+        # d (1 + i h a) - 2 i h a / d.  Choosing d^2 = 2 i h a / (1 + i h a)
+        # puts it about 1e-17 from zero: that step is rejected and halved, and
+        # the run still reaches t_end.
+        h, a = 1e-2, 1 / 5
+        d = cmath.sqrt(2j * h * a / (1 + 1j * h * a))
+        record = integrate("gamma1", np.array([d / 2, -d / 2]), 0.5)
+        _, rejected = record.step_stats
+        assert rejected >= 1
+        assert record.samples[-1][0] == 0.5
+        assert record.step_stats == (206, 30)
 
     def test_step_budget_exhaustion(self):
         start = hermite_zeros(3).zeros + 0.01 * unit_direction(3, 17)
