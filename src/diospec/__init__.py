@@ -43,7 +43,7 @@ from .hermite import (
     residual_first_order,
     residual_second_order,
 )
-from .eig import EigenResult, eigenvalues, eigenvectors, hessenberg_reduce
+from .eig import EigenResult, eigenvalues, hessenberg_reduce
 from .matrices import (
     KIND_M1,
     KIND_M2,
@@ -99,7 +99,6 @@ __all__ = [
     "residual_second_order",
     "EigenResult",
     "eigenvalues",
-    "eigenvectors",
     "hessenberg_reduce",
     "KIND_M1",
     "KIND_M2",

@@ -15,7 +15,6 @@ import argparse
 import csv
 import io
 import math
-import os
 import sys
 from typing import Optional
 
@@ -56,29 +55,12 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_COLLISION = 4
 
-_JOBS_ENV = "DIOSPEC_JOBS"
-
-
-def _default_jobs() -> int:
-    try:
-        return max(1, int(os.environ.get(_JOBS_ENV, "1")))
-    except ValueError:
-        return 1
-
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--n", type=int, required=True, help="problem size")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="also write the output to FILE")
-    parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--jobs", type=int, default=_default_jobs(),
-                        help=f"worker processes (default ${_JOBS_ENV} or 1)")
-    parser.add_argument("--tol-root", type=float, default=1e-12)
-    parser.add_argument("--tol-eig", type=float, default=1e-13)
-    parser.add_argument("--tol-pass", type=float, default=1e-6)
-    parser.add_argument("--tol-ode-rel", type=float, default=1e-10)
-    parser.add_argument("--tol-ode-abs", type=float, default=1e-12)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,6 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="spectrum sweep over coefficient orderings")
     _add_common(ver)
+    ver.add_argument("--seed", type=int, default=42, help="seed of sample:K orderings")
+    ver.add_argument("--jobs", type=int, default=1, help="worker processes")
+    ver.add_argument("--tol-root", type=float, default=1e-12)
+    ver.add_argument("--tol-pass", type=float, default=1e-6)
     ver.add_argument("--kinds", default="M1,M2",
                      help="comma-separated subset of M1,M2")
     ver.add_argument("--orderings", default="all",
@@ -107,6 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate",
                          help="integrate one flow from a seeded near-equilibrium start")
     _add_common(sim)
+    sim.add_argument("--seed", type=int, default=42, help="seed of the perturbation")
+    sim.add_argument("--tol-root", type=float, default=1e-12)
+    sim.add_argument("--tol-ode-rel", type=float, default=1e-10)
+    sim.add_argument("--tol-ode-abs", type=float, default=1e-12)
     sim.add_argument("--system", choices=dynamics.SYSTEMS, required=True)
     sim.add_argument("--ordering-rank", type=int, default=1,
                      help="coefficient ordering for the zeta systems")
@@ -119,6 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     orc = sub.add_parser("oracle",
                          help="closed-form matrix versus finite-difference Jacobian")
     _add_common(orc)
+    orc.add_argument("--tol-root", type=float, default=1e-12)
     orc.add_argument("--kind", choices=(KIND_M1, KIND_M2), default=KIND_M1)
     orc.add_argument("--ordering-rank", type=int, default=1)
     orc.add_argument("--h", type=float, default=1e-6, help="central-difference step")
@@ -333,10 +324,7 @@ def main(argv=None) -> int:
                 kinds=tuple(k for k in args.kinds.split(",") if k),
                 orderings=_parse_orderings(args.orderings),
                 root_tol=args.tol_root,
-                eig_tol=args.tol_eig,
                 pass_tol=args.tol_pass,
-                ode_rel_tol=args.tol_ode_rel,
-                ode_abs_tol=args.tol_ode_abs,
                 output_format=args.format,
                 seed=args.seed,
                 jobs=args.jobs,

@@ -31,12 +31,12 @@ from typing import Callable
 
 import numpy as np
 
-from . import eig
 from .errors import (
     CollisionAbort,
     DegenerateSpectrum,
     DimensionMismatch,
     NearCollision,
+    NonConvergence,
     StepFloorReached,
 )
 from .matrices import KIND_M1, KIND_M2, DiophantineMatrix
@@ -67,6 +67,10 @@ COLLISION_FLOOR = 1e-10
 STEP_FLOOR = 1e-12
 
 _FD_STEP_RANGE = (1e-8, 1e-4)
+
+# Pairwise eigenvalue gap, relative to the spectrum scale, below which the
+# eigenvectors no longer form a trustworthy modal basis.
+_GAP_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -361,8 +365,17 @@ def fd_jacobian(system: str, z, h: float = 1e-6) -> np.ndarray:
 
 
 def _modal_basis(entries: np.ndarray):
-    values = eig.eigenvalues(entries).eigenvalues
-    basis = eig.eigenvectors(entries, values).eigenvectors
+    """LAPACK eigenvalues and unit-norm eigenvector columns; raises
+    DegenerateSpectrum when two eigenvalues lie within the gap floor."""
+    try:
+        values, basis = np.linalg.eig(entries)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"eigen-decomposition failed: {exc}") from exc
+    gap = pairwise_separation(values)
+    scale = max(1.0, float(np.max(np.abs(values))))
+    if gap <= _GAP_FLOOR * scale:
+        raise DegenerateSpectrum(
+            f"minimum eigenvalue gap {gap:.3e} below {_GAP_FLOOR} * {scale:.3e}")
     return values, basis
 
 

@@ -1,10 +1,13 @@
-"""Dense complex nonsymmetric eigensolver for small matrices (n <= 64).
+"""Dense complex nonsymmetric eigenvalues for small matrices (n <= 64).
 
 Pipeline: unitary Householder reduction to upper Hessenberg form, then
 explicitly shifted QR iteration with Wilkinson shifts and subdiagonal
 deflation, working in complex arithmetic throughout (no real-block
-embedding).  Eigenvectors come from inverse iteration, which is adequate
-because every spectrum in this package is simple and well separated.
+embedding).
+
+No production path calls this module: the sweep spectra and the modal
+evolution use LAPACK.  It stays as the independent reference that the tests
+hold the LAPACK sweep spectra against.
 """
 
 from __future__ import annotations
@@ -15,32 +18,23 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, DimensionMismatch, NonConvergence
+from .errors import NonConvergence
 
 __all__ = [
     "MAX_N",
     "EigenResult",
     "hessenberg_reduce",
     "eigenvalues",
-    "eigenvectors",
 ]
 
 MAX_N = 64
 
-# Pairwise eigenvalue gap (relative to spectrum scale) below which inverse
-# iteration can no longer separate the eigenvectors.
-_GAP_FLOOR = 1e-6
-
-_RESIDUAL_BOUND = 1e-8
-
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Eigenvalues, optional unit-norm eigenvector columns, and iteration
-    diagnostics of one decomposition."""
+    """Eigenvalues and iteration diagnostics of one decomposition."""
 
     eigenvalues: np.ndarray
-    eigenvectors: Optional[np.ndarray]
     iterations: int
     converged: bool
 
@@ -124,7 +118,7 @@ def eigenvalues(m, tol: float = 1e-13, max_sweeps: Optional[int] = None) -> Eige
     if tol <= 0:
         raise ValueError("tol must be positive")
     if n == 1:
-        return EigenResult(a.diagonal().copy(), None, 0, True)
+        return EigenResult(a.diagonal().copy(), 0, True)
 
     h, _ = hessenberg_reduce(a)
     budget = max_sweeps if max_sweeps is not None else 40 * n
@@ -173,61 +167,4 @@ def eigenvalues(m, tol: float = 1e-13, max_sweeps: Optional[int] = None) -> Eige
             block[:, k:k + 2] = block[:, k:k + 2] @ gh
         h[lo:hi + 1, lo:hi + 1] = block + shift * np.eye(size)
 
-    return EigenResult(vals, None, steps, True)
-
-
-def eigenvectors(m, eigenvalue_list) -> EigenResult:
-    """Unit-norm eigenvectors by inverse iteration with one refinement step.
-
-    Requires a simple spectrum: every pairwise eigenvalue gap must exceed
-    1e-6 relative to the spectrum scale, otherwise DegenerateSpectrum is
-    raised.  Each returned column u satisfies ||M u - lambda u|| <= 1e-8
-    ||M||_F.
-    """
-    a = as_square_matrix(m)
-    lam = np.atleast_1d(np.asarray(eigenvalue_list, dtype=complex))
-    n = a.shape[0]
-    if lam.size != n:
-        raise DimensionMismatch(f"{lam.size} eigenvalues for a {n}x{n} matrix")
-
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    if n > 1:
-        gaps = np.abs(lam[:, None] - lam[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        if gaps.min() <= _GAP_FLOOR * scale:
-            raise DegenerateSpectrum(
-                f"minimum eigenvalue gap {gaps.min():.3e} below {_GAP_FLOOR} * {scale:.3e}")
-
-    norm_a = float(np.linalg.norm(a))
-    ident = np.eye(n)
-    vectors = np.empty((n, n), dtype=complex)
-    iterations = 0
-    flat = np.ones(n, dtype=complex) / np.sqrt(n)
-    ramp = np.exp(1j * np.arange(n))
-    ramp /= np.linalg.norm(ramp)
-    for i, value in enumerate(lam):
-        vec = None
-        for attempt in range(4):
-            # Slightly off-shift so the solve stays nonsingular even when the
-            # eigenvalue is exact to machine precision; switch start vectors
-            # in case the first is deficient in the wanted direction.
-            start = flat if attempt < 2 else ramp
-            shifted = a - (value + (attempt + 1) * 1e-13 * scale) * ident
-            try:
-                x = np.linalg.solve(shifted, start)
-                x /= np.linalg.norm(x)
-                x = np.linalg.solve(shifted, x)
-                x /= np.linalg.norm(x)
-            except np.linalg.LinAlgError:
-                continue
-            iterations += 2
-            if np.linalg.norm(a @ x - value * x) <= _RESIDUAL_BOUND * norm_a:
-                vec = x
-                break
-        if vec is None:
-            raise NonConvergence(f"inverse iteration failed for eigenvalue {value}")
-        # Deterministic phase: largest component real and positive.
-        lead = vec[np.argmax(np.abs(vec))]
-        vec *= (lead.conjugate() / abs(lead))
-        vectors[:, i] = vec
-    return EigenResult(lam.copy(), vectors, iterations, True)
+    return EigenResult(vals, steps, True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NonConvergence, SingularConfiguration
 from .hermite import PermutationId
-from .polynomials import as_complex_vector, esp_table
+from .polynomials import _vieta_jacobian, _zeros_of, as_complex_vector
 
 __all__ = [
     "KIND_M1",
@@ -52,12 +52,6 @@ KIND_M2 = "M2"
 CONDITIONING_FLOOR = 1e-6
 
 _profiles = {KIND_M1: (1.0, 2), KIND_M2: (6.0, 4)}
-
-
-def _zeros_array(z) -> np.ndarray:
-    from .polynomials import ZeroVector
-
-    return z.zeros if isinstance(z, ZeroVector) else as_complex_vector(z, "zeros")
 
 
 @dataclass(frozen=True)
@@ -114,19 +108,9 @@ class SpectrumReport:
         object.__setattr__(self, "expected", tuple(int(e) for e in self.expected))
 
 
-def _w_stack(z: np.ndarray) -> np.ndarray:
-    """WTable entries for every row of a (B, N) zero stack, as (B, N, N)."""
-    n = z.shape[1]
-    others = np.array([[k for k in range(n) if k != m] for m in range(n)])
-    # reduced[b, m, j-1] = d sigma_j / d z_m = e_{j-1} of row b without z_m.
-    reduced = esp_table(z[:, others])
-    signs = (-1.0) ** np.arange(1, n + 1)
-    return signs[:, None] * reduced.transpose(0, 2, 1)
-
-
 def w_table(z) -> WTable:
     """Coefficient-perturbation table for the ordered zeros z."""
-    return WTable(_w_stack(_zeros_array(z)[None, :])[0])
+    return WTable(_vieta_jacobian(_zeros_of(z)[None, :])[0])
 
 
 def _set_diagonals(stack: np.ndarray, value) -> None:
@@ -160,7 +144,7 @@ def build_stack(zeros: np.ndarray, coefficients: np.ndarray, kinds: tuple):
     if np.any(coeff_sep == 0.0):
         raise SingularConfiguration("coincident coefficients")
 
-    w = _w_stack(z)
+    w = _vieta_jacobian(z)
     _set_diagonals(zdiff, 1.0)
     prefactor = -1.0 / np.prod(zdiff, axis=2)
     _set_diagonals(cdiff, 1.0)
@@ -184,7 +168,7 @@ def build_stack(zeros: np.ndarray, coefficients: np.ndarray, kinds: tuple):
 
 
 def _build(z, c, kind: str, source_perm: Optional[PermutationId]) -> DiophantineMatrix:
-    zz = _zeros_array(z)
+    zz = _zeros_of(z)
     cc = as_complex_vector(c, "coefficients")
     n = zz.size
     if cc.size != n:
@@ -258,7 +242,7 @@ def permutation_similarity_check(z, c, kind: str, swap: tuple) -> float:
     else; the returned deviation is floating-point noise when that holds.
     """
     a, b = swap
-    zz = _zeros_array(z)
+    zz = _zeros_of(z)
     n = zz.size
     if not (1 <= a < b <= n):
         raise ValueError(f"swap positions must satisfy 1 <= a < b <= {n}, got {swap}")

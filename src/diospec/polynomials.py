@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -29,18 +28,13 @@ __all__ = [
     "roots",
     "roots_stack",
     "sigma",
-    "sigma_brute",
     "sigma_excluding",
-    "sigma_excluding_brute",
     "vieta_jacobian_apply",
 ]
 
 # Successive Aberth starting angles are separated by the golden angle, which
 # never aligns two guesses symmetrically about the real axis.
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-
-# Subset enumeration is for cross-testing only; beyond this size it explodes.
-_BRUTE_FORCE_LIMIT = 12
 
 
 def as_complex_vector(values, name: str = "values") -> np.ndarray:
@@ -281,6 +275,19 @@ def esp_table(values: np.ndarray) -> np.ndarray:
     return e
 
 
+def _vieta_jacobian(z: np.ndarray) -> np.ndarray:
+    """Jacobian d c_j / d z_m of the zeros-to-coefficients map for every row
+    of a (B, N) zero stack, as (B, N, N) indexed [b, j-1, m-1]: entry (j, m)
+    is (-1)^j e_{j-1} of the row's zeros without z_m."""
+    n = z.shape[1]
+    # Row m of ``others`` lists every index but m.  The explicit integer
+    # dtype keeps it an index array at N = 1, where its shape is (1, 0).
+    others = np.array([[k for k in range(n) if k != m] for m in range(n)], dtype=np.intp)
+    reduced = esp_table(z[:, others])
+    signs = (-1.0) ** np.arange(1, n + 1)
+    return signs[:, None] * reduced.transpose(0, 2, 1)
+
+
 def sigma(j: int, z) -> complex:
     """Elementary symmetric function of degree j; sigma(0, z) = 1 (void product)."""
     zz = _zeros_of(z)
@@ -306,32 +313,6 @@ def sigma_excluding(m: int, j: int, z) -> complex:
     return complex(esp_table(np.delete(zz, m - 1))[j - 1])
 
 
-def sigma_brute(j: int, z) -> complex:
-    """Subset-enumeration twin of sigma, for cross-testing (n <= 12)."""
-    zz = _zeros_of(z)
-    if j < 0 or j > zz.size:
-        raise IndexError(f"sigma degree {j} outside 0..{zz.size}")
-    if zz.size > _BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute-force path limited to n <= {_BRUTE_FORCE_LIMIT}")
-    return complex(sum(math.prod(t) for t in combinations(zz, j)))
-
-
-def sigma_excluding_brute(m: int, j: int, z) -> complex:
-    """Subset-enumeration twin of sigma_excluding, for cross-testing (n <= 12)."""
-    zz = _zeros_of(z)
-    n = zz.size
-    if not 1 <= m <= n:
-        raise IndexError(f"excluded index {m} outside 1..{n}")
-    if not 1 <= j <= n:
-        raise IndexError(f"degree index {j} outside 1..{n}")
-    if n > _BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute-force path limited to n <= {_BRUTE_FORCE_LIMIT}")
-    if j == 1:
-        return 0j
-    reduced = np.delete(zz, m - 1)
-    return complex(sum(math.prod(t) for t in combinations(reduced, j - 1)))
-
-
 def vieta_jacobian_apply(z, v) -> np.ndarray:
     """First-order change of the monic coefficients when the zeros move by v.
 
@@ -342,9 +323,4 @@ def vieta_jacobian_apply(z, v) -> np.ndarray:
     vv = as_complex_vector(v, "v")
     if vv.size != zz.size:
         raise DimensionMismatch(f"direction has length {vv.size}, zeros {zz.size}")
-    n = zz.size
-    signs = (-1.0) ** np.arange(1, n + 1)
-    w = np.zeros(n, dtype=complex)
-    for m in range(n):
-        w += vv[m] * signs * esp_table(np.delete(zz, m))[:n]
-    return w
+    return _vieta_jacobian(zz[None, :])[0] @ vv

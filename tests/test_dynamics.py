@@ -45,6 +45,20 @@ def pipeline(n, rank):
     return poly, zeros
 
 
+def taylor_expm(a):
+    """exp(a) by scaling and squaring a truncated Taylor series: a reference
+    for the modal evolution that uses no eigenvectors."""
+    squarings = max(0, math.frexp(np.abs(a).sum(axis=0).max())[1] + 1)
+    b = a / 2.0 ** squarings  # 1-norm below 1/2
+    term = total = np.eye(len(a), dtype=complex)
+    for k in range(1, 25):
+        term = term @ b / k
+        total = total + term
+    for _ in range(squarings):
+        total = total @ total
+    return total
+
+
 class TestCoefficientFlows:
     def test_first_order_hand_value(self):
         np.testing.assert_allclose(rhs_gamma_first([1.0, -1.0]), [0.5j, -0.5j],
@@ -330,12 +344,37 @@ class TestLinearEvolution:
             linear_evolution_second(m1, v0, v0, 1.0)
 
     def test_degenerate_spectrum_detected(self):
-        from diospec.matrices import DiophantineMatrix, KIND_M1
+        from diospec.matrices import DiophantineMatrix, KIND_M1, KIND_M2
 
-        jordan = DiophantineMatrix(KIND_M1, 2, np.array([[1.0, 1.0], [0.0, 1.0]]),
-                                   None, 1.0, 1.0)
+        block = np.array([[1.0, 1.0], [0.0, 1.0]])
+        jordan = DiophantineMatrix(KIND_M1, 2, block, None, 1.0, 1.0)
         with pytest.raises(DegenerateSpectrum):
             linear_evolution_first(jordan, np.ones(2), 1.0)
+        jordan = DiophantineMatrix(KIND_M2, 2, block, None, 1.0, 1.0)
+        with pytest.raises(DegenerateSpectrum):
+            linear_evolution_second(jordan, np.ones(2), np.ones(2), 1.0)
+
+    def test_modal_evolution_matches_taylor_exponential(self):
+        # v(t) = exp(i M t) v0 for M1, and the first half of
+        # exp(t [[0, I], [-M, 0]]) (v0, vdot0) for M2.
+        t = 0.7
+        for n in range(2, 7):
+            for rank in (1, math.factorial(n)):
+                poly, zeros = pipeline(n, rank)
+                v0, vd0 = unit_direction(n, 10 * n + 1), unit_direction(n, 10 * n + 2)
+                m1 = build_m1(zeros, poly.coefficients)
+                expected = taylor_expm(1j * t * m1.entries) @ v0
+                out = linear_evolution_first(m1, v0, t)
+                assert np.abs(out - expected).max() <= 1e-11, (n, rank)
+
+                m2 = build_m2(zeros, poly.coefficients)
+                generator = np.zeros((2 * n, 2 * n), dtype=complex)
+                generator[:n, n:] = np.eye(n)
+                generator[n:, :n] = -m2.entries
+                start = np.concatenate([v0, vd0])
+                expected = (taylor_expm(t * generator) @ start)[:n]
+                out = linear_evolution_second(m2, v0, vd0, t)
+                assert np.abs(out - expected).max() <= 1e-11 * np.linalg.norm(start), (n, rank)
 
     def test_nonlinear_flow_tracks_linearisation(self):
         # epsilon-scale start: the nonlinear zeta flow should follow the

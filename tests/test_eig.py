@@ -1,4 +1,3 @@
-import cmath
 import math
 
 import numpy as np
@@ -8,10 +7,9 @@ from diospec.eig import (
     EigenResult,
     as_square_matrix,
     eigenvalues,
-    eigenvectors,
     hessenberg_reduce,
 )
-from diospec.errors import DegenerateSpectrum, DimensionMismatch, NonConvergence
+from diospec.errors import NonConvergence
 from diospec.hermite import PermutationId, hermite_zeros, permuted_polynomial
 from diospec.matrices import KIND_M1, build_m1, build_m2
 from diospec.polynomials import MonicPolynomial, roots
@@ -131,51 +129,6 @@ class TestEigenvalues:
     def test_size_one(self):
         res = eigenvalues(np.array([[5.0 + 2j]]))
         np.testing.assert_allclose(res.eigenvalues, [5.0 + 2j])
-
-
-class TestEigenvectors:
-    def test_diagonal_gives_standard_basis(self):
-        m = np.diag([1.0, 2.0, 3.0])
-        res = eigenvectors(m, [1.0, 2.0, 3.0])
-        np.testing.assert_allclose(np.abs(res.eigenvectors), np.eye(3), atol=1e-12)
-
-    def test_residual_bound_on_integer_spectrum_matrix(self):
-        # the n=2 matrix built from the mu=1 zeros: eigenvalues 1 and 2
-        from diospec.matrices import build_m1
-        from diospec.polynomials import poly_from_zeros
-
-        z1 = (-1 + cmath.sqrt(1 + 4 * SQRT2)) / (2 * SQRT2)
-        z2 = (-1 - cmath.sqrt(1 + 4 * SQRT2)) / (2 * SQRT2)
-        zeros = np.array([z1, z2])
-        coeffs = poly_from_zeros(zeros).coefficients
-        m = build_m1(zeros, coeffs).entries
-        lam = eigenvalues(m).eigenvalues
-        res = eigenvectors(m, lam)
-        norm_m = np.linalg.norm(m)
-        for i in range(2):
-            u = res.eigenvectors[:, i]
-            assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
-            assert np.linalg.norm(m @ u - lam[i] * u) <= 1e-8 * norm_m
-
-    def test_jordan_block_rejected(self):
-        m = np.array([[1.0, 1.0], [0.0, 1.0]])
-        with pytest.raises(DegenerateSpectrum):
-            eigenvectors(m, [1.0, 1.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            eigenvectors(np.eye(3), [1.0, 2.0])
-
-    def test_unit_norm_columns_random(self):
-        rng = np.random.default_rng(16)
-        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        lam = eigenvalues(m).eigenvalues
-        res = eigenvectors(m, lam)
-        norms = np.linalg.norm(res.eigenvectors, axis=0)
-        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
-        for i in range(5):
-            u = res.eigenvectors[:, i]
-            assert np.linalg.norm(m @ u - lam[i] * u) <= 1e-8 * np.linalg.norm(m)
 
 
 class TestSweepSpectraAgainstReference:

@@ -62,6 +62,8 @@ class TestWTable:
         z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         table = w_table(z).entries
         np.testing.assert_allclose(table[0], -1.0, atol=1e-15)
+        # A single zero leaves only that row: c_1 = -z_1.
+        np.testing.assert_array_equal(w_table([2.0]).entries, [[-1.0]])
 
     def test_n3_cyclic_structure(self):
         rng = np.random.default_rng(1)

@@ -1,5 +1,6 @@
 import cmath
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -15,9 +16,7 @@ from diospec.polynomials import (
     poly_from_zeros,
     roots,
     sigma,
-    sigma_brute,
     sigma_excluding,
-    sigma_excluding_brute,
     vieta_jacobian_apply,
 )
 
@@ -35,6 +34,16 @@ def quadratic_roots(b, c):
     """Roots of z^2 + b z + c by the quadratic formula (test oracle)."""
     disc = cmath.sqrt(b * b - 4.0 * c)
     return [(-b + disc) / 2.0, (-b - disc) / 2.0]
+
+
+def sigma_brute(j, z):
+    """Subset-enumeration twin of sigma (test oracle)."""
+    return complex(sum(math.prod(t) for t in combinations(z, j)))
+
+
+def sigma_excluding_brute(m, j, z):
+    """Subset-enumeration twin of sigma_excluding (test oracle)."""
+    return 0j if j == 1 else sigma_brute(j - 1, np.delete(z, m - 1))
 
 
 @st.composite
@@ -240,6 +249,8 @@ class TestVietaJacobianApply:
         w2 = v[0] * (z[1] + z[2]) + v[1] * (z[0] + z[2]) + v[2] * (z[0] + z[1])
         w3 = -(v[0] * z[1] * z[2] + v[1] * z[0] * z[2] + v[2] * z[0] * z[1])
         np.testing.assert_allclose(w, [w1, w2, w3], atol=1e-12)
+        # Degree one: c_1 = -z_1.
+        np.testing.assert_array_equal(vieta_jacobian_apply([2.0], [1.0]), [-1.0])
 
     def test_against_central_difference(self):
         rng = np.random.default_rng(21)
