@@ -224,6 +224,9 @@ def cmd_simulate(system: str, n: int, ordering_rank: int = 1,
     try:
         record = dynamics.integrate(system, initial, t_end,
                                     rel_tol=rel_tol, abs_tol=abs_tol)
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
     except (CollisionAbort, NearCollision) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_COLLISION
@@ -287,6 +290,10 @@ def cmd_oracle(n: int, ordering_rank: int = 1, kind: str = KIND_M1,
         perm = PermutationId.from_rank(n, ordering_rank)
         poly = permuted_polynomial(hermite_zeros(n), perm)
         zeros = roots(poly, tol=root_tol)
+        if kind == KIND_M1:
+            jac = -1j * dynamics.fd_jacobian("zeta1", zeros.zeros, h)
+        else:
+            jac = -dynamics.fd_jacobian("zeta2_force", zeros.zeros, h)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
@@ -294,12 +301,8 @@ def cmd_oracle(n: int, ordering_rank: int = 1, kind: str = KIND_M1,
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERICAL
 
-    if kind == KIND_M1:
-        matrix = build_m1(zeros, poly.coefficients, source_perm=perm).entries
-        jac = -1j * dynamics.fd_jacobian("zeta1", zeros.zeros, h)
-    else:
-        matrix = build_m2(zeros, poly.coefficients, source_perm=perm).entries
-        jac = -dynamics.fd_jacobian("zeta2_force", zeros.zeros, h)
+    builder = build_m1 if kind == KIND_M1 else build_m2
+    matrix = builder(zeros, poly.coefficients, source_perm=perm).entries
     deviation = float(np.max(np.abs(matrix - jac)) / np.max(np.abs(matrix)))
     payload = {"n": n, "ordering_rank": ordering_rank, "kind": kind, "h": h,
                "max_relative_deviation": deviation}

@@ -36,7 +36,6 @@ class EigenResult:
 
     eigenvalues: np.ndarray
     iterations: int
-    converged: bool
 
 
 def as_square_matrix(m) -> np.ndarray:
@@ -118,7 +117,7 @@ def eigenvalues(m, tol: float = 1e-13, max_sweeps: Optional[int] = None) -> Eige
     if tol <= 0:
         raise ValueError("tol must be positive")
     if n == 1:
-        return EigenResult(a.diagonal().copy(), 0, True)
+        return EigenResult(a.diagonal().copy(), 0)
 
     h, _ = hessenberg_reduce(a)
     budget = max_sweeps if max_sweeps is not None else 40 * n
@@ -167,4 +166,4 @@ def eigenvalues(m, tol: float = 1e-13, max_sweeps: Optional[int] = None) -> Eige
             block[:, k:k + 2] = block[:, k:k + 2] @ gh
         h[lo:hi + 1, lo:hi + 1] = block + shift * np.eye(size)
 
-    return EigenResult(vals, steps, True)
+    return EigenResult(vals, steps)

@@ -26,7 +26,8 @@ class StepFloorReached(NumericalError):
 
 
 class DegenerateSpectrum(NumericalError):
-    """Eigenvalues too close for inverse iteration or modal reconstruction."""
+    """Eigenvalues too close together, or without a frequency, for modal
+    reconstruction."""
 
 
 class DimensionMismatch(ValueError):

@@ -32,9 +32,10 @@ __all__ = [
     "vieta_jacobian_apply",
 ]
 
-# Successive Aberth starting angles are separated by the golden angle, which
-# never aligns two guesses symmetrically about the real axis.
+# Aberth starting guesses begin at angle _START_PHASE and are separated by the
+# golden angle, which never aligns two guesses symmetrically about the real axis.
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+_START_PHASE = 0.4
 
 
 def as_complex_vector(values, name: str = "values") -> np.ndarray:
@@ -147,26 +148,32 @@ def poly_from_zeros(z) -> MonicPolynomial:
     return MonicPolynomial(_expand(_zeros_of(z)))
 
 
-def _aberth(c: np.ndarray, tol: float, max_iter: int, start_phase: float):
+def _aberth(c: np.ndarray, tol: float, max_iter: int):
     """Aberth-Ehrlich iteration on every row of the (B, N) coefficient stack.
 
     Returns (z, converged).  A row stops, and leaves the active set, at the
-    first step where |p(z_n)| <= tol * (1 + max|c_m|) holds for all its zeros;
-    rows still active after ``max_iter`` steps are not converged.
+    first step where every zero meets the backward-error bound
+    |p(z_n)| <= tol * (1 + max|c_m|) * max(1, |z_n|)^N, which a non-finite
+    |p(z_n)| never does.  Within the unit disc this is an absolute test;
+    outside it follows sum_k |c_k| |z_n|^(N-k) to within a factor
+    N * (1 + max|c_m|) (Bini & Fiorentino 2000).  Rows still active after
+    ``max_iter`` steps are not converged, and their zeros are NaN.
     """
     b, n = c.shape
     radius = 1.0 + np.abs(c).max(axis=1)
-    z = radius[:, None] * np.exp(1j * (start_phase + _GOLDEN_ANGLE * np.arange(n)))
-    target = tol * radius
+    z = radius[:, None] * np.exp(1j * (_START_PHASE + _GOLDEN_ANGLE * np.arange(n)))
+    target = tol * radius[:, None]
     tiny = np.finfo(float).tiny
-    out = np.empty_like(z)
+    out = np.full_like(z, np.nan)
     converged = np.zeros(b, dtype=bool)
     active = np.arange(b)
     columns = _columns(c)
 
     for _ in range(max_iter):
         val, der = _horner_with_derivative(columns, z)
-        done = np.abs(val).max(axis=1) <= target
+        resid = np.abs(val)
+        bound = target * np.maximum(1.0, np.abs(z)) ** n
+        done = ((resid <= bound) & np.isfinite(resid)).all(axis=1)
         if done.any():
             out[active[done]] = z[done]
             converged[active[done]] = True
@@ -209,19 +216,18 @@ def _polish(c: np.ndarray, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def roots_stack(coefficients, tol: float = 1e-12, max_iter: int = 200,
-                start_phases: tuple = (0.4,)):
+def roots_stack(coefficients, tol: float = 1e-12, max_iter: int = 200):
     """Zeros of every monic polynomial in a (B, N) stack of trailing
     coefficients, by Aberth-Ehrlich simultaneous iteration.
 
     Starting guesses sit on a circle of radius 1 + max|c_m| with golden-angle
-    spacing, rotated by the start phase.  Each start phase in turn is tried on
-    the rows no earlier phase converged.  Converged rows get a guarded Newton
-    polish and are sorted by (re, im) ascending.
+    spacing.  Converged rows get a guarded Newton polish and are sorted by
+    (re, im) ascending.
 
-    Returns (zeros, failed): ``failed`` marks the rows no phase converged,
-    whose zeros are NaN.  Zeros of a row can differ in the last bits with the
-    other rows of the stack, never with repeats of the same stack.
+    Returns (zeros, failed): ``failed`` marks the rows that did not converge
+    in ``max_iter`` steps, whose zeros are NaN.  Zeros of a row can differ in
+    the last bits with the other rows of the stack, never with repeats of the
+    same stack.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -230,36 +236,24 @@ def roots_stack(coefficients, tol: float = 1e-12, max_iter: int = 200,
     if n == 1:
         return -c, np.zeros(b, dtype=bool)
 
-    zeros = np.full((b, n), np.nan, dtype=complex)
-    pending = np.arange(b)
-    for phase in start_phases:
-        if not pending.size:
-            break
-        z, converged = _aberth(c[pending], tol, max_iter, phase)
-        zeros[pending[converged]] = z[converged]
-        pending = pending[~converged]
-    failed = np.zeros(b, dtype=bool)
-    failed[pending] = True
-
-    ok = ~failed
-    polished = _polish(c[ok], zeros[ok])
+    zeros, converged = _aberth(c, tol, max_iter)
+    polished = _polish(c[converged], zeros[converged])
     order = np.lexsort((polished.imag, polished.real), axis=-1)
-    zeros[ok] = np.take_along_axis(polished, order, axis=1)
-    return zeros, failed
+    zeros[converged] = np.take_along_axis(polished, order, axis=1)
+    return zeros, ~converged
 
 
-def roots(p: MonicPolynomial, tol: float = 1e-12, max_iter: int = 200,
-          start_phase: float = 0.4) -> ZeroVector:
+def roots(p: MonicPolynomial, tol: float = 1e-12, max_iter: int = 200) -> ZeroVector:
     """All zeros of p: ``roots_stack`` on a one-row stack.
 
-    Raises NonConvergence when the iteration budget is exhausted; callers may
-    retry with a different ``start_phase``.
+    Raises NonConvergence when the iteration budget is exhausted.
     """
-    zeros, failed = roots_stack(p.coefficients[None, :], tol, max_iter, (start_phase,))
+    zeros, failed = roots_stack(p.coefficients[None, :], tol, max_iter)
     if failed[0]:
         target = tol * (1.0 + float(np.max(np.abs(p.coefficients))))
         raise NonConvergence(
-            f"Aberth iteration did not reach |p| <= {target:.3e} in {max_iter} steps")
+            f"Aberth iteration did not reach |p(z)| <= {target:.3e} * max(1, |z|)^{p.degree} "
+            f"in {max_iter} steps")
     return ZeroVector(zeros[0])
 
 

@@ -121,6 +121,11 @@ class TestVerifyCommand:
         payload = json.loads(out)
         assert any("mu=5" in note for note in payload["notes"])
 
+    def test_sampled_orderings_beyond_nine_pass(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--n", "10", "--orderings", "sample:20")
+        assert code == EXIT_OK
+        assert json.loads(out)["aggregate"]["pass"] == 40
+
 
 class TestSimulateCommand:
     def test_gamma1_periodicity(self, capsys):
@@ -182,6 +187,19 @@ class TestFlagsPerSubcommand:
             main(list(args))
         assert exc.value.code == EXIT_USAGE
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ("verify", "--n", "4", "--orderings", "sample:100"),
+        ("verify", "--n", "4", "--orderings", "sample:-1"),
+        ("verify", "--n", "4", "--orderings", "sample:0"),
+        ("simulate", "--n", "3", "--system", "gamma1", "--t-end", "-1"),
+        ("simulate", "--n", "3", "--system", "gamma1", "--tol-ode-rel", "0"),
+        ("oracle", "--n", "3", "--h", "1"),
+    ])
+    def test_out_of_range_value_is_a_usage_error(self, capsys, args):
+        code, out, err = run_cli(capsys, *args)
+        assert code == EXIT_USAGE
+        assert out == "" and err.startswith("error: ")
 
 
 class TestReportSerialization:
@@ -260,10 +278,21 @@ class TestReportSerialization:
         assert report_to_json(report) == to_json(report_to_dict(report))
 
     def test_unconverged_ordering_aborts_the_sweep(self):
-        # Rank 657 at n = 9 defeats Aberth from both start phases; the error
-        # names it even among orderings that converge.
+        # Rank 657 at n = 9 has zeros whose |z|^9 puts an absolute stop test
+        # out of reach; the backward-error bound converges.
+        orderings = (5000, 657, 90000)
+        report = run_verification(RunConfig(n=9, orderings=orderings))
+        assert report.aggregate["pass"] == report.aggregate["checks"] == 6
+        # A root tolerance no iterate meets still aborts, and the error names
+        # the first unconverged ordering of its chunk.
         with pytest.raises(NonConvergence, match=r"n=9 rank=657\b"):
-            run_verification(RunConfig(n=9, orderings=(5000, 657, 90000)))
+            run_verification(RunConfig(n=9, orderings=orderings, root_tol=1e-300))
+
+    @pytest.mark.parametrize("n", [10, 16, 20, 30])
+    def test_sampled_large_n_sweep_passes(self, n):
+        report = run_verification(RunConfig(n=n, orderings=("sample", 20)))
+        assert [r.status for r in report.results] == ["pass"] * 40
+        assert report.aggregate["max_deviation"] <= 1e-6
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

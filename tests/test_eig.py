@@ -68,7 +68,6 @@ class TestEigenvalues:
         res = eigenvalues(np.diag([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(sorted_complex(res.eigenvalues), [1.0, 2.0, 3.0],
                                    atol=1e-14)
-        assert res.converged
 
     def test_rotation_generator(self):
         res = eigenvalues(np.array([[0.0, 1.0], [-1.0, 0.0]]))
@@ -142,7 +141,7 @@ class TestSweepSpectraAgainstReference:
             perm = PermutationId.from_rank(7, result.rank)
             poly = permuted_polynomial(herm, perm)
             builder = build_m1 if result.kind == KIND_M1 else build_m2
-            matrix = builder(roots(poly, start_phase=0.4), poly.coefficients)
+            matrix = builder(roots(poly), poly.coefficients)
             qr = eigenvalues(matrix.entries).eigenvalues
             qr = qr[np.argsort(qr.real, kind="stable")]
             assert np.max(np.abs(qr - result.eigenvalues)) <= 1e-9, result.rank

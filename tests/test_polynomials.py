@@ -1,6 +1,6 @@
 import cmath
 import math
-from itertools import combinations
+from itertools import combinations, islice, permutations
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diospec.errors import DimensionMismatch, NonConvergence
+from diospec.hermite import hermite_zeros
 from diospec.polynomials import (
     MonicPolynomial,
     ZeroVector,
@@ -15,6 +16,7 @@ from diospec.polynomials import (
     pairwise_separation,
     poly_from_zeros,
     roots,
+    roots_stack,
     sigma,
     sigma_excluding,
     vieta_jacobian_apply,
@@ -135,6 +137,21 @@ class TestRoots:
     def test_degree_one(self):
         found = roots(MonicPolynomial([2.5 + 1j]))
         np.testing.assert_allclose(found.zeros, [-2.5 - 1j])
+
+    @pytest.mark.parametrize("n", [9, 11])
+    def test_converges_with_zero_constant_term(self, n):
+        # The first 200 orderings that put the central Hermite zero 0.0 last:
+        # c_N = 0 makes 0 an exact root beside zeros with |z|^N far above 1.
+        middle = (n + 1) // 2
+        rest = [k for k in range(1, n + 1) if k != middle]
+        words = [word + (middle,) for word in islice(permutations(rest), 200)]
+        coeffs = hermite_zeros(n).zeros[np.array(words) - 1].astype(complex)
+        assert np.all(coeffs[:, -1] == 0)
+        zeros, failed = roots_stack(coeffs)
+        assert not failed.any()
+        for c, z in zip(coeffs, zeros):
+            recovered = poly_from_zeros(z).coefficients
+            assert np.max(np.abs(recovered - c)) < 1e-8
 
     def test_budget_exhaustion_raises(self):
         p = MonicPolynomial([0.3, -0.2, 0.9, 0.1, -0.4])
