@@ -275,6 +275,11 @@ def cmd_oracle(n: int, ordering_rank: int = 1, kind: str = KIND_M1,
                out: Optional[str] = None) -> int:
     """Compare a closed-form matrix with the finite-difference Jacobian of the
     matching flow, or run the linear-field self-test of the differencer."""
+    try:
+        dynamics.check_fd_step(h)
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
     if self_test:
         rng = np.random.default_rng(0)
         linear = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -56,6 +56,7 @@ __all__ = [
     "zeta_force",
     "integrate",
     "central_difference_jacobian",
+    "check_fd_step",
     "fd_jacobian",
     "linear_evolution_first",
     "linear_evolution_second",
@@ -347,6 +348,13 @@ def central_difference_jacobian(field: Callable[[np.ndarray], np.ndarray],
     return jac
 
 
+def check_fd_step(h: float) -> None:
+    """Raise ValueError unless h is a usable central-difference step."""
+    lo, hi = _FD_STEP_RANGE
+    if not lo <= h <= hi:
+        raise ValueError(f"step h={h} outside [{lo}, {hi}]")
+
+
 def fd_jacobian(system: str, z, h: float = 1e-6) -> np.ndarray:
     """Central-difference Jacobian of a zero-picture vector field at z.
 
@@ -355,9 +363,7 @@ def fd_jacobian(system: str, z, h: float = 1e-6) -> np.ndarray:
     equilibrium), "zeta2_force" differentiates the zero-velocity acceleration
     (so -J reproduces M2).
     """
-    lo, hi = _FD_STEP_RANGE
-    if not lo <= h <= hi:
-        raise ValueError(f"step h={h} outside [{lo}, {hi}]")
+    check_fd_step(h)
     fields = {"zeta1": rhs_zeta_first, "zeta2_force": zeta_force}
     if system not in fields:
         raise ValueError(f"unknown field {system!r}; expected one of {tuple(fields)}")

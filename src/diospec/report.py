@@ -6,6 +6,12 @@ carry 17 significant digits and complex numbers become {"re": ..., "im": ...}
 objects; identical configuration and seed therefore produce byte-identical
 output, except for the wall-clock ``timing`` field, which is excluded from
 the determinism hash.
+
+``report_to_json`` renders the ``results`` array of a report, nearly all of
+its bytes, from one template per result with the floats of every result
+formatted in one pass.  The generic writer (``to_json``) renders everything
+else, and ``to_json(report_to_dict(report))`` is the oracle that output is
+tested against byte for byte.
 """
 
 from __future__ import annotations
@@ -361,9 +367,9 @@ def _write_json(obj, out: list, indent: int, level: int):
     if not values:
         out.append(opener + closer)
         return
-    # Scalars, the bulk of a report, are written here without recursing.
-    # Every element after the first shares one separator string, so the
-    # pieces list holds no per-element copy of it.
+    # Scalar elements are written here without recursing.  Every element
+    # after the first shares one separator string, so the pieces list holds
+    # no per-element copy of it.
     pad_in = "\n" + " " * (indent * (level + 1))
     separator, following = opener + pad_in, "," + pad_in
     for value in values:
@@ -411,18 +417,88 @@ def report_to_dict(report: VerificationReport) -> dict:
     return payload
 
 
+def _float_tokens(values: np.ndarray) -> list:
+    """``_format_float`` of every element of a float64 array: one finiteness
+    check, then one formatting pass over its distinct bit patterns (equal
+    bits give equal tokens; -0.0 and 0.0 stay apart)."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        _format_float(float(values[~finite][0]))  # raises its ValueError
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    distinct = bits.view(np.float64).tolist()
+    tokens = [t if "." in t or "e" in t else t + ".0"
+              for t in ("%.17g\n" * len(distinct) % tuple(distinct)).split("\n")[:-1]]
+    return [tokens[i] for i in where.tolist()]
+
+
+def _render_results(results: list) -> str:
+    """The ``results`` array as ``to_json`` renders it under the top-level
+    payload, built from one template per result.
+
+    The floats of all results are formatted together, and each word and
+    expected spectrum (integer tuples) is rendered once per distinct object.
+    Kinds and statuses are fixed names that need no escaping."""
+    count = len(results)
+    flat = np.concatenate([r.eigenvalues for r in results])
+    scalars = np.array([(r.max_deviation, r.zero_separation, r.coeff_separation)
+                        for r in results], dtype=float)
+    tokens = _float_tokens(np.concatenate([flat.real, flat.imag, scalars.T.ravel()]))
+    size = flat.size
+    pairs = [f'{{"re": {re}, "im": {im}}}'
+             for re, im in zip(tokens[:size], tokens[size:2 * size])]
+    deviation = tokens[2 * size:2 * size + count]
+    zero_sep = tokens[2 * size + count:2 * size + 2 * count]
+    coeff_sep = tokens[2 * size + 2 * count:]
+
+    def inner_list(items) -> str:
+        # A list nested in a result: its items sit at nesting level 4.
+        return "[\n        " + ",\n        ".join(items) + "\n      ]"
+
+    rendered = {}
+
+    def int_list(values: tuple) -> str:
+        key = id(values)
+        if key not in rendered:
+            rendered[key] = inner_list(map(str, values))
+        return rendered[key]
+
+    pieces = []
+    start = 0
+    for i, r in enumerate(results):
+        stop = start + len(r.eigenvalues)
+        values = inner_list(pairs[start:stop])
+        start = stop
+        pieces.append(
+            f'{{\n      "rank": {r.rank},\n      "word": {int_list(r.word)},\n'
+            f'      "kind": "{r.kind}",\n      "eigenvalues": {values},\n'
+            f'      "expected": {int_list(r.expected)},\n'
+            f'      "max_deviation": {deviation[i]},\n'
+            f'      "status": "{r.status}",\n'
+            f'      "zero_separation": {zero_sep[i]},\n'
+            f'      "coeff_separation": {coeff_sep[i]}\n    }}')
+    return "[\n    " + ",\n    ".join(pieces) + "\n  ]"
+
+
+def _merge_objects(*rendered: str) -> str:
+    """One object from top-level ``to_json`` renderings of objects, spliced
+    at their shared nesting level: each opens with a "{" line and closes
+    with a "}" line."""
+    return "{\n" + ",\n".join(text[2:-3] for text in rendered) + "\n}\n"
+
+
 def report_to_json(report: VerificationReport) -> str:
-    """``to_json(report_to_dict(report))``, rendering the payload once: the
-    hash is taken over the rendered hash-free payload, whose closing brace
-    is then replaced by the hash and timing entries."""
-    body = to_json(_hashed_payload(report))
-    tail = to_json({
+    """``to_json(report_to_dict(report))``: the ``results`` array built by
+    ``_render_results``, spliced between the generic writer's rendering of
+    the entries before and after it.  The hash is taken over that hash-free
+    payload, to which the hash and timing entries are then appended."""
+    body = _merge_objects(
+        to_json({"version": report.version, "config": report.config.to_dict()}),
+        '{\n  "results": ' + _render_results(report.results) + "\n}\n",
+        to_json({"aggregate": report.aggregate, "notes": list(report.notes)}))
+    return _merge_objects(body, to_json({
         "determinism_sha256": hashlib.sha256(body.encode()).hexdigest(),
         "timing": {"seconds": report.timing_seconds},
-    })
-    # body ends with "\n}\n" and tail starts with "{\n": splice at the
-    # shared nesting level.
-    return body[:-3] + ",\n" + tail[2:]
+    }))
 
 
 def _complex_token(value: complex) -> str:

@@ -14,6 +14,8 @@ from diospec.cli import (
 from diospec.errors import NonConvergence
 from diospec.report import (
     RunConfig,
+    _float_tokens,
+    _format_float,
     determinism_hash,
     report_to_csv,
     report_to_dict,
@@ -195,6 +197,8 @@ class TestFlagsPerSubcommand:
         ("simulate", "--n", "3", "--system", "gamma1", "--t-end", "-1"),
         ("simulate", "--n", "3", "--system", "gamma1", "--tol-ode-rel", "0"),
         ("oracle", "--n", "3", "--h", "1"),
+        ("oracle", "--n", "3", "--h", "0", "--self-test"),
+        ("oracle", "--n", "3", "--h", "-1", "--self-test"),
     ])
     def test_out_of_range_value_is_a_usage_error(self, capsys, args):
         code, out, err = run_cli(capsys, *args)
@@ -272,10 +276,29 @@ class TestReportSerialization:
                 np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
 
     @pytest.mark.parametrize("n, kinds", [(2, ("M1", "M2")), (3, ("M1",)),
-                                          (6, ("M1", "M2"))])
+                                          (6, ("M1", "M2")), (7, ("M1",))])
     def test_json_matches_rendered_dict(self, n, kinds):
         report = run_verification(RunConfig(n=n, kinds=kinds))
         assert report_to_json(report) == to_json(report_to_dict(report))
+
+    def test_float_tokens_match_the_scalar_writer(self):
+        values = [0.0, -0.0, 2.0, 9.0, 1e16, 1e17, 5e-324, 1.5, -3.0]
+        assert _float_tokens(np.array(values)) == [_format_float(v) for v in values]
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_deviation", math.nan),
+        ("eigenvalues", complex(1.0, math.inf)),
+    ])
+    def test_non_finite_result_is_not_serialised(self, field, value):
+        report = run_verification(RunConfig(n=3))
+        outcome = report.results[4]
+        if field == "eigenvalues":
+            outcome.eigenvalues = outcome.eigenvalues.copy()
+            outcome.eigenvalues[1] = value
+        else:
+            setattr(outcome, field, value)
+        with pytest.raises(ValueError, match="non-finite"):
+            report_to_json(report)
 
     def test_unconverged_ordering_aborts_the_sweep(self):
         # Rank 657 at n = 9 has zeros whose |z|^9 puts an absolute stop test
