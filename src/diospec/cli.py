@@ -205,6 +205,9 @@ def cmd_simulate(system: str, n: int, ordering_rank: int = 1,
                  out: Optional[str] = None) -> int:
     """Integrate one flow from a seeded perturbation of its equilibrium and
     report the distance between start and state at t_end."""
+    if not 0 < return_tol < math.inf:
+        sys.stderr.write("error: return_tol must be positive and finite\n")
+        return EXIT_USAGE
     try:
         equilibrium = _equilibrium_state(system, n, ordering_rank, root_tol)
     except (ValueError, NonConvergence) as exc:

@@ -257,10 +257,10 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
     error control shrinking the step below the same floor raises
     StepFloorReached.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
-    if rel_tol <= 0 or abs_tol <= 0:
-        raise ValueError("tolerances must be positive")
+    if not 0 < t_end < np.inf:
+        raise ValueError("t_end must be positive and finite")
+    if not (0 < rel_tol < np.inf and 0 < abs_tol < np.inf):
+        raise ValueError("tolerances must be positive and finite")
     if system not in SYSTEMS:
         raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
 

@@ -1,17 +1,18 @@
 """The two closed-form matrices with integer and squared-integer spectra.
 
-Both matrices are assembled from an ordered zero vector z of a monic
-polynomial together with that polynomial's coefficient list c.  Entry (n, m)
-is
+Both are built from the ordered zeros z of a monic polynomial and its
+coefficients c as the similarity
 
-    -[prod_{l != n} (z_n - z_l)]^(-1)
-        * sum_j z_n^(N-j) [ w_{j,m} + K sum_{s != j} (w_{j,m} - w_{s,m})
-                                                   / (c_j - c_s)^P ]
+    M = W^(-1) A_pi W,   A_pi = I + K (D - C),
 
-with (K, P) = (1, 2) for kind M1 and (6, 4) for kind M2, where w_{j,m} is the
-Jacobian of the zeros-to-coefficients map.  When the coefficient pool is the
-zeros of a Hermite polynomial, the eigenvalues are exactly 1..N (M1) and
-1, 4, ..., N^2 (M2), independent of the coefficient ordering.
+where W is the Jacobian d c_j / d z_m of the zeros-to-coefficients map,
+C_js = 1 / (c_j - c_s)^P off the diagonal, D = diag(C 1), and (K, P) = (1, 2)
+for kind M1 and (6, 4) for kind M2; writing out W^(-1) row by row gives the
+paper's entry formula.  When c orders the zeros of a Hermite polynomial,
+A_pi = P A P^T for the permutation P of that ordering and one real symmetric
+matrix A, the coefficient flows' Jacobian at equilibrium up to a factor i
+(M1) or -1 (M2).  So every ordering's matrix is similar to A, and the
+eigenvalues are exactly 1..N (M1) and 1, 4, ..., N^2 (M2).
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def _separations(diff: np.ndarray) -> np.ndarray:
 def build_stack(zeros: np.ndarray, coefficients: np.ndarray, kinds: tuple):
     """Build the requested kinds of matrix for every row of (B, N) stacks of
     ordered zeros and their polynomial's coefficients; both kinds share one
-    WTable stack.
+    WTable stack and one solve.
 
     Returns ({kind: (B, N, N) entries}, zero_separation, coeff_separation),
     the separations being (B,) arrays.  Rows are computed independently.
@@ -145,25 +146,17 @@ def build_stack(zeros: np.ndarray, coefficients: np.ndarray, kinds: tuple):
         raise SingularConfiguration("coincident coefficients")
 
     w = _vieta_jacobian(z)
-    _set_diagonals(zdiff, 1.0)
-    prefactor = -1.0 / np.prod(zdiff, axis=2)
     _set_diagonals(cdiff, 1.0)
-    z_col = z[:, :, None]
-
-    entries = {}
+    coupled = []
     for kind in kinds:
         factor, power = _profiles[kind]
         inv_pow = 1.0 / cdiff ** power
         _set_diagonals(inv_pow, 0.0)
-        # sum_{s != j} (w[j] - w[s]) / (c_j - c_s)^P, vectorised over m.
-        coupled = w + factor * (w * inv_pow.sum(axis=2)[:, :, None] - inv_pow @ w)
-        # Horner accumulation over j (descending powers of z_n) limits
-        # cancellation.
-        acc = np.zeros_like(w)
-        for j in range(z.shape[1]):
-            acc *= z_col
-            acc += coupled[:, j, None, :]
-        entries[kind] = prefactor[:, :, None] * acc
+        # A_pi W = W + K (D - C) W, vectorised over the columns m.
+        coupled.append(w + factor * (w * inv_pow.sum(axis=2)[:, :, None] - inv_pow @ w))
+    # W^(-1) (A_pi W) for every kind at once: one LU factorisation per row.
+    solved = np.linalg.solve(w, np.concatenate(coupled, axis=2))
+    entries = dict(zip(kinds, np.split(solved, len(kinds), axis=2)))
     return entries, zero_sep, coeff_sep
 
 

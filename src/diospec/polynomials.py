@@ -229,8 +229,8 @@ def roots_stack(coefficients, tol: float = 1e-12, max_iter: int = 200):
     the last bits with the other rows of the stack, never with repeats of the
     same stack.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     c = np.asarray(coefficients, dtype=complex)
     b, n = c.shape
     if n == 1:

@@ -124,8 +124,8 @@ class RunConfig:
             raise ValueError(
                 f"a full sweep of {self.n}! orderings needs force=True beyond n=8")
         for name in ("root_tol", "pass_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.orderings == "all":

@@ -44,6 +44,30 @@ def closed_form_m2_n2(z1, z2):
     ])
 
 
+def paper_entries(z, c, factor, power):
+    """The paper's entry formula as its direct double sum over the Vieta
+    Jacobian table: entry (n, m) is
+
+        -[prod_{l != n} (z_n - z_l)]^(-1) sum_j z_n^(N-j)
+            [w_jm + K sum_{s != j} (w_jm - w_sm) / (c_j - c_s)^P].
+
+    The build computes the same matrix as W^(-1) (A_pi W) and is held to
+    this sum."""
+    w = w_table(z).entries
+    size = len(z)
+    out = np.empty((size, size), dtype=complex)
+    for n in range(size):
+        scale = -1.0 / np.prod([z[n] - z[l] for l in range(size) if l != n])
+        for m in range(size):
+            total = 0j
+            for j in range(size):
+                coupling = sum((w[j, m] - w[s, m]) / (c[j] - c[s]) ** power
+                               for s in range(size) if s != j)
+                total += z[n] ** (size - 1 - j) * (w[j, m] + factor * coupling)
+            out[n, m] = scale * total
+    return out
+
+
 def zeros_n2(mu):
     """Zeros of z^2 + (-1)^mu (1 - z)/sqrt(2), by the closed formula."""
     sign = (-1.0) ** mu
@@ -150,6 +174,24 @@ class TestBuildM2:
         assert report.max_deviation < 1e-3
         lam = np.sort(report.eigenvalues.real)
         np.testing.assert_allclose(lam, [1.0, 4.0, 9.0], atol=1e-3)
+
+
+class TestPaperFormulaOracle:
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_build_matches_entry_formula(self, n):
+        herm = hermite_zeros(n)
+        count = math.factorial(n)
+        seeded = np.random.default_rng(n).integers(1, count + 1, size=8)
+        for rank in (1, count, *seeded.tolist()):
+            poly = permuted_polynomial(herm, PermutationId.from_rank(n, rank))
+            z = roots(poly).zeros
+            c = poly.coefficients
+            for builder, factor, power in ((build_m1, 1.0, 2), (build_m2, 6.0, 4)):
+                built = builder(z, c).entries
+                reference = paper_entries(z, c, factor, power)
+                scale = np.abs(reference).max()
+                assert np.abs(built - reference).max() <= 1e-12 * scale, \
+                    f"{builder.__name__} n={n} rank={rank}"
 
 
 class TestSpectrumCheck:
