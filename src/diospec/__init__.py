@@ -29,9 +29,6 @@ from .polynomials import (
     evaluate,
     poly_from_zeros,
     roots,
-    sigma,
-    sigma_excluding,
-    vieta_jacobian_apply,
 )
 from .hermite import (
     HermiteZeros,
@@ -43,7 +40,6 @@ from .hermite import (
     residual_first_order,
     residual_second_order,
 )
-from .eig import EigenResult, eigenvalues, hessenberg_reduce
 from .matrices import (
     KIND_M1,
     KIND_M2,
@@ -57,17 +53,12 @@ from .matrices import (
     w_table,
 )
 from .dynamics import (
-    FirstOrderState,
-    SecondOrderState,
     TrajectoryRecord,
     fd_jacobian,
     integrate,
     linear_evolution_first,
     linear_evolution_second,
-    rhs_gamma_first,
-    rhs_gamma_second,
-    rhs_zeta_first,
-    rhs_zeta_second,
+    vector_field,
 )
 from .report import RunConfig, VerificationReport, run_verification
 
@@ -86,9 +77,6 @@ __all__ = [
     "evaluate",
     "poly_from_zeros",
     "roots",
-    "sigma",
-    "sigma_excluding",
-    "vieta_jacobian_apply",
     "HermiteZeros",
     "PermutationId",
     "enumerate_orderings",
@@ -97,9 +85,6 @@ __all__ = [
     "permuted_polynomial",
     "residual_first_order",
     "residual_second_order",
-    "EigenResult",
-    "eigenvalues",
-    "hessenberg_reduce",
     "KIND_M1",
     "KIND_M2",
     "DiophantineMatrix",
@@ -110,17 +95,12 @@ __all__ = [
     "permutation_similarity_check",
     "spectrum_check",
     "w_table",
-    "FirstOrderState",
-    "SecondOrderState",
     "TrajectoryRecord",
     "fd_jacobian",
     "integrate",
     "linear_evolution_first",
     "linear_evolution_second",
-    "rhs_gamma_first",
-    "rhs_gamma_second",
-    "rhs_zeta_first",
-    "rhs_zeta_second",
+    "vector_field",
     "RunConfig",
     "VerificationReport",
     "run_verification",

@@ -208,6 +208,9 @@ def cmd_simulate(system: str, n: int, ordering_rank: int = 1,
     if not 0 < return_tol < math.inf:
         sys.stderr.write("error: return_tol must be positive and finite\n")
         return EXIT_USAGE
+    if not 0 <= radius < math.inf:
+        sys.stderr.write("error: radius must be non-negative and finite\n")
+        return EXIT_USAGE
     try:
         equilibrium = _equilibrium_state(system, n, ordering_rank, root_tol)
     except (ValueError, NonConvergence) as exc:

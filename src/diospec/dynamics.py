@@ -10,6 +10,12 @@ periodic with period 2*pi, which is what the integration tests certify; the
 zero vector of a stationary coefficient configuration is an equilibrium of
 the corresponding zeta flow.
 
+A state is one packed complex vector: the N positions, followed for the
+second-order systems by the N velocities.  ``vector_field`` evaluates any of
+the four flows on such a state through the same kernels ``integrate`` steps
+with, and ``fd_jacobian`` differentiates the zero-picture velocity and the
+zero-velocity acceleration.
+
 First-order pair:
 
     d gamma_m / dt = i [gamma_m - sum_{l != m} 1/(gamma_m - gamma_l)]
@@ -40,20 +46,14 @@ from .errors import (
     StepFloorReached,
 )
 from .matrices import KIND_M1, KIND_M2, DiophantineMatrix
-from .polynomials import _expand, as_complex_vector, pairwise_separation
+from .polynomials import _expand, _set_diagonals, as_complex_vector, pairwise_separation
 
 __all__ = [
     "SYSTEMS",
     "COLLISION_FLOOR",
     "STEP_FLOOR",
-    "FirstOrderState",
-    "SecondOrderState",
     "TrajectoryRecord",
-    "rhs_gamma_first",
-    "rhs_zeta_first",
-    "rhs_gamma_second",
-    "rhs_zeta_second",
-    "zeta_force",
+    "vector_field",
     "integrate",
     "central_difference_jacobian",
     "check_fd_step",
@@ -72,44 +72,6 @@ _FD_STEP_RANGE = (1e-8, 1e-4)
 # Pairwise eigenvalue gap, relative to the spectrum scale, below which the
 # eigenvectors no longer form a trustworthy modal basis.
 _GAP_FLOOR = 1e-6
-
-
-@dataclass(frozen=True)
-class FirstOrderState:
-    """Zero-picture state of the first-order flow; coefficients are derived,
-    never stored."""
-
-    t: float
-    zeta: np.ndarray
-
-    def __post_init__(self):
-        arr = as_complex_vector(self.zeta, "zeta").copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "zeta", arr)
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return _finite(_expand(self.zeta), "coefficients")
-
-
-@dataclass(frozen=True)
-class SecondOrderState:
-    """Zero-picture state of the second-order flow: positions and velocities."""
-
-    t: float
-    zeta: np.ndarray
-    zeta_dot: np.ndarray
-
-    def __post_init__(self):
-        pos = as_complex_vector(self.zeta, "zeta").copy()
-        vel = as_complex_vector(self.zeta_dot, "zeta_dot").copy()
-        if vel.size != pos.size:
-            raise DimensionMismatch(
-                f"zeta has length {pos.size} but zeta_dot has {vel.size}")
-        pos.flags.writeable = False
-        vel.flags.writeable = False
-        object.__setattr__(self, "zeta", pos)
-        object.__setattr__(self, "zeta_dot", vel)
 
 
 @dataclass(frozen=True)
@@ -143,21 +105,18 @@ def _diff_checked(values: np.ndarray, what: str) -> np.ndarray:
     NearCollision when two components lie closer than COLLISION_FLOOR."""
     if values.size < 2:
         raise ValueError(f"{what} needs at least two components")
-    diff = values[:, None] - values[None, :]
-    dist = np.abs(diff)
-    np.fill_diagonal(dist, np.inf)
-    gap = dist.min()
+    diff = _set_diagonals(values[:, None] - values[None, :], 1.0)
+    # The unit diagonal is never the minimum of a gap below the floor.
+    gap = np.abs(diff).min()
     if gap < COLLISION_FLOOR:
         raise NearCollision(f"{what} separation {gap:.3e} below {COLLISION_FLOOR}")
-    np.fill_diagonal(diff, 1.0)
     return diff
 
 
 def _gamma_rate(gamma: np.ndarray, order: int) -> np.ndarray:
     """Velocity (order 1) or acceleration (order 2) of the coefficient flow,
     from the sums over l != m of 1/(gamma_m - gamma_l)^(2 order - 1)."""
-    inv = 1.0 / _diff_checked(gamma, "gamma")
-    np.fill_diagonal(inv, 0.0)
+    inv = _set_diagonals(1.0 / _diff_checked(gamma, "gamma"), 0.0)
     if order == 1:
         return 1j * (gamma - inv.sum(axis=1))
     return -gamma + 2.0 * (inv ** 3).sum(axis=1)
@@ -173,60 +132,44 @@ def _zeta_rate(zeta: np.ndarray, order: int, zeta_dot=None) -> np.ndarray:
     field = -np.polyval(rate, zeta) / np.prod(diff, axis=1)
     if zeta_dot is None:
         return field
-    pull = zeta_dot[None, :] / diff
-    np.fill_diagonal(pull, 0.0)
+    pull = _set_diagonals(zeta_dot[None, :] / diff, 0.0)
     return 2.0 * zeta_dot * pull.sum(axis=1) + field
 
 
-def rhs_gamma_first(gamma) -> np.ndarray:
-    """Velocity of the first-order coefficient flow.
-
-    Stationary exactly at configurations with zero first-order equilibrium
-    residual, Hermite zeros among them.
-    """
-    return _gamma_rate(as_complex_vector(gamma, "gamma"), 1)
-
-
-def rhs_gamma_second(gamma) -> np.ndarray:
-    """Acceleration of the second-order coefficient flow."""
-    return _gamma_rate(as_complex_vector(gamma, "gamma"), 2)
-
-
-def rhs_zeta_first(zeta) -> np.ndarray:
-    """Velocity of the first-order zero flow.
-
-    The coefficient vector is recovered from the zeros via the Vieta map, its
-    flow velocity is evaluated, and the result is transported back to zero
-    space.  Raises NearCollision when either the zeros or the derived
-    coefficients nearly coincide.
-    """
-    return _zeta_rate(as_complex_vector(zeta, "zeta"), 1)
-
-
-def zeta_force(zeta) -> np.ndarray:
-    """Acceleration of the second-order zero flow at zero velocity."""
-    return _zeta_rate(as_complex_vector(zeta, "zeta"), 2)
-
-
-def rhs_zeta_second(state: SecondOrderState) -> np.ndarray:
-    """Acceleration of the second-order zero flow: goldfish velocity coupling
-    2 zdot_n zdot_l / (zeta_n - zeta_l) plus the transported coefficient
-    acceleration."""
-    z = as_complex_vector(state.zeta, "zeta")
-    v = as_complex_vector(state.zeta_dot, "zeta_dot")
-    if v.size != z.size:
-        raise DimensionMismatch("zeta and zeta_dot lengths differ")
-    return _zeta_rate(z, 2, v)
-
-
-# Fields of the packed state y (n positions, then any velocities); each rejects non-finite y.
-_STEP_FIELDS = {
-    "gamma1": lambda y, n: _gamma_rate(_finite(y, "gamma"), 1),
-    "zeta1": lambda y, n: _zeta_rate(_finite(y, "zeta"), 1),
-    "gamma2": lambda y, n: np.concatenate([y[n:], _gamma_rate(_finite(y[:n], "gamma"), 2)]),
-    "zeta2": lambda y, n: np.concatenate(
-        [y[n:], _zeta_rate(_finite(y[:n], "zeta"), 2, _finite(y[n:], "zeta_dot"))]),
+# Right-hand sides of the packed state y (n positions, then any velocities),
+# which the caller has checked finite.
+_FIELDS = {
+    "gamma1": lambda y, n: _gamma_rate(y, 1),
+    "zeta1": lambda y, n: _zeta_rate(y, 1),
+    "gamma2": lambda y, n: np.concatenate([y[n:], _gamma_rate(y[:n], 2)]),
+    "zeta2": lambda y, n: np.concatenate([y[n:], _zeta_rate(y[:n], 2, y[n:])]),
 }
+
+
+def _check_system(system: str) -> None:
+    if system not in SYSTEMS:
+        raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
+
+
+def vector_field(system: str, y) -> np.ndarray:
+    """Time derivative of the packed state y under one of the four flows.
+
+    First-order systems take y as the N positions and return their velocity.
+    Second-order systems take the N positions followed by the N velocities
+    and return (velocities, accelerations), so the acceleration at rest is
+    the second half of ``vector_field(system, [z, 0])``.  Raises
+    NearCollision when the positions, or for the zeta flows their Vieta
+    coefficients, nearly coincide.
+    """
+    _check_system(system)
+    yy = as_complex_vector(y, "y")
+    n = yy.size
+    if system.endswith("2"):
+        if n % 2:
+            raise DimensionMismatch(f"second-order state has odd length {n}")
+        n //= 2
+    return _FIELDS[system](yy, n)
+
 
 # Dormand-Prince 5(4) tableau: row i of _DP_A weights the stages feeding
 # stage i; the last row is the fifth-order solution (first-same-as-last).
@@ -261,24 +204,21 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
         raise ValueError("t_end must be positive and finite")
     if not (0 < rel_tol < np.inf and 0 < abs_tol < np.inf):
         raise ValueError("tolerances must be positive and finite")
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
+    _check_system(system)
 
     # Validate and copy the start once; the steps work on raw arrays.
     if system.endswith("1"):
-        pos = (initial.zeta if isinstance(initial, FirstOrderState)
-               else as_complex_vector(initial, "initial"))
-        y = pos.copy()
+        y = as_complex_vector(initial, "initial").copy()
+        n_pos = y.size
     else:
-        pos, vel = ((initial.zeta, initial.zeta_dot)
-                    if isinstance(initial, SecondOrderState) else initial)
+        pos, vel = initial
         pos = as_complex_vector(pos, "initial position")
         vel = as_complex_vector(vel, "initial velocity")
         if pos.size != vel.size:
             raise DimensionMismatch("position and velocity lengths differ")
         y = np.concatenate([pos, vel])
-    n_pos = pos.size
-    field = _STEP_FIELDS[system]
+        n_pos = pos.size
+    field = _FIELDS[system]
     t = 0.0
     samples = [(0.0, y)]
     min_sep = pairwise_separation(y[:n_pos])
@@ -301,7 +241,7 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
         try:
             for i in range(1, 7):
                 y_stage = y + h * (_DP_A[i, :i, None] * stages[:i]).sum(axis=0)
-                stages[i] = field(y_stage, n_pos)
+                stages[i] = field(_finite(y_stage, "state"), n_pos)
         except NearCollision:
             rejected += 1
             h *= 0.5
@@ -364,10 +304,11 @@ def fd_jacobian(system: str, z, h: float = 1e-6) -> np.ndarray:
     (so -J reproduces M2).
     """
     check_fd_step(h)
-    fields = {"zeta1": rhs_zeta_first, "zeta2_force": zeta_force}
-    if system not in fields:
-        raise ValueError(f"unknown field {system!r}; expected one of {tuple(fields)}")
-    return central_difference_jacobian(fields[system], z, h)
+    orders = {"zeta1": 1, "zeta2_force": 2}
+    if system not in orders:
+        raise ValueError(f"unknown field {system!r}; expected one of {tuple(orders)}")
+    order = orders[system]
+    return central_difference_jacobian(lambda y: _zeta_rate(y, order), z, h)
 
 
 def _modal_basis(entries: np.ndarray):

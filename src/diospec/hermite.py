@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, NonConvergence
-from .polynomials import MonicPolynomial
+from .polynomials import MonicPolynomial, _set_diagonals
 
 __all__ = [
     "MAX_ORDER",
@@ -121,11 +121,9 @@ def _pairwise_differences(c) -> np.ndarray:
     arr = np.asarray(c, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("need a 1-d vector with at least two entries")
-    diff = arr[:, None] - arr[None, :]
-    off = ~np.eye(arr.size, dtype=bool)
-    if np.any(diff[off] == 0.0):
+    diff = _set_diagonals(arr[:, None] - arr[None, :], np.inf)
+    if np.any(diff == 0.0):
         raise ZeroDivisionError("coincident entries make the residual singular")
-    np.fill_diagonal(diff, np.inf)
     return diff
 
 

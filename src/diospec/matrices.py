@@ -17,6 +17,7 @@ eigenvalues are exactly 1..N (M1) and 1, 4, ..., N^2 (M2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import NonConvergence, SingularConfiguration
 from .hermite import PermutationId
-from .polynomials import _vieta_jacobian, _zeros_of, as_complex_vector
+from .polynomials import _set_diagonals, _vieta_jacobian, _zeros_of, as_complex_vector
 
 __all__ = [
     "KIND_M1",
@@ -58,8 +59,9 @@ _profiles = {KIND_M1: (1.0, 2), KIND_M2: (6.0, 4)}
 @dataclass(frozen=True)
 class WTable:
     """Jacobian of the zeros-to-coefficients map: entries[j-1, m-1] holds
-    d c_j / d z_m, which equals (-1)^j [delta_{j,1} + sigma_excluding(m, j, z)].
-    Row j = 1 is identically -1."""
+    d c_j / d z_m, which equals (-1)^j e_{j-1}(z without z_m), the elementary
+    symmetric function of degree j - 1 of the other zeros.  Row j = 1 is
+    identically -1."""
 
     entries: np.ndarray
 
@@ -112,11 +114,6 @@ class SpectrumReport:
 def w_table(z) -> WTable:
     """Coefficient-perturbation table for the ordered zeros z."""
     return WTable(_vieta_jacobian(_zeros_of(z)[None, :])[0])
-
-
-def _set_diagonals(stack: np.ndarray, value) -> None:
-    b, n, _ = stack.shape
-    stack.reshape(b, n * n)[:, ::n + 1] = value
 
 
 def _separations(diff: np.ndarray) -> np.ndarray:
@@ -218,8 +215,8 @@ def spectrum_stack(entries: np.ndarray, kind: str):
 def spectrum_check(matrix: DiophantineMatrix, tol: float = 1e-6) -> SpectrumReport:
     """Compare the matrix spectrum against its expected integer list:
     ``spectrum_stack`` on a one-matrix stack."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     lam, deviation = spectrum_stack(matrix.entries[None], matrix.kind)
     return SpectrumReport(matrix.kind, lam[0],
                           tuple(expected_spectrum(matrix.kind, matrix.n)),

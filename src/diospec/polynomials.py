@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonConvergence
+from .errors import NonConvergence
 
 __all__ = [
     "MonicPolynomial",
@@ -27,9 +27,6 @@ __all__ = [
     "poly_from_zeros",
     "roots",
     "roots_stack",
-    "sigma",
-    "sigma_excluding",
-    "vieta_jacobian_apply",
 ]
 
 # Aberth starting guesses begin at angle _START_PHASE and are separated by the
@@ -91,12 +88,19 @@ class ZeroVector:
         return pairwise_separation(self.zeros)
 
 
+def _set_diagonals(stack: np.ndarray, value) -> np.ndarray:
+    """Set the main diagonal of every trailing (N, N) matrix of a C-contiguous
+    array in place, and return the array."""
+    n = stack.shape[-1]
+    stack.reshape(stack.shape[:-2] + (n * n,))[..., ::n + 1] = value
+    return stack
+
+
 def pairwise_separation(values: np.ndarray) -> float:
     """Minimum off-diagonal |v_i - v_j|; inf when fewer than two entries."""
     if values.size < 2:
         return math.inf
-    diff = np.abs(values[:, None] - values[None, :])
-    np.fill_diagonal(diff, np.inf)
+    diff = _set_diagonals(np.abs(values[:, None] - values[None, :]), np.inf)
     return float(diff.min())
 
 
@@ -143,7 +147,8 @@ def _expand(zz: np.ndarray) -> np.ndarray:
 def poly_from_zeros(z) -> MonicPolynomial:
     """Expand prod_n (x - z_n) by incremental multiplication of linear factors.
 
-    Coefficient m of the result equals (-1)^m * sigma(m, z).
+    Coefficient m of the result equals (-1)^m e_m(z), the elementary
+    symmetric function of degree m.
     """
     return MonicPolynomial(_expand(_zeros_of(z)))
 
@@ -185,11 +190,9 @@ def _aberth(c: np.ndarray, tol: float, max_iter: int):
             columns = [col[keep] for col in columns]
         der = np.where(np.abs(der) < tiny, tiny, der)
         newton = val / der
-        inv = z[:, :, None] - z[:, None, :]
-        diagonal = inv.reshape(len(z), n * n)[:, ::n + 1]
-        diagonal[...] = 1.0
+        inv = _set_diagonals(z[:, :, None] - z[:, None, :], 1.0)
         np.divide(1.0, inv, out=inv)
-        diagonal[...] = 0.0
+        _set_diagonals(inv, 0.0)
         denom = 1.0 - newton * inv.sum(axis=2)
         denom = np.where(np.abs(denom) < tiny, 1.0, denom)
         z = z - newton / denom
@@ -280,41 +283,3 @@ def _vieta_jacobian(z: np.ndarray) -> np.ndarray:
     reduced = esp_table(z[:, others])
     signs = (-1.0) ** np.arange(1, n + 1)
     return signs[:, None] * reduced.transpose(0, 2, 1)
-
-
-def sigma(j: int, z) -> complex:
-    """Elementary symmetric function of degree j; sigma(0, z) = 1 (void product)."""
-    zz = _zeros_of(z)
-    if j < 0 or j > zz.size:
-        raise IndexError(f"sigma degree {j} outside 0..{zz.size}")
-    return complex(esp_table(zz)[j])
-
-
-def sigma_excluding(m: int, j: int, z) -> complex:
-    """Sum of (j-1)-fold products over index subsets avoiding index m (1-based).
-
-    j = 1 returns 0 exactly: the sum over an empty set of indices vanishes by
-    convention, even though the corresponding void product would be 1.
-    """
-    zz = _zeros_of(z)
-    n = zz.size
-    if not 1 <= m <= n:
-        raise IndexError(f"excluded index {m} outside 1..{n}")
-    if not 1 <= j <= n:
-        raise IndexError(f"degree index {j} outside 1..{n}")
-    if j == 1:
-        return 0j
-    return complex(esp_table(np.delete(zz, m - 1))[j - 1])
-
-
-def vieta_jacobian_apply(z, v) -> np.ndarray:
-    """First-order change of the monic coefficients when the zeros move by v.
-
-    Returns w with w_j = sum_m (d c_j / d z_m) v_m evaluated at z, i.e. the
-    Jacobian of poly_from_zeros applied to the direction v.
-    """
-    zz = _zeros_of(z)
-    vv = as_complex_vector(v, "v")
-    if vv.size != zz.size:
-        raise DimensionMismatch(f"direction has length {vv.size}, zeros {zz.size}")
-    return _vieta_jacobian(zz[None, :])[0] @ vv

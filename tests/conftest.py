@@ -2,10 +2,11 @@
 
 from collections import namedtuple
 
+import numpy as np
 import pytest
 
 from diospec.hermite import enumerate_orderings, hermite_zeros, permuted_polynomial
-from diospec.polynomials import roots
+from diospec.polynomials import ZeroVector, roots_stack
 
 SweepRecord = namedtuple("SweepRecord", ["perm", "poly", "zeros"])
 
@@ -13,14 +14,16 @@ _cache = {}
 
 
 def sweep_records(n):
-    """Zeros of every coefficient ordering at order n, computed once per run."""
+    """Zeros of every coefficient ordering at order n, computed once per run
+    by one ``roots_stack`` call, as the verification sweep computes them."""
     if n not in _cache:
         herm = hermite_zeros(n)
-        records = []
-        for perm in enumerate_orderings(n):
-            poly = permuted_polynomial(herm, perm)
-            records.append(SweepRecord(perm, poly, roots(poly)))
-        _cache[n] = records
+        perms = list(enumerate_orderings(n))
+        polys = [permuted_polynomial(herm, perm) for perm in perms]
+        zeros, failed = roots_stack(np.array([poly.coefficients for poly in polys]))
+        assert not failed.any(), f"{failed.sum()} orderings failed at n = {n}"
+        _cache[n] = [SweepRecord(perm, poly, ZeroVector(row))
+                     for perm, poly, row in zip(perms, polys, zeros)]
     return _cache[n]
 
 

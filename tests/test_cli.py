@@ -144,6 +144,14 @@ class TestSimulateCommand:
         payload = json.loads(out)
         assert payload["return_distance"] == 0.0
 
+    def test_zero_radius_starts_at_equilibrium(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--system", "gamma1", "--n", "3",
+                               "--radius", "0")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["radius"] == 0.0
+        assert payload["verdict"] == "pass"
+
     def test_zeta2_mu1_ordering(self, capsys):
         # rank 4 is the mu=1 assignment at n=3
         code, out, _ = run_cli(capsys, "simulate", "--system", "zeta2", "--n", "3",
@@ -211,6 +219,9 @@ class TestFlagsPerSubcommand:
         ("simulate", "--n", "3", "--system", "gamma1", "--return-tol", "nan"),
         ("simulate", "--n", "3", "--system", "gamma1", "--return-tol", "inf"),
         ("simulate", "--n", "3", "--system", "gamma1", "--return-tol", "0"),
+        # A negative radius only flips the perturbation, so the reported
+        # radius would not describe the start.
+        ("simulate", "--n", "3", "--system", "gamma1", "--radius", "-1"),
     ])
     def test_out_of_range_value_is_a_usage_error(self, capsys, args):
         code, out, err = run_cli(capsys, *args)

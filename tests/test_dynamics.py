@@ -5,18 +5,12 @@ import numpy as np
 import pytest
 
 from diospec.dynamics import (
-    FirstOrderState,
-    SecondOrderState,
     central_difference_jacobian,
     fd_jacobian,
     integrate,
     linear_evolution_first,
     linear_evolution_second,
-    rhs_gamma_first,
-    rhs_gamma_second,
-    rhs_zeta_first,
-    rhs_zeta_second,
-    zeta_force,
+    vector_field,
 )
 from diospec.errors import (
     CollisionAbort,
@@ -26,8 +20,8 @@ from diospec.errors import (
     StepFloorReached,
 )
 from diospec.hermite import PermutationId, hermite_zeros, permuted_polynomial
-from diospec.matrices import build_m1, build_m2
-from diospec.polynomials import poly_from_zeros, roots, vieta_jacobian_apply
+from diospec.matrices import build_m1, build_m2, w_table
+from diospec.polynomials import poly_from_zeros, roots
 
 TWO_PI = 2.0 * math.pi
 
@@ -36,6 +30,14 @@ def unit_direction(dim, seed):
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def acceleration(system, positions, velocities=None):
+    """Second half of a second-order vector field: the acceleration, at rest
+    unless velocities are given."""
+    n = len(positions)
+    moving = np.zeros(n) if velocities is None else velocities
+    return vector_field(system, np.concatenate([positions, moving]))[n:]
 
 
 def pipeline(n, rank):
@@ -61,33 +63,34 @@ def taylor_expm(a):
 
 class TestCoefficientFlows:
     def test_first_order_hand_value(self):
-        np.testing.assert_allclose(rhs_gamma_first([1.0, -1.0]), [0.5j, -0.5j],
+        np.testing.assert_allclose(vector_field("gamma1", [1.0, -1.0]), [0.5j, -0.5j],
                                    atol=1e-15)
 
     def test_first_order_stationary_at_hermite_zeros(self):
         for n in (2, 4, 7):
-            rate = rhs_gamma_first(hermite_zeros(n).zeros)
+            rate = vector_field("gamma1", hermite_zeros(n).zeros)
             assert np.abs(rate).max() < 1e-10
 
     def test_second_order_hand_value(self):
-        np.testing.assert_allclose(rhs_gamma_second([0.0, 1.0]), [-2.0, 1.0],
+        np.testing.assert_allclose(acceleration("gamma2", [0.0, 1.0]), [-2.0, 1.0],
                                    atol=1e-15)
 
     def test_second_order_stationary_at_hermite_zeros(self):
         for n in (2, 5, 8):
-            accel = rhs_gamma_second(hermite_zeros(n).zeros)
+            accel = acceleration("gamma2", hermite_zeros(n).zeros)
             assert np.abs(accel).max() < 1e-10
 
     def test_near_collision_raised(self):
         with pytest.raises(NearCollision):
-            rhs_gamma_first([1.0, 1.0 + 1e-12])
+            vector_field("gamma1", [1.0, 1.0 + 1e-12])
         with pytest.raises(NearCollision):
-            rhs_gamma_second([0.5, 0.5 + 1e-11, -1.0])
+            acceleration("gamma2", [0.5, 0.5 + 1e-11, -1.0])
         # Well-separated zeros whose derived coefficients coincide:
         # (x - 1)(x + 0.5) = x^2 - 0.5 x - 0.5.
-        for field in (rhs_zeta_first, zeta_force):
-            with pytest.raises(NearCollision, match="gamma separation 0.000e"):
-                field([1.0, -0.5])
+        with pytest.raises(NearCollision, match="gamma separation 0.000e"):
+            vector_field("zeta1", [1.0, -0.5])
+        with pytest.raises(NearCollision, match="gamma separation 0.000e"):
+            acceleration("zeta2", [1.0, -0.5])
 
     def test_first_order_flow_rate_matches_short_step_oracle(self):
         # Richardson from two short integrations:
@@ -98,7 +101,7 @@ class TestCoefficientFlows:
         y_h = integrate("gamma1", gamma0, h, rel_tol=1e-12, abs_tol=1e-14).final_state
         y_h2 = integrate("gamma1", gamma0, h / 2, rel_tol=1e-12, abs_tol=1e-14).final_state
         oracle = (4.0 * y_h2 - y_h - 3.0 * gamma0) / h
-        assert np.abs(oracle - rhs_gamma_first(gamma0)).max() < 1e-6
+        assert np.abs(oracle - vector_field("gamma1", gamma0)).max() < 1e-6
 
     def test_second_order_acceleration_matches_short_step_oracle(self):
         # From rest, v(h) = h a + O(h^3); Richardson kills the cubic term:
@@ -109,18 +112,18 @@ class TestCoefficientFlows:
         v_h = integrate("gamma2", start, h, rel_tol=1e-12, abs_tol=1e-14).final_state[4:]
         v_h2 = integrate("gamma2", start, h / 2, rel_tol=1e-12, abs_tol=1e-14).final_state[4:]
         oracle = (4.0 * v_h2 - v_h) / h
-        assert np.abs(oracle - rhs_gamma_second(gamma0)).max() < 1e-5
+        assert np.abs(oracle - acceleration("gamma2", gamma0)).max() < 1e-5
 
 
 class TestZeroFlows:
     @pytest.mark.parametrize("rank", [1, 3, 5])
     def test_first_order_stationary_at_permuted_zeros(self, rank):
         _, zeros = pipeline(4, rank)
-        assert np.abs(rhs_zeta_first(zeros.zeros)).max() < 1e-8
+        assert np.abs(vector_field("zeta1", zeros.zeros)).max() < 1e-8
 
     def test_minimum_size_guard(self):
         with pytest.raises(ValueError):
-            rhs_zeta_first([1.0])
+            vector_field("zeta1", [1.0])
 
     def test_chain_rule_against_coefficient_flow(self):
         # Transporting the zero velocity through the Vieta Jacobian must
@@ -128,8 +131,8 @@ class TestZeroFlows:
         rng = np.random.default_rng(11)
         z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         gamma = poly_from_zeros(z).coefficients
-        via_jacobian = vieta_jacobian_apply(z, rhs_zeta_first(z))
-        direct = rhs_gamma_first(gamma)
+        via_jacobian = w_table(z).entries @ vector_field("zeta1", z)
+        direct = vector_field("gamma1", gamma)
         assert np.abs(via_jacobian - direct).max() < 1e-8 * max(1.0, np.abs(direct).max())
 
     def test_second_order_chain_rule(self):
@@ -138,22 +141,22 @@ class TestZeroFlows:
         rng = np.random.default_rng(12)
         z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         gamma = poly_from_zeros(z).coefficients
-        via_jacobian = vieta_jacobian_apply(z, zeta_force(z))
-        direct = rhs_gamma_second(gamma)
+        via_jacobian = w_table(z).entries @ acceleration("zeta2", z)
+        direct = acceleration("gamma2", gamma)
         assert np.abs(via_jacobian - direct).max() < 1e-8 * max(1.0, np.abs(direct).max())
 
     @pytest.mark.parametrize("rank", [1, 4])
     def test_second_order_stationary_with_zero_velocity(self, rank):
         _, zeros = pipeline(3, rank)
-        state = SecondOrderState(0.0, zeros.zeros, np.zeros(3))
-        assert np.abs(rhs_zeta_second(state)).max() < 1e-8
+        # At rest the whole packed derivative, velocity and acceleration, vanishes.
+        state = np.concatenate([zeros.zeros, np.zeros(3)])
+        assert np.abs(vector_field("zeta2", state)).max() < 1e-8
 
     def test_velocity_coupling_sign_structure(self):
         # zeta = (a, -a), zeta_dot = (b, b): the coupling term is
         # (b^2/a, -b^2/a), i.e. antisymmetric.
         a, b = 0.8, 0.3
-        state = SecondOrderState(0.0, [a, -a], [b, b])
-        coupling = rhs_zeta_second(state) - zeta_force(np.array([a, -a], dtype=complex))
+        coupling = acceleration("zeta2", [a, -a], [b, b]) - acceleration("zeta2", [a, -a])
         np.testing.assert_allclose(coupling, [b * b / a, -b * b / a], atol=1e-12)
 
     def test_every_permuted_zero_set_is_an_equilibrium(self, ordering_sweep):
@@ -162,18 +165,26 @@ class TestZeroFlows:
         for n in range(2, 7):
             for record in ordering_sweep(n):
                 z = record.zeros.zeros
-                assert np.abs(rhs_zeta_first(z)).max() < 1e-8, record.perm.word
-                assert np.abs(zeta_force(z)).max() < 1e-8, record.perm.word
+                assert np.abs(vector_field("zeta1", z)).max() < 1e-8, record.perm.word
+                assert np.abs(acceleration("zeta2", z)).max() < 1e-8, record.perm.word
 
 
 class TestStates:
-    def test_first_order_state_derives_coefficients(self):
-        state = FirstOrderState(0.0, [1.0, -1.0])
-        np.testing.assert_allclose(state.gamma, [0.0, -1.0], atol=1e-15)
-
     def test_second_order_state_validates_lengths(self):
+        # A packed second-order state splits into equal halves, and a
+        # (positions, velocities) start pairs vectors of equal length.
+        with pytest.raises(DimensionMismatch, match="odd length 3"):
+            vector_field("zeta2", [1.0, 2.0, 0.1])
         with pytest.raises(DimensionMismatch):
-            SecondOrderState(0.0, [1.0, 2.0], [0.1])
+            integrate("gamma2", ([1.0, 2.0], [0.1]), 1.0)
+
+    def test_vector_field_rejects_unknown_system_and_bad_state(self):
+        with pytest.raises(ValueError, match="unknown system 'zeta2_force'"):
+            vector_field("zeta2_force", [1.0, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            vector_field("gamma1", [1.0, np.nan])
+        with pytest.raises(ValueError, match="one-dimensional"):
+            vector_field("gamma1", [[1.0, 2.0]])
 
 
 class TestIntegrate:
@@ -218,8 +229,8 @@ class TestIntegrate:
         checked = 0
         for _, state in record.samples[::stride]:
             gamma = poly_from_zeros(state).coefficients
-            via_jacobian = vieta_jacobian_apply(state, rhs_zeta_first(state))
-            direct = rhs_gamma_first(gamma)
+            via_jacobian = w_table(state).entries @ vector_field("zeta1", state)
+            direct = vector_field("gamma1", gamma)
             scale = max(1.0, float(np.abs(direct).max()))
             assert np.abs(via_jacobian - direct).max() < 1e-8 * scale
             checked += 1

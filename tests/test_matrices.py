@@ -224,6 +224,13 @@ class TestSpectrumCheck:
         with pytest.raises(ValueError):
             spectrum_check(matrix, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_non_finite_tolerance_rejected(self, tol):
+        # inf would pass every matrix and nan fail every one.
+        matrix = build_m1(zeros_n2(1), mu_coefficients_n2(1))
+        with pytest.raises(ValueError, match="positive and finite"):
+            spectrum_check(matrix, tol=tol)
+
 
 class TestExpectedValues:
     @pytest.mark.parametrize("n", range(2, 8))

@@ -7,19 +7,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diospec.errors import DimensionMismatch, NonConvergence
+from diospec.errors import NonConvergence
 from diospec.hermite import hermite_zeros
+from diospec.matrices import w_table
 from diospec.polynomials import (
     MonicPolynomial,
     ZeroVector,
+    esp_table,
     evaluate,
     pairwise_separation,
     poly_from_zeros,
     roots,
     roots_stack,
-    sigma,
-    sigma_excluding,
-    vieta_jacobian_apply,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -39,13 +38,21 @@ def quadratic_roots(b, c):
 
 
 def sigma_brute(j, z):
-    """Subset-enumeration twin of sigma (test oracle)."""
+    """Elementary symmetric function e_j(z) by subset enumeration (test oracle)."""
     return complex(sum(math.prod(t) for t in combinations(z, j)))
 
 
-def sigma_excluding_brute(m, j, z):
-    """Subset-enumeration twin of sigma_excluding (test oracle)."""
-    return 0j if j == 1 else sigma_brute(j - 1, np.delete(z, m - 1))
+def sigmas(z):
+    """e_1(z), ..., e_N(z) read off the Vieta coefficients: c_j = (-1)^j e_j."""
+    c = poly_from_zeros(z).coefficients
+    return (-1.0) ** np.arange(1, c.size + 1) * c
+
+
+def sigmas_excluding(z):
+    """Entry [j-1, m-1] is e_{j-1} of the zeros other than z_m, read off the
+    Vieta Jacobian: d c_j / d z_m = (-1)^j e_{j-1}(z without z_m)."""
+    w = w_table(z).entries
+    return (-1.0) ** np.arange(1, len(w) + 1)[:, None] * w
 
 
 @st.composite
@@ -175,99 +182,89 @@ class TestRoots:
 
 class TestSigma:
     def test_void_product(self):
-        assert sigma(0, [3.0, 4.0]) == 1.0
+        assert esp_table(np.array([3.0, 4.0]))[0] == 1.0
 
     def test_small_integer_case(self):
-        assert sigma(2, [1.0, 2.0, 3.0]) == pytest.approx(11.0)
+        assert sigmas([1.0, 2.0, 3.0])[1] == pytest.approx(11.0)
 
     def test_top_degree_is_full_product(self):
         rng = np.random.default_rng(3)
         z = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         product = complex(np.prod(z))
-        assert abs(sigma(9, z) - product) <= 1e-12 * abs(product)
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            sigma(-1, [1.0, 2.0])
-        with pytest.raises(IndexError):
-            sigma(3, [1.0, 2.0])
+        assert abs(sigmas(z)[8] - product) <= 1e-12 * abs(product)
 
     @given(zero_vectors(max_n=8))
     @settings(max_examples=40, deadline=None)
     def test_matches_brute_force(self, z):
-        for j in range(z.size + 1):
-            assert abs(sigma(j, z) - sigma_brute(j, z)) < 1e-10 * (1 + abs(sigma_brute(j, z)))
+        ours = sigmas(z)
+        for j in range(1, z.size + 1):
+            ref = sigma_brute(j, z)
+            assert abs(ours[j - 1] - ref) < 1e-10 * (1 + abs(ref))
 
 
 class TestSigmaExcluding:
-    def test_empty_index_sum_is_zero(self):
-        for m in (1, 2, 3):
-            assert sigma_excluding(m, 1, [0.4, -0.2, 0.9]) == 0
-
     def test_single_exclusion(self):
-        assert sigma_excluding(1, 2, [5.0, 2.0, 3.0]) == pytest.approx(5.0)
+        assert sigmas_excluding([5.0, 2.0, 3.0])[1, 0] == pytest.approx(5.0)
 
     def test_pairs_excluding_index_two(self):
         # pairs from {1, 2, 4}: 1*2 + 1*4 + 2*4 = 14
-        assert sigma_excluding(2, 3, [1.0, 7.0, 2.0, 4.0]) == pytest.approx(14.0)
-
-    def test_index_validation(self):
-        with pytest.raises(IndexError):
-            sigma_excluding(0, 1, [1.0, 2.0])
-        with pytest.raises(IndexError):
-            sigma_excluding(1, 3, [1.0, 2.0])
+        assert sigmas_excluding([1.0, 7.0, 2.0, 4.0])[2, 1] == pytest.approx(14.0)
 
     @given(zero_vectors(max_n=8))
     @settings(max_examples=40, deadline=None)
     def test_matches_brute_force(self, z):
-        n = z.size
-        for m in range(1, n + 1):
-            for j in range(1, n + 1):
-                ours = sigma_excluding(m, j, z)
-                ref = sigma_excluding_brute(m, j, z)
-                assert abs(ours - ref) < 1e-10 * (1 + abs(ref))
+        ours = sigmas_excluding(z)
+        for m in range(1, z.size + 1):
+            for j in range(1, z.size + 1):
+                ref = sigma_brute(j - 1, np.delete(z, m - 1))
+                assert abs(ours[j - 1, m - 1] - ref) < 1e-10 * (1 + abs(ref))
 
     @given(zero_vectors(max_n=8))
     @settings(max_examples=40, deadline=None)
     def test_splitting_recurrence(self, z):
         # Partitioning j-subsets by membership of index m gives
-        # sigma_j = sigma_{m,j+1} + z_m (delta_{j,1} + sigma_{m,j});
-        # the delta patches the j = 1 empty-sum convention.
+        # e_j(z) = e_j(z without z_m) + z_m e_{j-1}(z without z_m), where
+        # e_N of the N - 1 other zeros vanishes.
         n = z.size
+        full, excluding = sigmas(z), sigmas_excluding(z)
         for m in range(1, n + 1):
-            for j in range(1, n):
-                lhs = sigma(j, z)
-                rhs = sigma_excluding(m, j + 1, z) \
-                    + z[m - 1] * ((1.0 if j == 1 else 0.0) + sigma_excluding(m, j, z))
-                assert abs(lhs - rhs) < 1e-10 * (1 + abs(lhs))
+            for j in range(1, n + 1):
+                without = excluding[j, m - 1] if j < n else 0.0
+                rhs = without + z[m - 1] * excluding[j - 1, m - 1]
+                assert abs(full[j - 1] - rhs) < 1e-10 * (1 + abs(full[j - 1]))
 
 
 class TestVietaConsistency:
     @given(zero_vectors(max_n=10, min_sep=0.0))
     @settings(max_examples=40, deadline=None)
     def test_coefficients_are_signed_sigmas(self, z):
+        # The convolution expansion against the triangular recurrence.
         p = poly_from_zeros(z)
+        e = esp_table(z)
         for m in range(1, z.size + 1):
-            expected = (-1.0) ** m * sigma(m, z)
+            expected = (-1.0) ** m * e[m]
             assert abs(p.coefficients[m - 1] - expected) <= 1e-12 * (1 + abs(expected))
 
 
 class TestVietaJacobianApply:
+    """The Vieta Jacobian applied to a direction v: the first-order change of
+    the monic coefficients when the zeros move by v."""
+
     def test_zero_direction(self):
         z = np.array([0.3 + 0.1j, -0.5, 0.8j])
-        np.testing.assert_allclose(vieta_jacobian_apply(z, np.zeros(3)), 0.0)
+        np.testing.assert_allclose(w_table(z).entries @ np.zeros(3), 0.0)
 
     def test_degree_three_closed_form(self):
         rng = np.random.default_rng(8)
         z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        w = vieta_jacobian_apply(z, v)
+        w = w_table(z).entries @ v
         w1 = -(v[0] + v[1] + v[2])
         w2 = v[0] * (z[1] + z[2]) + v[1] * (z[0] + z[2]) + v[2] * (z[0] + z[1])
         w3 = -(v[0] * z[1] * z[2] + v[1] * z[0] * z[2] + v[2] * z[0] * z[1])
         np.testing.assert_allclose(w, [w1, w2, w3], atol=1e-12)
         # Degree one: c_1 = -z_1.
-        np.testing.assert_array_equal(vieta_jacobian_apply([2.0], [1.0]), [-1.0])
+        np.testing.assert_array_equal(w_table([2.0]).entries @ [1.0], [-1.0])
 
     def test_against_central_difference(self):
         rng = np.random.default_rng(21)
@@ -276,12 +273,8 @@ class TestVietaJacobianApply:
         h = 1e-6
         fd = (poly_from_zeros(z + h * v).coefficients
               - poly_from_zeros(z - h * v).coefficients) / (2 * h)
-        w = vieta_jacobian_apply(z, v)
+        w = w_table(z).entries @ v
         assert np.max(np.abs(w - fd)) <= 1e-6 * np.max(np.abs(w))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            vieta_jacobian_apply([1.0, 2.0], [1.0, 2.0, 3.0])
 
     @given(zero_vectors(max_n=7, min_sep=0.0),
            st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False),
@@ -291,8 +284,9 @@ class TestVietaJacobianApply:
         rng = np.random.default_rng(z.size)
         v1 = rng.standard_normal(z.size) + 1j * rng.standard_normal(z.size)
         v2 = rng.standard_normal(z.size) + 1j * rng.standard_normal(z.size)
-        combined = vieta_jacobian_apply(z, alpha * v1 + beta * v2)
-        split = alpha * vieta_jacobian_apply(z, v1) + beta * vieta_jacobian_apply(z, v2)
+        w = w_table(z).entries
+        combined = w @ (alpha * v1 + beta * v2)
+        split = alpha * (w @ v1) + beta * (w @ v2)
         scale = max(1.0, np.max(np.abs(split)))
         assert np.max(np.abs(combined - split)) <= 1e-10 * scale
 
