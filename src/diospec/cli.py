@@ -6,7 +6,10 @@ Subcommands: ``hermite-zeros`` (zero tables with equilibrium residuals),
 ``oracle`` (closed-form matrices against finite-difference Jacobians).
 
 Exit codes: 0 success, 1 spectral failure, 2 usage error, 3 numerical
-non-convergence, 4 dynamics collision.
+non-convergence, 4 dynamics collision.  A command returns 0 or 1 and raises
+on any other outcome; ``main`` writes the exception as one ``error:`` line
+and returns the code of the first entry of ``_FAILURES`` it matches.  Other
+exceptions propagate, so a bug is never reported as a usage error.
 """
 
 from __future__ import annotations
@@ -16,12 +19,11 @@ import csv
 import io
 import math
 import sys
-from typing import Optional
 
 import numpy as np
 
 from . import dynamics
-from .errors import CollisionAbort, NearCollision, NonConvergence, StepFloorReached
+from .errors import CollisionAbort, NearCollision, NumericalError
 from .hermite import PermutationId, hermite_zeros, permuted_polynomial
 from .matrices import KIND_M1, KIND_M2, build_m1, build_m2
 from .polynomials import roots
@@ -41,10 +43,6 @@ __all__ = [
     "EXIT_NUMERICAL",
     "EXIT_COLLISION",
     "build_parser",
-    "cmd_hermite_zeros",
-    "cmd_verify",
-    "cmd_simulate",
-    "cmd_oracle",
     "main",
     "console_entry",
 ]
@@ -118,43 +116,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: Optional[str]):
+def _emit(args, payload, rows=None) -> int:
+    """Write one result to stdout and, with ``--out``, to that file; return
+    EXIT_OK.  A str is written as it is.  Otherwise JSON goes through
+    ``to_json``, and CSV writes ``rows``, by default the flat payload's keys
+    and then its values."""
+    if isinstance(payload, str):
+        text = payload
+    elif args.format == "json":
+        text = to_json(payload)
+    else:
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(
+            rows or [list(payload), list(payload.values())])
+        text = buffer.getvalue()
     sys.stdout.write(text)
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
-
-
-def _zeros_csv(payload: dict) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["n", "index", "zero", "residual_first", "residual_second"])
-    for i, zero in enumerate(payload["zeros"], start=1):
-        writer.writerow([payload["n"], i, f"{zero:.17g}",
-                         f"{payload['residual_first']:.17g}",
-                         f"{payload['residual_second']:.17g}"])
-    return buffer.getvalue()
-
-
-def cmd_hermite_zeros(n: int, fmt: str = "json", out: Optional[str] = None) -> int:
-    """Print ascending zeros of the degree-n Hermite polynomial and the
-    residuals of the two equilibrium identities they satisfy."""
-    try:
-        herm = hermite_zeros(n)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except NonConvergence as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERICAL
-    payload = {
-        "n": herm.order,
-        "zeros": [float(z) for z in herm.zeros],
-        "residual_first": herm.residual_first,
-        "residual_second": herm.residual_second,
-    }
-    _emit(to_json(payload) if fmt == "json" else _zeros_csv(payload), out)
     return EXIT_OK
+
+
+def _hermite_zeros(args) -> int:
+    """Ascending zeros of the degree-n Hermite polynomial and the residuals
+    of the two equilibrium identities they satisfy."""
+    herm = hermite_zeros(args.n)
+    zeros = [float(z) for z in herm.zeros]
+    residuals = [f"{herm.residual_first:.17g}", f"{herm.residual_second:.17g}"]
+    rows = [["n", "index", "zero", "residual_first", "residual_second"]]
+    rows += [[herm.order, i, f"{z:.17g}", *residuals] for i, z in enumerate(zeros, start=1)]
+    return _emit(args, {"n": herm.order, "zeros": zeros,
+                        "residual_first": herm.residual_first,
+                        "residual_second": herm.residual_second}, rows)
 
 
 def _parse_orderings(text: str):
@@ -165,206 +158,115 @@ def _parse_orderings(text: str):
     return tuple(int(part) for part in text.split(",") if part)
 
 
-def cmd_verify(config: RunConfig, out: Optional[str] = None) -> int:
+def _verify(args) -> int:
     """Run the sweep and print the report; exit 0 only with zero failures
     (inconclusive rows are listed but do not fail the run)."""
-    try:
-        report = run_verification(config)
-    except NonConvergence as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERICAL
-    text = report_to_json(report) if config.output_format == "json" \
-        else report_to_csv(report)
-    _emit(text, out)
+    if args.mu_table:
+        return _emit(args, to_json(mu_assignment_table()))
+    report = run_verification(RunConfig(
+        n=args.n,
+        kinds=tuple(k for k in args.kinds.split(",") if k),
+        orderings=_parse_orderings(args.orderings),
+        root_tol=args.tol_root,
+        pass_tol=args.tol_pass,
+        output_format=args.format,
+        seed=args.seed,
+        jobs=args.jobs,
+        force=args.force,
+    ))
+    _emit(args, report_to_json(report) if args.format == "json" else report_to_csv(report))
     return EXIT_OK if report.aggregate["fail"] == 0 else EXIT_SPECTRAL_FAIL
 
 
-def _equilibrium_state(system: str, n: int, rank: int, root_tol: float):
-    if system in ("gamma1", "gamma2"):
-        base = hermite_zeros(n).zeros.astype(complex)
+def _start(args) -> np.ndarray:
+    """The equilibrium of the flow, at rest for the second-order ones, plus a
+    seeded perturbation of norm ``--radius``."""
+    if args.system.startswith("gamma"):
+        base = hermite_zeros(args.n).zeros.astype(complex)
     else:
-        perm = PermutationId.from_rank(n, rank)
-        poly = permuted_polynomial(hermite_zeros(n), perm)
-        base = roots(poly, tol=root_tol).zeros
-    if system in ("gamma1", "zeta1"):
-        return base
-    return np.concatenate([base, np.zeros(n, dtype=complex)])
+        perm = PermutationId.from_rank(args.n, args.ordering_rank)
+        base = roots(permuted_polynomial(hermite_zeros(args.n), perm), tol=args.tol_root).zeros
+    if args.system.endswith("2"):
+        base = np.concatenate([base, np.zeros(args.n, dtype=complex)])
+    rng = np.random.default_rng(args.seed)
+    direction = rng.standard_normal(base.size) + 1j * rng.standard_normal(base.size)
+    return base + args.radius * direction / np.linalg.norm(direction)
 
 
-def _seeded_perturbation(dim: int, radius: float, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    direction = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return radius * direction / np.linalg.norm(direction)
-
-
-def cmd_simulate(system: str, n: int, ordering_rank: int = 1,
-                 t_end: float = 2.0 * math.pi, radius: float = 1e-2,
-                 seed: int = 42, return_tol: float = 1e-5,
-                 rel_tol: float = 1e-10, abs_tol: float = 1e-12,
-                 root_tol: float = 1e-12, fmt: str = "json",
-                 out: Optional[str] = None) -> int:
+def _simulate(args) -> int:
     """Integrate one flow from a seeded perturbation of its equilibrium and
     report the distance between start and state at t_end."""
-    if not 0 < return_tol < math.inf:
-        sys.stderr.write("error: return_tol must be positive and finite\n")
-        return EXIT_USAGE
-    if not 0 <= radius < math.inf:
-        sys.stderr.write("error: radius must be non-negative and finite\n")
-        return EXIT_USAGE
-    try:
-        equilibrium = _equilibrium_state(system, n, ordering_rank, root_tol)
-    except (ValueError, NonConvergence) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE if isinstance(exc, ValueError) else EXIT_NUMERICAL
-
-    start = equilibrium + _seeded_perturbation(equilibrium.size, radius, seed)
-    size = n if system in ("gamma1", "zeta1") else 2 * n
-
-    if t_end == 0.0:
-        payload = _simulate_payload(system, n, ordering_rank, seed, radius, 0.0,
-                                    0.0, (0, 0), math.inf, return_tol)
-        _emit(to_json(payload) if fmt == "json" else _simulate_csv(payload), out)
-        return EXIT_OK
-
-    initial = start if size == n else (start[:n], start[n:])
-    try:
-        record = dynamics.integrate(system, initial, t_end,
-                                    rel_tol=rel_tol, abs_tol=abs_tol)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except (CollisionAbort, NearCollision) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_COLLISION
-    except StepFloorReached as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERICAL
-
-    distance = float(np.max(np.abs(record.final_state - start)))
-    payload = _simulate_payload(system, n, ordering_rank, seed, radius, t_end,
-                                distance, record.step_stats,
-                                record.min_separation_seen, return_tol)
-    _emit(to_json(payload) if fmt == "json" else _simulate_csv(payload), out)
-    return EXIT_OK
-
-
-def _simulate_payload(system, n, rank, seed, radius, t_end, distance,
-                      step_stats, min_sep, return_tol) -> dict:
-    return {
-        "system": system,
-        "n": n,
-        "ordering_rank": rank,
-        "seed": seed,
-        "radius": radius,
+    if not 0 < args.return_tol < math.inf:
+        raise ValueError("return_tol must be positive and finite")
+    if not 0 <= args.radius < math.inf:
+        raise ValueError("radius must be non-negative and finite")
+    start = _start(args)
+    # A zero horizon is reported without integrating.
+    t_end, distance, steps, min_sep = 0.0, 0.0, (0, 0), math.inf
+    if args.t_end != 0.0:
+        n = args.n
+        initial = start if args.system.endswith("1") else (start[:n], start[n:])
+        record = dynamics.integrate(args.system, initial, args.t_end,
+                                    rel_tol=args.tol_ode_rel, abs_tol=args.tol_ode_abs)
+        t_end, distance = args.t_end, float(np.max(np.abs(record.final_state - start)))
+        steps, min_sep = record.step_stats, record.min_separation_seen
+    return _emit(args, {
+        "system": args.system,
+        "n": args.n,
+        "ordering_rank": args.ordering_rank,
+        "seed": args.seed,
+        "radius": args.radius,
         "t_end": t_end,
         "return_distance": distance,
-        "return_tol": return_tol,
-        "verdict": "pass" if distance <= return_tol else "fail",
-        "steps_accepted": step_stats[0],
-        "steps_rejected": step_stats[1],
+        "return_tol": args.return_tol,
+        "verdict": "pass" if distance <= args.return_tol else "fail",
+        "steps_accepted": steps[0],
+        "steps_rejected": steps[1],
         "min_separation_seen": (None if math.isinf(min_sep) else min_sep),
-    }
+    })
 
 
-def _simulate_csv(payload: dict) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    keys = list(payload.keys())
-    writer.writerow(keys)
-    writer.writerow([payload[k] for k in keys])
-    return buffer.getvalue()
-
-
-def cmd_oracle(n: int, ordering_rank: int = 1, kind: str = KIND_M1,
-               h: float = 1e-6, self_test: bool = False,
-               root_tol: float = 1e-12, fmt: str = "json",
-               out: Optional[str] = None) -> int:
+def _oracle(args) -> int:
     """Compare a closed-form matrix with the finite-difference Jacobian of the
     matching flow, or run the linear-field self-test of the differencer."""
-    try:
-        dynamics.check_fd_step(h)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    if self_test:
+    n, h = args.n, args.h
+    dynamics.check_fd_step(h)
+    if args.self_test:
         rng = np.random.default_rng(0)
-        linear = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        jac = dynamics.central_difference_jacobian(lambda v: linear @ v,
+        reference = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        jac = dynamics.central_difference_jacobian(lambda v: reference @ v,
                                                    np.zeros(n, dtype=complex), h)
-        deviation = float(np.max(np.abs(jac - linear)) / np.max(np.abs(linear)))
-        payload = {"n": n, "kind": "linear-field-self-test", "h": h,
-                   "max_relative_deviation": deviation}
-        _emit(to_json(payload) if fmt == "json" else _simulate_csv(payload), out)
-        return EXIT_OK
-
-    try:
-        perm = PermutationId.from_rank(n, ordering_rank)
+        payload = {"n": n, "kind": "linear-field-self-test", "h": h}
+    else:
+        perm = PermutationId.from_rank(n, args.ordering_rank)
         poly = permuted_polynomial(hermite_zeros(n), perm)
-        zeros = roots(poly, tol=root_tol)
-        if kind == KIND_M1:
-            jac = -1j * dynamics.fd_jacobian("zeta1", zeros.zeros, h)
+        zeros = roots(poly, tol=args.tol_root)
+        if args.kind == KIND_M1:
+            jac, builder = -1j * dynamics.fd_jacobian("zeta1", zeros.zeros, h), build_m1
         else:
-            jac = -dynamics.fd_jacobian("zeta2_force", zeros.zeros, h)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except NonConvergence as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERICAL
+            jac, builder = -dynamics.fd_jacobian("zeta2_force", zeros.zeros, h), build_m2
+        reference = builder(zeros, poly.coefficients, source_perm=perm).entries
+        payload = {"n": n, "ordering_rank": args.ordering_rank, "kind": args.kind, "h": h}
+    payload["max_relative_deviation"] = float(
+        np.max(np.abs(reference - jac)) / np.max(np.abs(reference)))
+    return _emit(args, payload)
 
-    builder = build_m1 if kind == KIND_M1 else build_m2
-    matrix = builder(zeros, poly.coefficients, source_perm=perm).entries
-    deviation = float(np.max(np.abs(matrix - jac)) / np.max(np.abs(matrix)))
-    payload = {"n": n, "ordering_rank": ordering_rank, "kind": kind, "h": h,
-               "max_relative_deviation": deviation}
-    _emit(to_json(payload) if fmt == "json" else _simulate_csv(payload), out)
-    return EXIT_OK
+
+_COMMANDS = {"hermite-zeros": _hermite_zeros, "verify": _verify,
+             "simulate": _simulate, "oracle": _oracle}
+
+# Exit code of a command's failure: the first entry its exception matches.
+_FAILURES = ((CollisionAbort, EXIT_COLLISION), (NearCollision, EXIT_COLLISION),
+             (NumericalError, EXIT_NUMERICAL), (ValueError, EXIT_USAGE))
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.command == "hermite-zeros":
-        return cmd_hermite_zeros(args.n, fmt=args.format, out=args.out)
-
-    if args.command == "verify":
-        if args.mu_table:
-            _emit(to_json(mu_assignment_table()), args.out)
-            return EXIT_OK
-        try:
-            config = RunConfig(
-                n=args.n,
-                kinds=tuple(k for k in args.kinds.split(",") if k),
-                orderings=_parse_orderings(args.orderings),
-                root_tol=args.tol_root,
-                pass_tol=args.tol_pass,
-                output_format=args.format,
-                seed=args.seed,
-                jobs=args.jobs,
-                force=args.force,
-            )
-        except ValueError as exc:
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_USAGE
-        return cmd_verify(config, out=args.out)
-
-    if args.command == "simulate":
-        return cmd_simulate(
-            args.system, args.n, ordering_rank=args.ordering_rank,
-            t_end=args.t_end, radius=args.radius, seed=args.seed,
-            return_tol=args.return_tol, rel_tol=args.tol_ode_rel,
-            abs_tol=args.tol_ode_abs, root_tol=args.tol_root,
-            fmt=args.format, out=args.out)
-
-    if args.command == "oracle":
-        return cmd_oracle(
-            args.n, ordering_rank=args.ordering_rank, kind=args.kind,
-            h=args.h, self_test=args.self_test, root_tol=args.tol_root,
-            fmt=args.format, out=args.out)
-
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_USAGE
+    args = build_parser().parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except tuple(kind for kind, _ in _FAILURES) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return next(code for kind, code in _FAILURES if isinstance(exc, kind))
 
 
 def console_entry():
