@@ -24,7 +24,7 @@ import numpy as np
 
 from . import dynamics
 from .errors import CollisionAbort, NearCollision, NumericalError
-from .hermite import PermutationId, hermite_zeros, permuted_polynomial
+from .hermite import MAX_ORDER, PermutationId, hermite_zeros, permuted_polynomial
 from .matrices import KIND_M1, KIND_M2, build_m1, build_m2
 from .polynomials import roots
 from .report import (
@@ -162,7 +162,12 @@ def _verify(args) -> int:
     """Run the sweep and print the report; exit 0 only with zero failures
     (inconclusive rows are listed but do not fail the run)."""
     if args.mu_table:
-        return _emit(args, to_json(mu_assignment_table()))
+        if args.n != 3:
+            raise ValueError(f"the mu table is defined for n=3, got {args.n}")
+        table = mu_assignment_table()
+        return _emit(args, table, [["mu", "word", "rank"]] + [
+            [row["mu"], " ".join(map(str, row["word"])), row["rank"]]
+            for row in table["assignments"]])
     report = run_verification(RunConfig(
         n=args.n,
         kinds=tuple(k for k in args.kinds.split(",") if k),
@@ -181,11 +186,13 @@ def _verify(args) -> int:
 def _start(args) -> np.ndarray:
     """The equilibrium of the flow, at rest for the second-order ones, plus a
     seeded perturbation of norm ``--radius``."""
+    herm = hermite_zeros(args.n)
+    # Every system checks the rank, though only the zeta flows read it.
+    perm = PermutationId.from_rank(args.n, args.ordering_rank)
     if args.system.startswith("gamma"):
-        base = hermite_zeros(args.n).zeros.astype(complex)
+        base = herm.zeros.astype(complex)
     else:
-        perm = PermutationId.from_rank(args.n, args.ordering_rank)
-        base = roots(permuted_polynomial(hermite_zeros(args.n), perm), tol=args.tol_root).zeros
+        base = roots(permuted_polynomial(herm, perm), tol=args.tol_root).zeros
     if args.system.endswith("2"):
         base = np.concatenate([base, np.zeros(args.n, dtype=complex)])
     rng = np.random.default_rng(args.seed)
@@ -232,6 +239,8 @@ def _oracle(args) -> int:
     n, h = args.n, args.h
     dynamics.check_fd_step(h)
     if args.self_test:
+        if not 2 <= n <= MAX_ORDER:
+            raise ValueError(f"order must be in 2..{MAX_ORDER}, got {n}")
         rng = np.random.default_rng(0)
         reference = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         jac = dynamics.central_difference_jacobian(lambda v: reference @ v,

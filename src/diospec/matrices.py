@@ -53,7 +53,15 @@ KIND_M2 = "M2"
 # roundoff enough that a failed spectrum check is inconclusive, not a fail.
 CONDITIONING_FLOOR = 1e-6
 
-_profiles = {KIND_M1: (1.0, 2), KIND_M2: (6.0, 4)}
+# Per kind: the coupling weight K, the coupling power P and the power of the
+# integers in the spectrum.
+_PROFILES = {KIND_M1: (1.0, 2, 1), KIND_M2: (6.0, 4, 2)}
+
+
+def _profile(kind: str) -> tuple:
+    if kind not in _PROFILES:
+        raise ValueError(f"unknown kind {kind!r}")
+    return _PROFILES[kind]
 
 
 @dataclass(frozen=True)
@@ -146,7 +154,7 @@ def build_stack(zeros: np.ndarray, coefficients: np.ndarray, kinds: tuple):
     _set_diagonals(cdiff, 1.0)
     coupled = []
     for kind in kinds:
-        factor, power = _profiles[kind]
+        factor, power, _ = _profile(kind)
         inv_pow = 1.0 / cdiff ** power
         _set_diagonals(inv_pow, 0.0)
         # A_pi W = W + K (D - C) W, vectorised over the columns m.
@@ -183,8 +191,7 @@ def build_m2(z, c, source_perm: Optional[PermutationId] = None) -> DiophantineMa
 
 
 def expected_spectrum(kind: str, n: int) -> np.ndarray:
-    m = np.arange(1, n + 1)
-    return m if kind == KIND_M1 else m ** 2
+    return np.arange(1, n + 1) ** _profile(kind)[2]
 
 
 def expected_trace(kind: str, n: int) -> float:
@@ -236,12 +243,10 @@ def permutation_similarity_check(z, c, kind: str, swap: tuple) -> float:
     n = zz.size
     if not (1 <= a < b <= n):
         raise ValueError(f"swap positions must satisfy 1 <= a < b <= {n}, got {swap}")
-    builder = build_m1 if kind == KIND_M1 else build_m2
-
-    base = builder(zz, c).entries
+    base = _build(zz, c, kind, None).entries
     swapped_zeros = zz.copy()
     swapped_zeros[[a - 1, b - 1]] = swapped_zeros[[b - 1, a - 1]]
-    rebuilt = builder(swapped_zeros, c).entries
+    rebuilt = _build(swapped_zeros, c, kind, None).entries
 
     conjugated = np.array(base)
     conjugated[[a - 1, b - 1], :] = conjugated[[b - 1, a - 1], :]

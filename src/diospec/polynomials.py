@@ -225,7 +225,8 @@ def roots_stack(coefficients, tol: float = 1e-12, max_iter: int = 200):
 
     Starting guesses sit on a circle of radius 1 + max|c_m| with golden-angle
     spacing.  Converged rows get a guarded Newton polish and are sorted by
-    (re, im) ascending.
+    (re, im) ascending, real parts within rounding of each other counting as
+    equal (``_sort_rows``).
 
     Returns (zeros, failed): ``failed`` marks the rows that did not converge
     in ``max_iter`` steps, whose zeros are NaN.  Zeros of a row can differ in
@@ -240,10 +241,21 @@ def roots_stack(coefficients, tol: float = 1e-12, max_iter: int = 200):
         return -c, np.zeros(b, dtype=bool)
 
     zeros, converged = _aberth(c, tol, max_iter)
-    polished = _polish(c[converged], zeros[converged])
-    order = np.lexsort((polished.imag, polished.real), axis=-1)
-    zeros[converged] = np.take_along_axis(polished, order, axis=1)
+    zeros[converged] = _sort_rows(_polish(c[converged], zeros[converged]))
     return zeros, ~converged
+
+
+def _sort_rows(z: np.ndarray) -> np.ndarray:
+    """Each row sorted by (re, im) ascending, where real parts that chain
+    within 64 eps * max(1, max|z|) of each other count as equal.  The two
+    zeros of a conjugate pair differ in their real parts by a few units of
+    that scale, in either direction, so the sign of the imaginary part
+    orders them.  Real parts further apart sort as they are."""
+    by_re = np.take_along_axis(z, np.argsort(z.real, axis=1, kind="stable"), axis=1)
+    tie = 64 * np.finfo(float).eps * np.maximum(1.0, np.abs(z).max(axis=1, keepdims=True))
+    steps = np.diff(by_re.real, axis=1) > tie
+    group = np.concatenate([np.zeros_like(steps[:, :1]), steps], axis=1).cumsum(axis=1)
+    return np.take_along_axis(by_re, np.lexsort((by_re.imag, group), axis=-1), axis=1)
 
 
 def roots(p: MonicPolynomial, tol: float = 1e-12, max_iter: int = 200) -> ZeroVector:

@@ -4,14 +4,24 @@ import math
 import numpy as np
 import pytest
 
+from diospec import cli
 from diospec.cli import (
     EXIT_COLLISION,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_SPECTRAL_FAIL,
     EXIT_USAGE,
     main,
 )
-from diospec.errors import NonConvergence
+from diospec.errors import (
+    CollisionAbort,
+    DegenerateSpectrum,
+    DimensionMismatch,
+    NearCollision,
+    NonConvergence,
+    SingularConfiguration,
+    StepFloorReached,
+)
 from diospec.report import (
     RunConfig,
     _float_tokens,
@@ -116,6 +126,13 @@ class TestVerifyCommand:
         assert rows[1]["word"] == [2, 3, 1] and rows[1]["rank"] == 4
         assert rows[5]["word"] == [1, 3, 2] and rows[5]["rank"] == 2
         assert rows[6]["word"] == [1, 2, 3] and rows[6]["rank"] == 1
+
+    def test_mu_table_csv(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--n", "3", "--mu-table",
+                               "--format", "csv")
+        assert code == EXIT_OK
+        assert out.splitlines() == ["mu,word,rank", "1,2 3 1,4", "2,2 1 3,3", "3,3 2 1,6",
+                                    "4,3 1 2,5", "5,1 3 2,2", "6,1 2 3,1"]
 
     def test_n3_report_carries_discrepancy_note(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--n", "3")
@@ -222,11 +239,51 @@ class TestFlagsPerSubcommand:
         # A negative radius only flips the perturbation, so the reported
         # radius would not describe the start.
         ("simulate", "--n", "3", "--system", "gamma1", "--radius", "-1"),
+        # The self-test checks the order like the matrix path does.
+        ("oracle", "--n", "0", "--self-test"),
+        ("oracle", "--n", "-1", "--self-test"),
+        ("oracle", "--n", "1", "--self-test"),
+        ("oracle", "--n", "31", "--self-test"),
+        # The gamma flows do not read the rank, but it must still exist.
+        ("simulate", "--n", "3", "--system", "gamma1", "--ordering-rank", "999999"),
+        ("simulate", "--n", "3", "--system", "gamma2", "--ordering-rank", "0"),
+        ("verify", "--n", "99", "--mu-table"),
+        ("verify", "--n", "4", "--mu-table"),
     ])
     def test_out_of_range_value_is_a_usage_error(self, capsys, args):
         code, out, err = run_cli(capsys, *args)
         assert code == EXIT_USAGE
         assert out == "" and err.startswith("error: ")
+
+
+class TestExitCodeTable:
+    @pytest.mark.parametrize("error, expected", [
+        (CollisionAbort, EXIT_COLLISION),
+        (NearCollision, EXIT_COLLISION),
+        (NonConvergence, EXIT_NUMERICAL),
+        (StepFloorReached, EXIT_NUMERICAL),
+        (DegenerateSpectrum, EXIT_NUMERICAL),
+        (SingularConfiguration, EXIT_USAGE),
+        (DimensionMismatch, EXIT_USAGE),
+        (ValueError, EXIT_USAGE),
+    ])
+    def test_failure_maps_to_its_exit_code(self, capsys, monkeypatch, error, expected):
+        def failing(args):
+            raise error("stubbed failure")
+
+        monkeypatch.setitem(cli._COMMANDS, "hermite-zeros", failing)
+        code, out, err = run_cli(capsys, "hermite-zeros", "--n", "3")
+        assert code == expected
+        assert out == "" and err == "error: stubbed failure\n"
+
+    def test_other_exceptions_propagate(self, monkeypatch):
+        # A bug must surface as a traceback, never as a usage error.
+        def failing(args):
+            raise RuntimeError("bug")
+
+        monkeypatch.setitem(cli._COMMANDS, "hermite-zeros", failing)
+        with pytest.raises(RuntimeError, match="bug"):
+            main(["hermite-zeros", "--n", "3"])
 
 
 class TestReportSerialization:

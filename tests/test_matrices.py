@@ -11,11 +11,13 @@ from diospec.matrices import (
     KIND_M2,
     build_m1,
     build_m2,
+    build_stack,
     expected_determinant,
     expected_spectrum,
     expected_trace,
     permutation_similarity_check,
     spectrum_check,
+    spectrum_stack,
     w_table,
 )
 from diospec.polynomials import MonicPolynomial, poly_from_zeros, roots
@@ -241,6 +243,19 @@ class TestExpectedValues:
         assert expected_determinant(KIND_M2, n) == math.factorial(n) ** 2
         np.testing.assert_array_equal(expected_spectrum(KIND_M2, n),
                                       expected_spectrum(KIND_M1, n) ** 2)
+
+
+class TestUnknownKind:
+    @pytest.mark.parametrize("call", [
+        lambda: expected_spectrum("M3", 3),
+        lambda: expected_trace("m1", 3),
+        lambda: permutation_similarity_check([1.0, 2.0, 3.0], [1.0, 2.0, 4.0], "M3", (1, 2)),
+        lambda: spectrum_stack(np.eye(3)[None], "m1"),
+        lambda: build_stack(np.array([[1.0, 2.0, 3.0]]), np.array([[1.0, 2.0, 4.0]]), ("M3",)),
+    ])
+    def test_unknown_kind_rejected(self, call):
+        with pytest.raises(ValueError, match="unknown kind"):
+            call()
 
 
 class TestPermutationSimilarity:
