@@ -24,9 +24,9 @@ import numpy as np
 
 from . import dynamics
 from .errors import CollisionAbort, NearCollision, NumericalError
-from .hermite import MAX_ORDER, PermutationId, hermite_zeros, permuted_polynomial
+from .hermite import PermutationId, hermite_zeros, permuted_polynomial
 from .matrices import KIND_M1, KIND_M2, build_m1, build_m2
-from .polynomials import roots
+from .polynomials import check_positive, roots
 from .report import (
     RunConfig,
     mu_assignment_table,
@@ -161,14 +161,9 @@ def _parse_orderings(text: str):
 def _verify(args) -> int:
     """Run the sweep and print the report; exit 0 only with zero failures
     (inconclusive rows are listed but do not fail the run)."""
-    if args.mu_table:
-        if args.n != 3:
-            raise ValueError(f"the mu table is defined for n=3, got {args.n}")
-        table = mu_assignment_table()
-        return _emit(args, table, [["mu", "word", "rank"]] + [
-            [row["mu"], " ".join(map(str, row["word"])), row["rank"]]
-            for row in table["assignments"]])
-    report = run_verification(RunConfig(
+    if args.mu_table and args.n != 3:
+        raise ValueError(f"the mu table is defined for n=3, got {args.n}")
+    config = RunConfig(
         n=args.n,
         kinds=tuple(k for k in args.kinds.split(",") if k),
         orderings=_parse_orderings(args.orderings),
@@ -178,7 +173,13 @@ def _verify(args) -> int:
         seed=args.seed,
         jobs=args.jobs,
         force=args.force,
-    ))
+    )
+    if args.mu_table:
+        table = mu_assignment_table()
+        return _emit(args, table, [["mu", "word", "rank"]] + [
+            [row["mu"], " ".join(map(str, row["word"])), row["rank"]]
+            for row in table["assignments"]])
+    report = run_verification(config)
     _emit(args, report_to_json(report) if args.format == "json" else report_to_csv(report))
     return EXIT_OK if report.aggregate["fail"] == 0 else EXIT_SPECTRAL_FAIL
 
@@ -202,9 +203,10 @@ def _start(args) -> np.ndarray:
 
 def _simulate(args) -> int:
     """Integrate one flow from a seeded perturbation of its equilibrium and
-    report the distance between start and state at t_end."""
-    if not 0 < args.return_tol < math.inf:
-        raise ValueError("return_tol must be positive and finite")
+    report the distance between start and state at t_end.  Every value is
+    checked for every system, also when a zero horizon skips integrating."""
+    for name in ("return_tol", "tol_root", "tol_ode_rel", "tol_ode_abs"):
+        check_positive(name, getattr(args, name))
     if not 0 <= args.radius < math.inf:
         raise ValueError("radius must be non-negative and finite")
     start = _start(args)
@@ -237,18 +239,19 @@ def _oracle(args) -> int:
     """Compare a closed-form matrix with the finite-difference Jacobian of the
     matching flow, or run the linear-field self-test of the differencer."""
     n, h = args.n, args.h
+    # Both paths check the step, the order, the rank and the root tolerance.
     dynamics.check_fd_step(h)
+    herm = hermite_zeros(n)
+    perm = PermutationId.from_rank(n, args.ordering_rank)
+    check_positive("tol_root", args.tol_root)
     if args.self_test:
-        if not 2 <= n <= MAX_ORDER:
-            raise ValueError(f"order must be in 2..{MAX_ORDER}, got {n}")
         rng = np.random.default_rng(0)
         reference = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         jac = dynamics.central_difference_jacobian(lambda v: reference @ v,
                                                    np.zeros(n, dtype=complex), h)
         payload = {"n": n, "kind": "linear-field-self-test", "h": h}
     else:
-        perm = PermutationId.from_rank(n, args.ordering_rank)
-        poly = permuted_polynomial(hermite_zeros(n), perm)
+        poly = permuted_polynomial(herm, perm)
         zeros = roots(poly, tol=args.tol_root)
         if args.kind == KIND_M1:
             jac, builder = -1j * dynamics.fd_jacobian("zeta1", zeros.zeros, h), build_m1

@@ -32,6 +32,8 @@ Second-order pair (goldfish velocity coupling in the zero picture):
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,7 +48,8 @@ from .errors import (
     StepFloorReached,
 )
 from .matrices import KIND_M1, KIND_M2, DiophantineMatrix
-from .polynomials import _expand, _set_diagonals, as_complex_vector, pairwise_separation
+from .polynomials import (_set_diagonals, as_complex_vector, check_positive, esp_table,
+                          pairwise_separation)
 
 __all__ = [
     "SYSTEMS",
@@ -94,55 +97,69 @@ class TrajectoryRecord:
         return np.array([t for t, _ in self.samples])
 
 
-def _finite(values: np.ndarray, what: str) -> np.ndarray:
-    if not np.isfinite(values).all():
-        raise ValueError(f"{what} must have finite components")
-    return values
-
-
-def _diff_checked(values: np.ndarray, what: str) -> np.ndarray:
-    """Pairwise differences v_m - v_l with a unit diagonal; raises
-    NearCollision when two components lie closer than COLLISION_FLOOR."""
+def _diff_gap(values: np.ndarray, what: str):
+    """Pairwise differences v_m - v_l with an infinite diagonal, so that
+    dividing by them leaves a zero diagonal, and their smallest modulus, the
+    separation; raises NearCollision when that lies below COLLISION_FLOOR."""
     if values.size < 2:
         raise ValueError(f"{what} needs at least two components")
-    diff = _set_diagonals(values[:, None] - values[None, :], 1.0)
-    # The unit diagonal is never the minimum of a gap below the floor.
-    gap = np.abs(diff).min()
+    diff = _set_diagonals(values[:, None] - values[None, :], np.inf)
+    gap = np.minimum.reduce(np.abs(diff), axis=None)
     if gap < COLLISION_FLOOR:
         raise NearCollision(f"{what} separation {gap:.3e} below {COLLISION_FLOOR}")
-    return diff
+    return diff, gap
 
 
-def _gamma_rate(gamma: np.ndarray, order: int) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _off_diagonal(n: int) -> np.ndarray:
+    """Flat indices of the off-diagonal entries of an (n, n) matrix, by row."""
+    return np.flatnonzero(~np.eye(n, dtype=bool)).reshape(n, n - 1)
+
+
+def _gamma_rate(gamma: np.ndarray, order: int):
     """Velocity (order 1) or acceleration (order 2) of the coefficient flow,
     from the sums over l != m of 1/(gamma_m - gamma_l)^(2 order - 1)."""
-    inv = _set_diagonals(1.0 / _diff_checked(gamma, "gamma"), 0.0)
+    diff, gap = _diff_gap(gamma, "gamma")
+    inv = 1.0 / diff
     if order == 1:
-        return 1j * (gamma - inv.sum(axis=1))
-    return -gamma + 2.0 * (inv ** 3).sum(axis=1)
+        return 1j * (gamma - np.add.reduce(inv, axis=1)), gap
+    return -gamma + 2.0 * np.add.reduce(inv ** 3, axis=1), gap
 
 
-def _zeta_rate(zeta: np.ndarray, order: int, zeta_dot=None) -> np.ndarray:
+def _zeta_rate(zeta: np.ndarray, order: int, zeta_dot=None):
     """Coefficient-flow rate at the Vieta coefficients of zeta, transported to
     zero space: component n is -(sum_m rate_m zeta_n^(N-m)) / prod_{l != n}
     (zeta_n - zeta_l).  ``zeta_dot`` adds the goldfish coupling
     2 zdot_n zdot_l / (zeta_n - zeta_l) from the same difference matrix."""
-    diff = _diff_checked(zeta, "zeta")
-    rate = _gamma_rate(_finite(_expand(zeta), "coefficients"), order)
-    field = -np.polyval(rate, zeta) / np.prod(diff, axis=1)
+    diff, gap = _diff_gap(zeta, "zeta")
+    coefficients = esp_table(-zeta)[1:]
+    if not np.logical_and.reduce(np.isfinite(coefficients)):
+        raise ValueError("coefficients must have finite components")
+    rate, _ = _gamma_rate(coefficients, order)
+    # Horner's rule in place, with np.polyval's arithmetic.
+    transport = np.zeros(zeta.size, dtype=complex)
+    for c in rate.tolist():
+        transport *= zeta
+        transport += c
+    field = -transport / np.multiply.reduce(diff.take(_off_diagonal(zeta.size)), axis=1)
     if zeta_dot is None:
-        return field
-    pull = _set_diagonals(zeta_dot[None, :] / diff, 0.0)
-    return 2.0 * zeta_dot * pull.sum(axis=1) + field
+        return field, gap
+    return 2.0 * zeta_dot * np.add.reduce(zeta_dot / diff, axis=1) + field, gap
 
 
-# Right-hand sides of the packed state y (n positions, then any velocities),
-# which the caller has checked finite.
+def _packed(y: np.ndarray, n: int, accel_gap):
+    """Field of a second-order state y from its (acceleration, gap)."""
+    return np.concatenate([y[n:], accel_gap[0]]), accel_gap[1]
+
+
+# Fields of the packed state y (n positions, then any velocities), which the
+# caller has checked finite.  Each kernel returns (rate, gap): the time
+# derivative and the separation of the positions it was evaluated at.
 _FIELDS = {
     "gamma1": lambda y, n: _gamma_rate(y, 1),
     "zeta1": lambda y, n: _zeta_rate(y, 1),
-    "gamma2": lambda y, n: np.concatenate([y[n:], _gamma_rate(y[:n], 2)]),
-    "zeta2": lambda y, n: np.concatenate([y[n:], _zeta_rate(y[:n], 2, y[n:])]),
+    "gamma2": lambda y, n: _packed(y, n, _gamma_rate(y[:n], 2)),
+    "zeta2": lambda y, n: _packed(y, n, _zeta_rate(y[:n], 2, y[n:])),
 }
 
 
@@ -168,7 +185,7 @@ def vector_field(system: str, y) -> np.ndarray:
         if n % 2:
             raise DimensionMismatch(f"second-order state has odd length {n}")
         n //= 2
-    return _FIELDS[system](yy, n)
+    return _FIELDS[system](yy, n)[0]
 
 
 # Dormand-Prince 5(4) tableau: row i of _DP_A weights the stages feeding
@@ -186,7 +203,7 @@ _DP_A = np.array([
 ])
 _DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                    187 / 2100, 1 / 40])
-_DP_ERR = _DP_A[6] - _DP_B4
+_DP_ERR = (_DP_A[6] - _DP_B4)[:, None]
 
 
 def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
@@ -200,10 +217,8 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
     error control shrinking the step below the same floor raises
     StepFloorReached.
     """
-    if not 0 < t_end < np.inf:
-        raise ValueError("t_end must be positive and finite")
-    if not (0 < rel_tol < np.inf and 0 < abs_tol < np.inf):
-        raise ValueError("tolerances must be positive and finite")
+    for name, value in (("t_end", t_end), ("rel_tol", rel_tol), ("abs_tol", abs_tol)):
+        check_positive(name, value)
     _check_system(system)
 
     # Validate and copy the start once; the steps work on raw arrays.
@@ -221,12 +236,13 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
     field = _FIELDS[system]
     t = 0.0
     samples = [(0.0, y)]
-    min_sep = pairwise_separation(y[:n_pos])
     accepted = rejected = 0
 
     stages = np.empty((7, y.size), dtype=complex)
+    # Each stage's weights, as a column, and the earlier stages they weight.
+    stage_terms = [(_DP_A[i, :i, None], stages[:i]) for i in range(1, 7)]
     try:
-        stages[0] = field(y, n_pos)
+        stages[0], min_sep = field(y, n_pos)
     except NearCollision as exc:  # a collision at the start is not recoverable
         raise CollisionAbort(str(exc)) from exc
     h = min(t_end, 1e-2)
@@ -239,9 +255,11 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
             h = t_end - t
 
         try:
-            for i in range(1, 7):
-                y_stage = y + h * (_DP_A[i, :i, None] * stages[:i]).sum(axis=0)
-                stages[i] = field(_finite(y_stage, "state"), n_pos)
+            for i, (weights, earlier) in enumerate(stage_terms, start=1):
+                y_stage = y + h * np.add.reduce(weights * earlier, axis=0)
+                if not np.logical_and.reduce(np.isfinite(y_stage)):
+                    raise ValueError("state must have finite components")
+                stages[i], gap = field(y_stage, n_pos)
         except NearCollision:
             rejected += 1
             h *= 0.5
@@ -250,9 +268,9 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
                     f"collision pressure drove the step below {STEP_FLOOR} at t={t:.6f}")
             continue
 
-        err_vec = h * (_DP_ERR[:, None] * stages).sum(axis=0)
-        weight = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_stage))
-        err = float(np.sqrt(np.mean((np.abs(err_vec) / weight) ** 2)))
+        err_vec = h * np.add.reduce(_DP_ERR * stages, axis=0)
+        scaled = np.abs(err_vec) / (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_stage)))
+        err = math.sqrt(np.add.reduce(scaled * scaled) / scaled.size)
 
         if err <= 1.0:
             t = t_end if final_step else t + h
@@ -260,7 +278,8 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
             stages[0] = stages[6]
             samples.append((t, y))
             accepted += 1
-            min_sep = min(min_sep, pairwise_separation(y[:n_pos]))
+            # The last stage was evaluated at the accepted state.
+            min_sep = min(min_sep, gap)
             grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             h *= grow
         else:
@@ -272,7 +291,7 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
     else:
         raise StepFloorReached(f"step budget {max_steps} exhausted at t={t:.6f}")
 
-    return TrajectoryRecord(system, samples, (accepted, rejected), min_sep)
+    return TrajectoryRecord(system, samples, (accepted, rejected), float(min_sep))
 
 
 def central_difference_jacobian(field: Callable[[np.ndarray], np.ndarray],
@@ -308,7 +327,7 @@ def fd_jacobian(system: str, z, h: float = 1e-6) -> np.ndarray:
     if system not in orders:
         raise ValueError(f"unknown field {system!r}; expected one of {tuple(orders)}")
     order = orders[system]
-    return central_difference_jacobian(lambda y: _zeta_rate(y, order), z, h)
+    return central_difference_jacobian(lambda y: _zeta_rate(y, order)[0], z, h)
 
 
 def _modal_basis(entries: np.ndarray):

@@ -17,7 +17,6 @@ eigenvalues are exactly 1..N (M1) and 1, 4, ..., N^2 (M2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,7 +24,8 @@ import numpy as np
 
 from .errors import NonConvergence, SingularConfiguration
 from .hermite import PermutationId
-from .polynomials import _set_diagonals, _vieta_jacobian, _zeros_of, as_complex_vector
+from .polynomials import (_set_diagonals, _vieta_jacobian, _zeros_of, as_complex_vector,
+                          check_positive)
 
 __all__ = [
     "KIND_M1",
@@ -222,8 +222,7 @@ def spectrum_stack(entries: np.ndarray, kind: str):
 def spectrum_check(matrix: DiophantineMatrix, tol: float = 1e-6) -> SpectrumReport:
     """Compare the matrix spectrum against its expected integer list:
     ``spectrum_stack`` on a one-matrix stack."""
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+    check_positive("tol", tol)
     lam, deviation = spectrum_stack(matrix.entries[None], matrix.kind)
     return SpectrumReport(matrix.kind, lam[0],
                           tuple(expected_spectrum(matrix.kind, matrix.n)),

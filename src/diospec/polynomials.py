@@ -11,7 +11,6 @@ matrices built downstream, so it is never silently canonicalised.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +21,7 @@ from .errors import NonConvergence
 __all__ = [
     "MonicPolynomial",
     "ZeroVector",
+    "check_positive",
     "esp_table",
     "evaluate",
     "poly_from_zeros",
@@ -33,6 +33,12 @@ __all__ = [
 # golden angle, which never aligns two guesses symmetrically about the real axis.
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 _START_PHASE = 0.4
+
+
+def check_positive(name: str, value: float) -> None:
+    """Raise ValueError unless ``value`` is positive and finite."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
 
 
 def as_complex_vector(values, name: str = "values") -> np.ndarray:
@@ -137,20 +143,13 @@ def _columns(c: np.ndarray) -> list:
     return [c[:, k, None] for k in range(c.shape[1])]
 
 
-def _expand(zz: np.ndarray) -> np.ndarray:
-    """Trailing coefficients of prod_n (x - zz_n), expanded factor by factor
-    from a non-empty complex vector."""
-    full = functools.reduce(np.convolve, [np.array([1.0, -root]) for root in zz])
-    return full[1:]
-
-
 def poly_from_zeros(z) -> MonicPolynomial:
     """Expand prod_n (x - z_n) by incremental multiplication of linear factors.
 
     Coefficient m of the result equals (-1)^m e_m(z), the elementary
     symmetric function of degree m.
     """
-    return MonicPolynomial(_expand(_zeros_of(z)))
+    return MonicPolynomial(esp_table(-_zeros_of(z))[1:])
 
 
 def _aberth(c: np.ndarray, tol: float, max_iter: int):
@@ -233,8 +232,7 @@ def roots_stack(coefficients, tol: float = 1e-12, max_iter: int = 200):
     the last bits with the other rows of the stack, never with repeats of the
     same stack.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+    check_positive("tol", tol)
     c = np.asarray(coefficients, dtype=complex)
     b, n = c.shape
     if n == 1:
@@ -280,7 +278,8 @@ def esp_table(values: np.ndarray) -> np.ndarray:
     e = np.zeros(values.shape[:-1] + (n + 1,), dtype=complex)
     e[..., 0] = 1.0
     for i in range(n):
-        e[..., 1:i + 2] += values[..., i, None] * e[..., 0:i + 1]
+        head = e[..., 1:i + 2]  # a view, updated in place
+        head += values[..., i, None] * e[..., :i + 1]
     return e
 
 

@@ -41,7 +41,7 @@ from .matrices import (
     expected_spectrum,
     spectrum_stack,
 )
-from .polynomials import roots_stack
+from .polynomials import check_positive, roots_stack
 
 __all__ = [
     "MU_WORDS_N3",
@@ -124,8 +124,7 @@ class RunConfig:
             raise ValueError(
                 f"a full sweep of {self.n}! orderings needs force=True beyond n=8")
         for name in ("root_tol", "pass_tol"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+            check_positive(name, getattr(self, name))
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.orderings == "all":

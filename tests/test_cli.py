@@ -249,6 +249,17 @@ class TestFlagsPerSubcommand:
         ("simulate", "--n", "3", "--system", "gamma2", "--ordering-rank", "0"),
         ("verify", "--n", "99", "--mu-table"),
         ("verify", "--n", "4", "--mu-table"),
+        # Values are checked before a branch that does not read them: the
+        # zero horizon, the gamma flows' unused root tolerance, the mu table
+        # and the self-test.
+        ("simulate", "--n", "3", "--system", "gamma1", "--t-end", "0", "--tol-ode-rel", "nan"),
+        ("simulate", "--n", "3", "--system", "gamma1", "--t-end", "0", "--tol-ode-abs", "-1"),
+        ("simulate", "--n", "3", "--system", "gamma1", "--tol-root", "nan"),
+        ("verify", "--n", "3", "--mu-table", "--kinds", "M3"),
+        ("verify", "--n", "3", "--mu-table", "--jobs", "0"),
+        ("verify", "--n", "3", "--mu-table", "--tol-pass", "nan"),
+        ("oracle", "--n", "3", "--self-test", "--tol-root", "nan"),
+        ("oracle", "--n", "3", "--self-test", "--ordering-rank", "99"),
     ])
     def test_out_of_range_value_is_a_usage_error(self, capsys, args):
         code, out, err = run_cli(capsys, *args)

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from diospec.errors import (
 )
 from diospec.hermite import PermutationId, hermite_zeros, permuted_polynomial
 from diospec.matrices import build_m1, build_m2, w_table
-from diospec.polynomials import poly_from_zeros, roots
+from diospec.polynomials import pairwise_separation, poly_from_zeros, roots
 
 TWO_PI = 2.0 * math.pi
 
@@ -399,3 +400,86 @@ class TestLinearEvolution:
         record = integrate("zeta1", start, t, rel_tol=1e-12, abs_tol=1e-14)
         linear = zeros.zeros + eps * linear_evolution_first(matrix, v0, t)
         assert np.abs(record.final_state - linear).max() < 1e-4 * eps
+
+
+def seeded_start(system, n, seed):
+    """Radius-1e-2 start near an equilibrium of the flow: the Hermite zeros,
+    or the zeros of ordering 7, with the second-order flows at rest there
+    and the perturbation on the velocities."""
+    if system.startswith("gamma"):
+        base = hermite_zeros(n).zeros.astype(complex)
+    else:
+        base = pipeline(n, 7)[1].zeros
+    kick = 0.01 * unit_direction(n, seed)
+    return base + kick if system.endswith("1") else (base, kick)
+
+
+class TestKernelPins:
+    """Guards of the field kernels that ``integrate`` steps with."""
+
+    # One period at N = 4 from ``seeded_start``: step statistics and final
+    # state, recorded with the kernels that expanded the Vieta coefficients
+    # by np.convolve and transported them with np.polyval.
+    PINNED = {
+        "gamma1": (40, (170, 0), [
+            -1.6547636810645876 - 0.0037111438817459485j,
+            -0.5284710420550354 - 0.003668598328938369j,
+            0.5219400454136444 - 0.0014038121001855174j,
+            1.6534284648860542 + 0.004961832100743164j]),
+        "zeta1": (41, (205, 0), [
+            -0.917129852696036 - 0.44577182587090886j,
+            -0.9111139385335181 + 0.4448929497831673j,
+            1.1744821295055967 - 0.4784308063559643j,
+            1.1765230243885145 + 0.47410762147930485j]),
+        "gamma2": (42, (394, 4), [
+            -1.6506801238854019 + 1.0055554343834858e-13j,
+            -0.5246476232762869 - 4.560862863593751e-13j,
+            0.5246476232760986 + 5.799189893317721e-13j,
+            1.6506801238855902 - 2.25402570482665e-13j,
+            0.001061479373704974 - 0.00679641467276921j,
+            -0.0036227758576640678 - 0.0045361313462453j,
+            0.0026141904044057096 + 0.0004453309518256396j,
+            0.0032764492844823434 - 0.0011016284044780022j]),
+        "zeta2": (43, (384, 3), [
+            -0.9121861179430776 - 0.44044651959740255j,
+            -0.912186117943124 + 0.44044651959673314j,
+            1.1745099295795989 - 0.47880712571478684j,
+            1.174509929579552 + 0.4788071257141399j,
+            0.0009476388423684684 - 0.007728563385607178j,
+            0.0026314105999411066 + 0.0037700099177426474j,
+            -0.002271921936797783 + 6.463226740543063e-05j,
+            -0.0035257571548525687 + 0.0007982615013307176j]),
+    }
+
+    @classmethod
+    @functools.lru_cache(maxsize=None)
+    def record(cls, system):
+        return integrate(system, seeded_start(system, 4, cls.PINNED[system][0]), TWO_PI)
+
+    @pytest.mark.parametrize("system", ["gamma1", "zeta1", "gamma2", "zeta2"])
+    def test_min_separation_is_the_minimum_over_samples(self, system):
+        record = self.record(system)
+        separations = [pairwise_separation(state[:4]) for _, state in record.samples]
+        assert record.min_separation_seen == min(separations)
+
+    @pytest.mark.parametrize("system", ["gamma1", "zeta1", "gamma2", "zeta2"])
+    def test_pinned_trajectory(self, system):
+        _, step_stats, final = self.PINNED[system]
+        record = self.record(system)
+        assert record.step_stats == step_stats
+        # The coefficient flows keep every bit; the zero flows' Vieta
+        # expansion now adds in another order than np.convolve did.
+        tol = 0.0 if system.startswith("gamma") else 1e-12
+        assert np.abs(record.final_state - np.array(final)).max() <= tol
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_vieta_expansion_matches_np_poly(self, n):
+        # Not at large N: expanding the zeros of these polynomials loses
+        # accuracy to their conditioning under any algorithm.
+        rng = np.random.default_rng(n)
+        for rank in rng.integers(1, math.factorial(n) + 1, size=5):
+            zeros = pipeline(n, int(rank))[1].zeros
+            ours = poly_from_zeros(zeros).coefficients
+            reference = np.poly(zeros)[1:]
+            scale = np.abs(reference).max()
+            assert np.abs(ours - reference).max() <= 1e-14 * scale
