@@ -1,6 +1,11 @@
 """Run configuration, the batch verification pipeline, and deterministic
 serialization of its reports.
 
+A report holds its checks as columns, one array per field, with one row per
+ordering and, where a field depends on the kind, one column per kind: check
+j of the ``results`` array is ordering j // K and kind j % K, for K kinds.
+No per-check object is built between the sweep and the renderers.
+
 JSON payloads are rendered by a small writer of our own so that floats always
 carry 17 significant digits and complex numbers become {"re": ..., "im": ...}
 objects; identical configuration and seed therefore produce byte-identical
@@ -8,7 +13,7 @@ output, except for the wall-clock ``timing`` field, which is excluded from
 the determinism hash.
 
 ``report_to_json`` renders the ``results`` array of a report, nearly all of
-its bytes, from one template per result with the floats of every result
+its bytes, from one template per check with the floats of every column
 formatted in one pass.  The generic writer (``to_json``) renders everything
 else, and ``to_json(report_to_dict(report))`` is the oracle that output is
 tested against byte for byte.
@@ -37,6 +42,7 @@ from .matrices import (
     CONDITIONING_FLOOR,
     KIND_M1,
     KIND_M2,
+    _profile,
     build_stack,
     expected_spectrum,
     spectrum_stack,
@@ -46,7 +52,6 @@ from .polynomials import check_positive, roots_stack
 __all__ = [
     "MU_WORDS_N3",
     "RunConfig",
-    "OrderingOutcome",
     "VerificationReport",
     "run_verification",
     "mu_assignment_table",
@@ -83,8 +88,6 @@ _FREQUENCY_NOTE = (
     "eigenvalues give integer frequencies and 2*pi-periodic modes."
 )
 
-_ALL_KINDS = (KIND_M1, KIND_M2)
-
 # Matrix entries per chunk of orderings, so that chunk boundaries depend on
 # n and the ranks alone (a full n = 6 sweep is one chunk, n = 8 chunks hold
 # 1,024 orderings).
@@ -97,7 +100,7 @@ class RunConfig:
     processes check the chunks, so it is left out of the hashed ``to_dict``."""
 
     n: int
-    kinds: tuple = _ALL_KINDS
+    kinds: tuple = (KIND_M1, KIND_M2)
     orderings: Union[str, Sequence[int], tuple] = "all"
     root_tol: float = 1e-12
     pass_tol: float = 1e-6
@@ -113,11 +116,12 @@ class RunConfig:
     def validate(self):
         if not 2 <= self.n <= MAX_ORDER:
             raise ValueError(f"n must be in 2..{MAX_ORDER}, got {self.n}")
-        for kind in self.kinds:
-            if kind not in _ALL_KINDS:
-                raise ValueError(f"unknown kind {kind!r}")
         if not self.kinds:
             raise ValueError("at least one kind required")
+        for kind in self.kinds:
+            _profile(kind)
+        if len(set(self.kinds)) < len(self.kinds):
+            raise ValueError(f"kinds must not repeat, got {','.join(self.kinds)}")
         if self.output_format not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.output_format!r}")
         if self.orderings == "all" and self.n > 8 and not self.force:
@@ -184,39 +188,23 @@ class RunConfig:
 
 
 @dataclass
-class OrderingOutcome:
-    """Spectrum-check result of one (ordering, kind) pair."""
-
-    rank: int
-    word: tuple
-    kind: str
-    eigenvalues: np.ndarray
-    expected: tuple
-    max_deviation: float
-    status: str  # pass | fail | inconclusive
-    zero_separation: float
-    coeff_separation: float
-
-    def to_dict(self) -> dict:
-        return {
-            "rank": self.rank,
-            "word": list(self.word),
-            "kind": self.kind,
-            "eigenvalues": [complex(v) for v in self.eigenvalues],
-            "expected": list(self.expected),
-            "max_deviation": self.max_deviation,
-            "status": self.status,
-            "zero_separation": self.zero_separation,
-            "coeff_separation": self.coeff_separation,
-        }
-
-
-@dataclass
 class VerificationReport:
-    """Everything one verification sweep produced."""
+    """Everything one verification sweep produced.
+
+    The checks are held as columns over the B orderings and the K kinds of
+    ``config.kinds``: ``rank`` is a list of B ints (ranks beyond N = 20
+    overflow int64), ``word`` is (B, N), ``eigenvalues`` (B, K, N),
+    ``max_deviation`` and ``status`` are (B, K), and the separations are
+    (B,), since they belong to the ordering and not to the kind."""
 
     config: RunConfig
-    results: list
+    rank: list
+    word: np.ndarray
+    eigenvalues: np.ndarray
+    max_deviation: np.ndarray
+    status: np.ndarray  # pass | fail | inconclusive
+    zero_separation: np.ndarray
+    coeff_separation: np.ndarray
     aggregate: dict
     notes: list
     version: str = __version__
@@ -224,13 +212,14 @@ class VerificationReport:
 
 
 def _verify_chunk(n: int, ranks: list, kinds: tuple, root_tol: float,
-                  pass_tol: float) -> list:
+                  pass_tol: float) -> tuple:
     """The batched pipeline on one chunk of orderings: permute the Hermite
     zeros into coefficient rows, solve for all zeros at once, build each
-    requested matrix stack and check its spectra.  Returns one
-    OrderingOutcome per (ordering, kind), ordering-major."""
-    words = [word_from_rank(n, rank) for rank in ranks]
-    coeffs = hermite_zeros(n).zeros[np.array(words) - 1].astype(complex)
+    requested matrix stack and check its spectra.  Returns the columns
+    (word, eigenvalues, max_deviation, status, zero_separation,
+    coeff_separation) laid out as ``VerificationReport`` holds them."""
+    word = np.array([word_from_rank(n, rank) for rank in ranks])
+    coeffs = hermite_zeros(n).zeros[word - 1].astype(complex)
     zeros, failed = roots_stack(coeffs, tol=root_tol)
     if failed.any():
         bad = [rank for rank, f in zip(ranks, failed) if f]
@@ -239,21 +228,12 @@ def _verify_chunk(n: int, ranks: list, kinds: tuple, root_tol: float,
             f"Aberth iteration did not converge at n={n} rank={bad[0]}{more}")
 
     entries, zero_sep, coeff_sep = build_stack(zeros, coeffs, kinds)
+    spectra, deviations = zip(*(spectrum_stack(entries[kind], kind) for kind in kinds))
+    eigenvalues, deviation = np.stack(spectra, axis=1), np.stack(deviations, axis=1)
     warned = np.minimum(zero_sep, coeff_sep) < CONDITIONING_FLOOR
-    columns = []
-    for kind in kinds:
-        lam, deviation = spectrum_stack(entries[kind], kind)
-        status = np.where(deviation <= pass_tol, "pass",
-                          np.where(warned, "inconclusive", "fail"))
-        columns.append((kind, tuple(expected_spectrum(kind, n).tolist()), lam,
-                        deviation.tolist(), status.tolist()))
-    zero_sep, coeff_sep = zero_sep.tolist(), coeff_sep.tolist()
-    return [
-        OrderingOutcome(rank, word, kind, lam[i], expected, deviation[i],
-                        status[i], zero_sep[i], coeff_sep[i])
-        for i, (rank, word) in enumerate(zip(ranks, words))
-        for kind, expected, lam, deviation, status in columns
-    ]
+    status = np.where(deviation <= pass_tol, "pass",
+                      np.where(warned[:, None], "inconclusive", "fail"))
+    return word, eigenvalues, deviation, status, zero_sep, coeff_sep
 
 
 def run_verification(config: RunConfig) -> VerificationReport:
@@ -278,14 +258,15 @@ def run_verification(config: RunConfig) -> VerificationReport:
     else:
         grouped = [verify(chunk) for chunk in chunks]
 
-    results = [outcome for group in grouped for outcome in group]
-    deviations = [r.max_deviation for r in results]
+    # A single chunk's columns are used as they are: copying them costs a
+    # single-ordering call about 1 % of its time.
+    columns = grouped[0] if len(grouped) == 1 else [
+        np.concatenate(column) for column in zip(*grouped)]
+    deviation, status = columns[2], columns[3]
     aggregate = {
-        "checks": len(results),
-        "pass": sum(r.status == "pass" for r in results),
-        "fail": sum(r.status == "fail" for r in results),
-        "inconclusive": sum(r.status == "inconclusive" for r in results),
-        "max_deviation": max(deviations) if deviations else 0.0,
+        "checks": status.size,
+        **{name: np.count_nonzero(status == name) for name in ("pass", "fail", "inconclusive")},
+        "max_deviation": float(deviation.max()),
         "conditioning_floor": CONDITIONING_FLOOR,
     }
     notes = []
@@ -294,14 +275,8 @@ def run_verification(config: RunConfig) -> VerificationReport:
     if KIND_M2 in config.kinds:
         notes.append(_FREQUENCY_NOTE)
 
-    report = VerificationReport(
-        config=config,
-        results=results,
-        aggregate=aggregate,
-        notes=notes,
-        timing_seconds=time.perf_counter() - started,
-    )
-    return report
+    return VerificationReport(config, ranks, *columns, aggregate=aggregate, notes=notes,
+                              timing_seconds=time.perf_counter() - started)
 
 
 def mu_assignment_table() -> dict:
@@ -398,12 +373,37 @@ def determinism_hash(payload: dict) -> str:
     return hashlib.sha256(to_json(filtered).encode()).hexdigest()
 
 
+def _expected(report: VerificationReport) -> list:
+    """The expected spectrum of each kind, as lists of ints."""
+    return [expected_spectrum(kind, report.config.n).tolist() for kind in report.config.kinds]
+
+
+def _checks(report: VerificationReport):
+    """Each check's fields as Python values, ordering-major: rank, word,
+    kind, eigenvalues, expected, max_deviation, status, zero_separation and
+    coeff_separation.  The columns become lists before the loop, as indexing
+    numpy scalars per check costs more than converting them all."""
+    expected_by_kind = _expected(report)
+    for rank, word, spectra, deviations, statuses, zero_sep, coeff_sep in zip(
+            report.rank, report.word.tolist(), report.eigenvalues.tolist(),
+            report.max_deviation.tolist(), report.status.tolist(),
+            report.zero_separation.tolist(), report.coeff_separation.tolist()):
+        for kind, values, expected, deviation, status in zip(
+                report.config.kinds, spectra, expected_by_kind, deviations, statuses):
+            yield rank, word, kind, values, expected, deviation, status, zero_sep, coeff_sep
+
+
 def _hashed_payload(report: VerificationReport) -> dict:
     """The report entries the determinism hash covers."""
     return {
         "version": report.version,
         "config": report.config.to_dict(),
-        "results": [r.to_dict() for r in report.results],
+        "results": [
+            {"rank": rank, "word": list(word), "kind": kind, "eigenvalues": values,
+             "expected": list(expected), "max_deviation": deviation, "status": status,
+             "zero_separation": zero_sep, "coeff_separation": coeff_sep}
+            for rank, word, kind, values, expected, deviation, status, zero_sep, coeff_sep
+            in _checks(report)],
         "aggregate": report.aggregate,
         "notes": list(report.notes),
     }
@@ -430,51 +430,43 @@ def _float_tokens(values: np.ndarray) -> list:
     return [tokens[i] for i in where.tolist()]
 
 
-def _render_results(results: list) -> str:
+def _render_results(report: VerificationReport) -> str:
     """The ``results`` array as ``to_json`` renders it under the top-level
-    payload, built from one template per result.
+    payload, built from one template per check.
 
-    The floats of all results are formatted together, and each word and
-    expected spectrum (integer tuples) is rendered once per distinct object.
-    Kinds and statuses are fixed names that need no escaping."""
-    count = len(results)
-    flat = np.concatenate([r.eigenvalues for r in results])
-    scalars = np.array([(r.max_deviation, r.zero_separation, r.coeff_separation)
-                        for r in results], dtype=float)
-    tokens = _float_tokens(np.concatenate([flat.real, flat.imag, scalars.T.ravel()]))
-    size = flat.size
-    pairs = [f'{{"re": {re}, "im": {im}}}'
-             for re, im in zip(tokens[:size], tokens[size:2 * size])]
-    deviation = tokens[2 * size:2 * size + count]
-    zero_sep = tokens[2 * size + count:2 * size + 2 * count]
-    coeff_sep = tokens[2 * size + 2 * count:]
+    The floats of all columns are formatted together, each word is rendered
+    once per ordering and each expected spectrum once per kind.  Kinds and
+    statuses are fixed names that need no escaping."""
+    flat = report.eigenvalues.ravel()
+    parts = [flat.real, flat.imag, report.max_deviation.ravel(),
+             report.zero_separation, report.coeff_separation]
+    tokens = _float_tokens(np.concatenate(parts))
+    bounds = np.cumsum([0] + [part.size for part in parts]).tolist()
+    re, im, deviation, zero_sep, coeff_sep = (
+        tokens[a:b] for a, b in zip(bounds, bounds[1:]))
+    pairs = [f'{{"re": {a}, "im": {b}}}' for a, b in zip(re, im)]
 
     def inner_list(items) -> str:
         # A list nested in a result: its items sit at nesting level 4.
         return "[\n        " + ",\n        ".join(items) + "\n      ]"
 
-    rendered = {}
-
-    def int_list(values: tuple) -> str:
-        key = id(values)
-        if key not in rendered:
-            rendered[key] = inner_list(map(str, values))
-        return rendered[key]
-
+    n, kinds = report.config.n, report.config.kinds
+    words = [inner_list(map(str, word)) for word in report.word.tolist()]
+    expected = [inner_list(map(str, values)) for values in _expected(report)]
+    status = report.status.ravel().tolist()
     pieces = []
-    start = 0
-    for i, r in enumerate(results):
-        stop = start + len(r.eigenvalues)
-        values = inner_list(pairs[start:stop])
-        start = stop
-        pieces.append(
-            f'{{\n      "rank": {r.rank},\n      "word": {int_list(r.word)},\n'
-            f'      "kind": "{r.kind}",\n      "eigenvalues": {values},\n'
-            f'      "expected": {int_list(r.expected)},\n'
-            f'      "max_deviation": {deviation[i]},\n'
-            f'      "status": "{r.status}",\n'
-            f'      "zero_separation": {zero_sep[i]},\n'
-            f'      "coeff_separation": {coeff_sep[i]}\n    }}')
+    for i, (rank, word) in enumerate(zip(report.rank, words)):
+        for k, kind in enumerate(kinds):
+            j = i * len(kinds) + k
+            pieces.append(
+                f'{{\n      "rank": {rank},\n      "word": {word},\n'
+                f'      "kind": "{kind}",\n'
+                f'      "eigenvalues": {inner_list(pairs[j * n:(j + 1) * n])},\n'
+                f'      "expected": {expected[k]},\n'
+                f'      "max_deviation": {deviation[j]},\n'
+                f'      "status": "{status[j]}",\n'
+                f'      "zero_separation": {zero_sep[i]},\n'
+                f'      "coeff_separation": {coeff_sep[i]}\n    }}')
     return "[\n    " + ",\n    ".join(pieces) + "\n  ]"
 
 
@@ -492,7 +484,7 @@ def report_to_json(report: VerificationReport) -> str:
     payload, to which the hash and timing entries are then appended."""
     body = _merge_objects(
         to_json({"version": report.version, "config": report.config.to_dict()}),
-        '{\n  "results": ' + _render_results(report.results) + "\n}\n",
+        '{\n  "results": ' + _render_results(report) + "\n}\n",
         to_json({"aggregate": report.aggregate, "notes": list(report.notes)}))
     return _merge_objects(body, to_json({
         "determinism_sha256": hashlib.sha256(body.encode()).hexdigest(),
@@ -510,17 +502,9 @@ def report_to_csv(report: VerificationReport) -> str:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["n", "rank", "word", "kind", "status", "max_deviation",
                      "zero_separation", "coeff_separation", "eigenvalues", "expected"])
-    for r in report.results:
-        writer.writerow([
-            report.config.n,
-            r.rank,
-            " ".join(str(w) for w in r.word),
-            r.kind,
-            r.status,
-            f"{r.max_deviation:.17g}",
-            f"{r.zero_separation:.17g}",
-            f"{r.coeff_separation:.17g}",
-            ";".join(_complex_token(complex(v)) for v in r.eigenvalues),
-            ";".join(str(e) for e in r.expected),
-        ])
+    n, rows = report.config.n, _checks(report)
+    for rank, word, kind, values, expected, deviation, status, zero_sep, coeff_sep in rows:
+        writer.writerow([n, rank, " ".join(map(str, word)), kind, status,
+                         f"{deviation:.17g}", f"{zero_sep:.17g}", f"{coeff_sep:.17g}",
+                         ";".join(map(_complex_token, values)), ";".join(map(str, expected))])
     return buffer.getvalue()

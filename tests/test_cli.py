@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -260,6 +262,8 @@ class TestFlagsPerSubcommand:
         ("verify", "--n", "3", "--mu-table", "--tol-pass", "nan"),
         ("oracle", "--n", "3", "--self-test", "--tol-root", "nan"),
         ("oracle", "--n", "3", "--self-test", "--ordering-rank", "99"),
+        # A repeated kind would list every check twice.
+        ("verify", "--n", "2", "--kinds", "M1,M1"),
     ])
     def test_out_of_range_value_is_a_usage_error(self, capsys, args):
         code, out, err = run_cli(capsys, *args)
@@ -341,6 +345,22 @@ class TestReportSerialization:
         lines = report_to_csv(report).strip().splitlines()
         assert len(lines) == 1 + 4  # header + 2 orderings x 2 kinds
 
+    def test_csv_matches_the_dict(self):
+        report = run_verification(RunConfig(n=4))
+        rows = list(csv.DictReader(io.StringIO(report_to_csv(report))))
+        results = report_to_dict(report)["results"]
+        assert len(rows) == len(results) == 48
+        for row, result in zip(rows, results):
+            assert int(row["n"]) == 4
+            assert int(row["rank"]) == result["rank"]
+            assert [int(w) for w in row["word"].split()] == result["word"]
+            assert row["kind"] == result["kind"] and row["status"] == result["status"]
+            assert [int(e) for e in row["expected"].split(";")] == result["expected"]
+            # 17 significant digits round-trip, so equality is exact.
+            for field in ("max_deviation", "zero_separation", "coeff_separation"):
+                assert float(row[field]) == result[field], field
+            assert [complex(v) for v in row["eigenvalues"].split(";")] == result["eigenvalues"]
+
     def test_aggregate_counts_sum(self):
         report = run_verification(RunConfig(n=4, orderings=(1, 2, 3, 20)))
         agg = report.aggregate
@@ -349,10 +369,9 @@ class TestReportSerialization:
     def test_parallel_matches_serial(self):
         serial = run_verification(RunConfig(n=3, kinds=("M1",), jobs=1))
         parallel = run_verification(RunConfig(n=3, kinds=("M1",), jobs=2))
-        for a, b in zip(serial.results, parallel.results):
-            assert a.rank == b.rank and a.kind == b.kind
-            assert a.max_deviation == b.max_deviation
-            np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
+        assert serial.rank == parallel.rank
+        np.testing.assert_array_equal(serial.max_deviation, parallel.max_deviation)
+        np.testing.assert_array_equal(serial.eigenvalues, parallel.eigenvalues)
 
         # The 5,040 orderings at n = 7 span several chunks: the pool must
         # reproduce the serial run, and a repeat the first run, bit for bit.
@@ -361,10 +380,9 @@ class TestReportSerialization:
         digest = report_to_dict(first)["determinism_sha256"]
         for other in (pooled, repeat):
             assert report_to_dict(other)["determinism_sha256"] == digest
-            assert len(other.results) == len(first.results) == 5040
-            for a, b in zip(first.results, other.results):
-                assert a.rank == b.rank
-                np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
+            assert other.status.shape == first.status.shape == (5040, 1)
+            assert other.rank == first.rank
+            np.testing.assert_array_equal(other.eigenvalues, first.eigenvalues)
 
     @pytest.mark.parametrize("n, kinds", [(2, ("M1", "M2")), (3, ("M1",)),
                                           (6, ("M1", "M2")), (7, ("M1",))])
@@ -391,12 +409,9 @@ class TestReportSerialization:
     ])
     def test_non_finite_result_is_not_serialised(self, field, value):
         report = run_verification(RunConfig(n=3))
-        outcome = report.results[4]
-        if field == "eigenvalues":
-            outcome.eigenvalues = outcome.eigenvalues.copy()
-            outcome.eigenvalues[1] = value
-        else:
-            setattr(outcome, field, value)
+        # Ordering 2, kind 0; eigenvalues also index the eigenvalue.
+        cell = (2, 0, 1) if field == "eigenvalues" else (2, 0)
+        getattr(report, field)[cell] = value
         with pytest.raises(ValueError, match="non-finite"):
             report_to_json(report)
 
@@ -414,7 +429,8 @@ class TestReportSerialization:
     @pytest.mark.parametrize("n", [10, 16, 20, 30])
     def test_sampled_large_n_sweep_passes(self, n):
         report = run_verification(RunConfig(n=n, orderings=("sample", 20)))
-        assert [r.status for r in report.results] == ["pass"] * 40
+        assert report.status.shape == (20, 2)
+        assert (report.status == "pass").all()
         # The build keeps N = 30 near 2e-11, so 1e-9 catches an accuracy loss
         # long before the 1e-6 pass tolerance would.
         assert report.aggregate["max_deviation"] <= 1e-9
@@ -424,6 +440,8 @@ class TestReportSerialization:
             RunConfig(n=1)
         with pytest.raises(ValueError):
             RunConfig(n=3, kinds=("M3",))
+        with pytest.raises(ValueError, match="kinds must not repeat"):
+            RunConfig(n=3, kinds=("M1", "M1"))
         with pytest.raises(ValueError):
             RunConfig(n=9)  # full sweep beyond 8 needs force
         RunConfig(n=9, force=True)

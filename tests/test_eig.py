@@ -135,13 +135,13 @@ class TestSweepSpectraAgainstReference:
         # The sweep takes its spectra from LAPACK; the shifted QR here stays
         # the independent check on a seeded sample of n = 7 orderings.
         report = run_verification(RunConfig(n=7, orderings=("sample", 50), seed=2024))
-        assert len(report.results) == 100
+        assert report.eigenvalues.shape == (50, 2, 7)
         herm = hermite_zeros(7)
-        for result in report.results:
-            perm = PermutationId.from_rank(7, result.rank)
-            poly = permuted_polynomial(herm, perm)
-            builder = build_m1 if result.kind == KIND_M1 else build_m2
-            matrix = builder(roots(poly), poly.coefficients)
-            qr = eigenvalues(matrix.entries).eigenvalues
-            qr = qr[np.argsort(qr.real, kind="stable")]
-            assert np.max(np.abs(qr - result.eigenvalues)) <= 1e-9, result.rank
+        for rank, spectra in zip(report.rank, report.eigenvalues):
+            poly = permuted_polynomial(herm, PermutationId.from_rank(7, rank))
+            for kind, lapack in zip(report.config.kinds, spectra):
+                builder = build_m1 if kind == KIND_M1 else build_m2
+                matrix = builder(roots(poly), poly.coefficients)
+                qr = eigenvalues(matrix.entries).eigenvalues
+                qr = qr[np.argsort(qr.real, kind="stable")]
+                assert np.max(np.abs(qr - lapack)) <= 1e-9, (rank, kind)
