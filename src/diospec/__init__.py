@@ -13,95 +13,16 @@ dynamical flows whose 2*pi-periodicity forces the integrality.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    CollisionAbort,
-    DegenerateSpectrum,
-    DimensionMismatch,
-    NearCollision,
-    NonConvergence,
-    NumericalError,
-    SingularConfiguration,
-    StepFloorReached,
-)
-from .polynomials import (
-    MonicPolynomial,
-    ZeroVector,
-    evaluate,
-    poly_from_zeros,
-    roots,
-)
-from .hermite import (
-    HermiteZeros,
-    PermutationId,
-    enumerate_orderings,
-    hermite_coefficients,
-    hermite_zeros,
-    permuted_polynomial,
-    residual_first_order,
-    residual_second_order,
-)
-from .matrices import (
-    KIND_M1,
-    KIND_M2,
-    DiophantineMatrix,
-    SpectrumReport,
-    WTable,
-    build_m1,
-    build_m2,
-    permutation_similarity_check,
-    spectrum_check,
-    w_table,
-)
-from .dynamics import (
-    TrajectoryRecord,
-    fd_jacobian,
-    integrate,
-    linear_evolution_first,
-    linear_evolution_second,
-    vector_field,
-)
-from .report import RunConfig, VerificationReport, run_verification
+from .hermite import PermutationId, hermite_zeros, permuted_polynomial
+from .matrices import build_m1, spectrum_check
+from .polynomials import roots
 
 __all__ = [
     "__version__",
-    "CollisionAbort",
-    "DegenerateSpectrum",
-    "DimensionMismatch",
-    "NearCollision",
-    "NonConvergence",
-    "NumericalError",
-    "SingularConfiguration",
-    "StepFloorReached",
-    "MonicPolynomial",
-    "ZeroVector",
-    "evaluate",
-    "poly_from_zeros",
-    "roots",
-    "HermiteZeros",
     "PermutationId",
-    "enumerate_orderings",
-    "hermite_coefficients",
+    "build_m1",
     "hermite_zeros",
     "permuted_polynomial",
-    "residual_first_order",
-    "residual_second_order",
-    "KIND_M1",
-    "KIND_M2",
-    "DiophantineMatrix",
-    "SpectrumReport",
-    "WTable",
-    "build_m1",
-    "build_m2",
-    "permutation_similarity_check",
+    "roots",
     "spectrum_check",
-    "w_table",
-    "TrajectoryRecord",
-    "fd_jacobian",
-    "integrate",
-    "linear_evolution_first",
-    "linear_evolution_second",
-    "vector_field",
-    "RunConfig",
-    "VerificationReport",
-    "run_verification",
 ]

@@ -6,7 +6,8 @@ class NumericalError(RuntimeError):
 
 
 class NonConvergence(NumericalError):
-    """An iterative method exhausted its budget without meeting tolerance."""
+    """A computation did not meet its tolerance: an iteration ran out of
+    steps, or a result missed its acceptance bound."""
 
 
 class SingularConfiguration(ValueError):

@@ -29,11 +29,6 @@ __all__ = [
     "roots_stack",
 ]
 
-# Aberth starting guesses begin at angle _START_PHASE and are separated by the
-# golden angle, which never aligns two guesses symmetrically about the real axis.
-_GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
-_START_PHASE = 0.4
-
 
 def check_positive(name: str, value: float) -> None:
     """Raise ValueError unless ``value`` is positive and finite."""
@@ -152,55 +147,9 @@ def poly_from_zeros(z) -> MonicPolynomial:
     return MonicPolynomial(esp_table(-_zeros_of(z))[1:])
 
 
-def _aberth(c: np.ndarray, tol: float, max_iter: int):
-    """Aberth-Ehrlich iteration on every row of the (B, N) coefficient stack.
-
-    Returns (z, converged).  A row stops, and leaves the active set, at the
-    first step where every zero meets the backward-error bound
-    |p(z_n)| <= tol * (1 + max|c_m|) * max(1, |z_n|)^N, which a non-finite
-    |p(z_n)| never does.  Within the unit disc this is an absolute test;
-    outside it follows sum_k |c_k| |z_n|^(N-k) to within a factor
-    N * (1 + max|c_m|) (Bini & Fiorentino 2000).  Rows still active after
-    ``max_iter`` steps are not converged, and their zeros are NaN.
-    """
-    b, n = c.shape
-    radius = 1.0 + np.abs(c).max(axis=1)
-    z = radius[:, None] * np.exp(1j * (_START_PHASE + _GOLDEN_ANGLE * np.arange(n)))
-    target = tol * radius[:, None]
-    tiny = np.finfo(float).tiny
-    out = np.full_like(z, np.nan)
-    converged = np.zeros(b, dtype=bool)
-    active = np.arange(b)
-    columns = _columns(c)
-
-    for _ in range(max_iter):
-        val, der = _horner_with_derivative(columns, z)
-        resid = np.abs(val)
-        bound = target * np.maximum(1.0, np.abs(z)) ** n
-        done = ((resid <= bound) & np.isfinite(resid)).all(axis=1)
-        if done.any():
-            out[active[done]] = z[done]
-            converged[active[done]] = True
-            keep = ~done
-            if not keep.any():
-                break
-            active, z, val, der, target = (
-                active[keep], z[keep], val[keep], der[keep], target[keep])
-            columns = [col[keep] for col in columns]
-        der = np.where(np.abs(der) < tiny, tiny, der)
-        newton = val / der
-        inv = _set_diagonals(z[:, :, None] - z[:, None, :], 1.0)
-        np.divide(1.0, inv, out=inv)
-        _set_diagonals(inv, 0.0)
-        denom = 1.0 - newton * inv.sum(axis=2)
-        denom = np.where(np.abs(denom) < tiny, 1.0, denom)
-        z = z - newton / denom
-    return out, converged
-
-
-def _polish(c: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _polish(c: np.ndarray, z: np.ndarray):
     """Two guarded Newton steps per zero, each kept only where it does not
-    increase the residual."""
+    increase the residual.  Returns the zeros and their residuals |p(z)|."""
     tiny = np.finfo(float).tiny
     columns = _columns(c)
     val, der = _horner_with_derivative(columns, z)
@@ -215,58 +164,73 @@ def _polish(c: np.ndarray, z: np.ndarray) -> np.ndarray:
         val = np.where(improved, cval, val)
         der = np.where(improved, cder, der)
         best = np.minimum(resid, best)
-    return z
+    return z, best
 
 
-def roots_stack(coefficients, tol: float = 1e-12, max_iter: int = 200):
+def roots_stack(coefficients, tol: float = 1e-12):
     """Zeros of every monic polynomial in a (B, N) stack of trailing
-    coefficients, by Aberth-Ehrlich simultaneous iteration.
+    coefficients, as the LAPACK eigenvalues of their companion matrices.
 
-    Starting guesses sit on a circle of radius 1 + max|c_m| with golden-angle
-    spacing.  Converged rows get a guarded Newton polish and are sorted by
-    (re, im) ascending, real parts within rounding of each other counting as
-    equal (``_sort_rows``).
+    The companion stack is built in the coefficients' own dtype, so real
+    coefficients go through the real LAPACK routine.  The eigenvalues get a
+    guarded Newton polish and each row is sorted by (re, im) ascending, real
+    parts within rounding of each other counting as equal (``_sort_rows``).
+    Each matrix is solved on its own, so a row's zeros have the same bits in
+    any stack.
 
-    Returns (zeros, failed): ``failed`` marks the rows that did not converge
-    in ``max_iter`` steps, whose zeros are NaN.  Zeros of a row can differ in
-    the last bits with the other rows of the stack, never with repeats of the
-    same stack.
+    Returns (zeros, failed): a row fails, and its zeros are NaN, when any of
+    its zeros misses the backward-error bound
+    |p(z_n)| <= tol * (1 + max|c_m|) * max(1, |z_n|)^N, which a non-finite
+    |p(z_n)| never meets.  Within the unit disc this is an absolute test;
+    outside it follows sum_k |c_k| |z_n|^(N-k) to within a factor
+    N * (1 + max|c_m|) (Bini & Fiorentino 2000).
     """
     check_positive("tol", tol)
-    c = np.asarray(coefficients, dtype=complex)
+    c = np.asarray(coefficients)
+    if not np.isfinite(c).all():
+        raise ValueError("coefficients must be finite")
     b, n = c.shape
-    if n == 1:
-        return -c, np.zeros(b, dtype=bool)
+    companion = np.zeros((b, n, n), dtype=c.dtype)
+    companion[:, 0, :] = -c
+    companion.reshape(b, n * n)[:, n::n + 1] = 1.0  # the subdiagonal
+    try:
+        eigenvalues = np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergence(f"companion eigenvalues failed: {exc}") from exc
 
-    zeros, converged = _aberth(c, tol, max_iter)
-    zeros[converged] = _sort_rows(_polish(c[converged], zeros[converged]))
-    return zeros, ~converged
+    zeros, resid = _polish(c, eigenvalues.astype(complex))
+    scale = 1.0 + np.abs(c).max(axis=1, keepdims=True)
+    bound = tol * scale * np.maximum(1.0, np.abs(zeros)) ** n
+    failed = ~((resid <= bound) & np.isfinite(resid)).all(axis=1)
+    zeros = _sort_rows(zeros)
+    zeros[failed] = np.nan
+    return zeros, failed
 
 
 def _sort_rows(z: np.ndarray) -> np.ndarray:
     """Each row sorted by (re, im) ascending, where real parts that chain
     within 64 eps * max(1, max|z|) of each other count as equal.  The two
-    zeros of a conjugate pair differ in their real parts by a few units of
-    that scale, in either direction, so the sign of the imaginary part
-    orders them.  Real parts further apart sort as they are."""
+    zeros of a conjugate pair differ in their real parts by at most a few
+    units of that scale, in either direction, so the sign of the imaginary
+    part orders them.  Real parts further apart sort as they are."""
     by_re = np.take_along_axis(z, np.argsort(z.real, axis=1, kind="stable"), axis=1)
     tie = 64 * np.finfo(float).eps * np.maximum(1.0, np.abs(z).max(axis=1, keepdims=True))
-    steps = np.diff(by_re.real, axis=1) > tie
-    group = np.concatenate([np.zeros_like(steps[:, :1]), steps], axis=1).cumsum(axis=1)
+    steps = np.diff(by_re.real, axis=1, prepend=by_re.real[:, :1]) > tie
+    group = steps.cumsum(axis=1)
     return np.take_along_axis(by_re, np.lexsort((by_re.imag, group), axis=-1), axis=1)
 
 
-def roots(p: MonicPolynomial, tol: float = 1e-12, max_iter: int = 200) -> ZeroVector:
+def roots(p: MonicPolynomial, tol: float = 1e-12) -> ZeroVector:
     """All zeros of p: ``roots_stack`` on a one-row stack.
 
-    Raises NonConvergence when the iteration budget is exhausted.
+    Raises NonConvergence when a zero misses the backward-error bound.
     """
-    zeros, failed = roots_stack(p.coefficients[None, :], tol, max_iter)
+    zeros, failed = roots_stack(p.coefficients[None, :], tol)
     if failed[0]:
         target = tol * (1.0 + float(np.max(np.abs(p.coefficients))))
         raise NonConvergence(
-            f"Aberth iteration did not reach |p(z)| <= {target:.3e} * max(1, |z|)^{p.degree} "
-            f"in {max_iter} steps")
+            f"companion eigenvalues did not reach |p(z)| <= {target:.3e} * "
+            f"max(1, |z|)^{p.degree}")
     return ZeroVector(zeros[0])
 
 

@@ -15,12 +15,14 @@ _cache = {}
 
 def sweep_records(n):
     """Zeros of every coefficient ordering at order n, computed once per run
-    by one ``roots_stack`` call, as the verification sweep computes them."""
+    by one ``roots_stack`` call on the real coefficient stack, as the
+    verification sweep computes them."""
     if n not in _cache:
         herm = hermite_zeros(n)
         perms = list(enumerate_orderings(n))
         polys = [permuted_polynomial(herm, perm) for perm in perms]
-        zeros, failed = roots_stack(np.array([poly.coefficients for poly in polys]))
+        words = np.array([perm.word for perm in perms])
+        zeros, failed = roots_stack(herm.zeros[words - 1])
         assert not failed.any(), f"{failed.sum()} orderings failed at n = {n}"
         _cache[n] = [SweepRecord(perm, poly, ZeroVector(row))
                      for perm, poly, row in zip(perms, polys, zeros)]

@@ -384,6 +384,17 @@ class TestReportSerialization:
             assert other.rank == first.rank
             np.testing.assert_array_equal(other.eigenvalues, first.eigenvalues)
 
+    def test_ordering_alone_matches_its_sweep_row(self):
+        # Each ordering's zeros, matrices and spectra are computed on their
+        # own, so checking an ordering alone reproduces its row of the full
+        # sweep bit for bit, whichever chunk holds it there.
+        sweep = run_verification(RunConfig(n=7))
+        for rank in range(1, 5041, 37):
+            alone = run_verification(RunConfig(n=7, orderings=(rank,)))
+            np.testing.assert_array_equal(alone.eigenvalues[0], sweep.eigenvalues[rank - 1])
+            np.testing.assert_array_equal(alone.max_deviation[0],
+                                          sweep.max_deviation[rank - 1])
+
     @pytest.mark.parametrize("n, kinds", [(2, ("M1", "M2")), (3, ("M1",)),
                                           (6, ("M1", "M2")), (7, ("M1",))])
     def test_json_matches_rendered_dict(self, n, kinds):
@@ -416,13 +427,13 @@ class TestReportSerialization:
             report_to_json(report)
 
     def test_unconverged_ordering_aborts_the_sweep(self):
-        # Rank 657 at n = 9 has zeros whose |z|^9 puts an absolute stop test
-        # out of reach; the backward-error bound converges.
+        # Rank 657 at n = 9 has zeros whose |z|^9 puts an absolute residual
+        # test out of reach; the backward-error bound accepts them.
         orderings = (5000, 657, 90000)
         report = run_verification(RunConfig(n=9, orderings=orderings))
         assert report.aggregate["pass"] == report.aggregate["checks"] == 6
-        # A root tolerance no iterate meets still aborts, and the error names
-        # the first unconverged ordering of its chunk.
+        # A root tolerance no zero meets still aborts, and the error names
+        # the first failed ordering of its chunk.
         with pytest.raises(NonConvergence, match=r"n=9 rank=657\b"):
             run_verification(RunConfig(n=9, orderings=orderings, root_tol=1e-300))
 

@@ -169,10 +169,21 @@ class TestRoots:
             recovered = poly_from_zeros(z).coefficients
             assert np.max(np.abs(recovered - c)) < 1e-8
 
-    def test_budget_exhaustion_raises(self):
+    def test_unreachable_bound_fails(self):
+        # No zero in double precision meets |p(z)| <= 1e-300 * scale.
         p = MonicPolynomial([0.3, -0.2, 0.9, 0.1, -0.4])
         with pytest.raises(NonConvergence):
-            roots(p, max_iter=1)
+            roots(p, tol=1e-300)
+        stack = np.array([p.coefficients, [0.1, 0.2, -0.3, 0.4, 0.5]])
+        zeros, failed = roots_stack(stack, tol=1e-300)
+        assert failed.all()
+        assert np.isnan(zeros).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_coefficients(self, bad):
+        stack = np.array([[0.3, -0.2, 0.9], [0.1, bad, 0.4]])
+        with pytest.raises(ValueError, match="finite"):
+            roots_stack(stack)
 
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
