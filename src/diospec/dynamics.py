@@ -81,7 +81,12 @@ _GAP_FLOOR = 1e-6
 class TrajectoryRecord:
     """One integrated trajectory: samples at the accepted steps (final time
     hit exactly), step acceptance statistics, and the smallest pairwise
-    separation seen among the position components."""
+    separation of the position components over those samples.
+
+    The separation is sampled only at accepted states, not at the stage
+    points between them, so a close approach inside a step goes unseen; the
+    eighth-order integrator takes large steps, which makes this sampling
+    coarse."""
 
     system: str
     samples: list
@@ -188,34 +193,88 @@ def vector_field(system: str, y) -> np.ndarray:
     return _FIELDS[system](yy, n)[0]
 
 
-# Dormand-Prince 5(4) tableau: row i of _DP_A weights the stages feeding
-# stage i; the last row is the fifth-order solution (first-same-as-last).
-# Stage sums multiply and add row by row in a fixed order, not through a
-# BLAS product, so trajectories do not depend on the BLAS kernel.
-_DP_A = np.array([
-    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
-    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
-    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
-    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
-    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
-])
-_DP_B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-                   187 / 2100, 1 / 40])
-_DP_ERR = (_DP_A[6] - _DP_B4)[:, None]
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, after Prince & Dormand
+# 1981): row i of _A, lower triangle only, weights the stages feeding stage
+# i, and _B weights all twelve into the eighth-order solution.  _E5 and _E3
+# weight them into the fifth- and third-order error estimates, which
+# _error_norm combines.  Stage sums multiply and add row by row in a fixed
+# order, not through a BLAS product, so trajectories do not depend on the
+# BLAS kernel.
+_A_ROWS = (
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
+)
+_A = np.array([row + (0.0,) * (12 - len(row)) for row in ((),) + _A_ROWS])
+_B = np.array([
+    5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+    4.45031289275240888144113950566, 1.89151789931450038304281599044,
+    -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+    -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+    4.47106157277725905176885569043e-2])
+_E5 = np.array([
+    0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+    -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+    0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+    0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+    -0.2235530786388629525884427845e-1])
+# _B less the third-order weights.
+_E3 = _B - np.array([
+    0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+    0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1])
+
+
+def _error_norm(stages: np.ndarray, scale: np.ndarray, h: float) -> float:
+    """Hairer's DOP853 error norm of a step of size h: with err5 and err3 the
+    2-norms of the fifth- and third-order estimates divided by ``scale``
+    componentwise, h err5^2 / sqrt(n (err5^2 + 0.01 err3^2))."""
+    e5 = np.abs(np.add.reduce(_E5[:, None] * stages, axis=0)) / scale
+    e3 = np.abs(np.add.reduce(_E3[:, None] * stages, axis=0)) / scale
+    e5_sq = np.add.reduce(e5 * e5)
+    if e5_sq == 0.0:
+        return 0.0
+    return h * e5_sq / math.sqrt((e5_sq + 0.01 * np.add.reduce(e3 * e3)) * scale.size)
 
 
 def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
               abs_tol: float = 1e-12, max_steps: int = 2_000_000) -> TrajectoryRecord:
-    """Adaptive Dormand-Prince 5(4) integration of one of the four flows.
+    """Adaptive DOP853 (8th order, 5th/3rd-order error estimate) integration
+    of one of the four flows.
 
     Second-order systems integrate as doubled first-order systems (positions
-    then velocities).  The final accepted step lands on ``t_end`` exactly.
-    Steps whose stage evaluations raise NearCollision are rejected and the
-    step is halved; halving below 1e-12 raises CollisionAbort, while ordinary
-    error control shrinking the step below the same floor raises
-    StepFloorReached.
+    then velocities).  Each step evaluates twelve stages; an accepted step
+    evaluates the field once more at the new state, and that evaluation is
+    the next step's first stage.  The final accepted step lands on ``t_end``
+    exactly.  Steps whose evaluations raise NearCollision are rejected and
+    the step is halved; halving below 1e-12 raises CollisionAbort, while
+    ordinary error control shrinking the step below the same floor raises
+    StepFloorReached.  ``min_separation_seen`` is taken from the evaluations
+    at the start and at each accepted state, so it is as coarse as the steps.
     """
     for name, value in (("t_end", t_end), ("rel_tol", rel_tol), ("abs_tol", abs_tol)):
         check_positive(name, value)
@@ -238,9 +297,11 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
     samples = [(0.0, y)]
     accepted = rejected = 0
 
-    stages = np.empty((7, y.size), dtype=complex)
-    # Each stage's weights, as a column, and the earlier stages they weight.
-    stage_terms = [(_DP_A[i, :i, None], stages[:i]) for i in range(1, 7)]
+    stages = np.empty((12, y.size), dtype=complex)
+    # Each stage's weights, as a column, and the earlier stages they weight;
+    # the last entry forms the new state from all twelve.
+    stage_terms = [(_A[i, :i, None], stages[:i]) for i in range(1, 12)]
+    stage_terms.append((_B[:, None], stages))
     try:
         stages[0], min_sep = field(y, n_pos)
     except NearCollision as exc:  # a collision at the start is not recoverable
@@ -259,7 +320,12 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
                 y_stage = y + h * np.add.reduce(weights * earlier, axis=0)
                 if not np.logical_and.reduce(np.isfinite(y_stage)):
                     raise ValueError("state must have finite components")
-                stages[i], gap = field(y_stage, n_pos)
+                if i < 12:
+                    stages[i], _ = field(y_stage, n_pos)
+            scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_stage))
+            err = _error_norm(stages, scale, h)
+            if err <= 1.0:
+                first_stage, gap = field(y_stage, n_pos)
         except NearCollision:
             rejected += 1
             h *= 0.5
@@ -268,23 +334,18 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
                     f"collision pressure drove the step below {STEP_FLOOR} at t={t:.6f}")
             continue
 
-        err_vec = h * np.add.reduce(_DP_ERR * stages, axis=0)
-        scaled = np.abs(err_vec) / (abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_stage)))
-        err = math.sqrt(np.add.reduce(scaled * scaled) / scaled.size)
-
         if err <= 1.0:
             t = t_end if final_step else t + h
-            y = y_stage  # the last stage point is the fifth-order solution
-            stages[0] = stages[6]
+            y = y_stage  # the eighth-order solution
+            stages[0] = first_stage
             samples.append((t, y))
             accepted += 1
-            # The last stage was evaluated at the accepted state.
             min_sep = min(min_sep, gap)
-            grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            grow = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
             h *= grow
         else:
             rejected += 1
-            h *= max(0.1, 0.9 * err ** -0.2)
+            h *= max(0.1, 0.9 * err ** -0.125)
             if h < STEP_FLOOR:
                 raise StepFloorReached(
                     f"error control drove the step below {STEP_FLOOR} at t={t:.6f}")

@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from diospec.dynamics import (
+    _A,
+    _B,
+    _E3,
+    _E5,
     central_difference_jacobian,
     fd_jacobian,
     integrate,
@@ -248,18 +252,18 @@ class TestIntegrate:
 
     def test_stage_collision_rejects_the_step(self):
         # gamma1 from gamma = (d/2, -d/2): the separation obeys
-        # d' = i (d - 2/d), so the first Dormand-Prince stage point, at
-        # h a k1 with h = 1e-2 and a = 1/5, has separation
+        # d' = i (d - 2/d), so the first DOP853 stage point, at h a k1 with
+        # h = 1e-2 and a = A[1, 0] = 0.0526..., has separation
         # d (1 + i h a) - 2 i h a / d.  Choosing d^2 = 2 i h a / (1 + i h a)
-        # puts it about 1e-17 from zero: that step is rejected and halved, and
+        # puts it about 5e-18 from zero: that step is rejected and halved, and
         # the run still reaches t_end.
-        h, a = 1e-2, 1 / 5
+        h, a = 1e-2, _A[1, 0]
         d = cmath.sqrt(2j * h * a / (1 + 1j * h * a))
         record = integrate("gamma1", np.array([d / 2, -d / 2]), 0.5)
         _, rejected = record.step_stats
         assert rejected >= 1
         assert record.samples[-1][0] == 0.5
-        assert record.step_stats == (206, 30)
+        assert record.step_stats == (116, 35)
 
     def test_step_budget_exhaustion(self):
         start = hermite_zeros(3).zeros + 0.01 * unit_direction(3, 17)
@@ -274,6 +278,114 @@ class TestIntegrate:
             integrate("gamma1", zeros, 1.0, rel_tol=-1.0)
         with pytest.raises(ValueError):
             integrate("nonsense", zeros, 1.0)
+
+
+# The DOP853 nodes c_0..c_11 in closed form; row i of A sums to c_i.
+_SQRT6 = math.sqrt(6.0)
+DOP853_NODES = (0.0, (12.0 - 2.0 * _SQRT6) / 135.0, (6.0 - _SQRT6) / 45.0,
+                (6.0 - _SQRT6) / 30.0, (6.0 + _SQRT6) / 30.0, 1 / 3, 1 / 4, 4 / 13,
+                127 / 195, 3 / 5, 6 / 7, 1.0)
+
+
+def assert_fsum(terms, expected, what):
+    """math.fsum of the terms equals expected within the rounding of the
+    stored constants: 8 eps of the sum of moduli."""
+    terms = [float(x) for x in terms]
+    bound = 8 * np.finfo(float).eps * max(1.0, math.fsum(abs(x) for x in terms))
+    assert abs(math.fsum(terms) - expected) <= bound, what
+
+
+class TestTableau:
+    def test_order_conditions(self):
+        for i, row in enumerate(_A):
+            assert_fsum(row, DOP853_NODES[i], f"row {i} of A")
+        # Quadrature conditions of order 8: sum_i b_i c_i^(k-1) = 1/k.
+        for k in range(1, 9):
+            terms = [b * c ** (k - 1) for b, c in zip(_B, DOP853_NODES)]
+            assert_fsum(terms, 1.0 / k, f"B against c^{k - 1}")
+        assert_fsum(_E5, 0.0, "E5")
+        assert_fsum(_E3, 0.0, "E3")
+
+    def test_matches_scipy_bit_for_bit(self):
+        pytest.importorskip("scipy")
+        from scipy.integrate._ivp import dop853_coefficients as reference
+
+        assert np.array_equal(_A, reference.A[:12, :12])
+        assert np.array_equal(_B, reference.B)
+        # scipy's estimates carry a thirteenth, zero weight for the
+        # evaluation at the new state.
+        assert np.array_equal(_E5, reference.E5[:12]) and reference.E5[12] == 0.0
+        assert np.array_equal(_E3, reference.E3[:12]) and reference.E3[12] == 0.0
+
+
+def gamma1_exact(gamma0, t):
+    """gamma1 at time t: e^(it) times the zeros of exp(a d^2/dx^2) p0, with p0
+    the monic polynomial with zeros gamma0 and a = (i/2)(1 - e^(-2it))/(2i).
+    The heat-flow series ends at the (N//2)-th term."""
+    a = 0.5j * (1.0 - cmath.exp(-2j * t)) / 2j
+    term = np.poly(gamma0).astype(complex)
+    total = term.copy()
+    for k in range(1, gamma0.size // 2 + 1):
+        term = np.polyder(term, 2) * (a / k)
+        total[-term.size:] += term
+    return cmath.exp(1j * t) * np.roots(total)
+
+
+def gamma2_exact(gamma0, velocity0, t):
+    """gamma2 positions at time t: the eigenvalues of
+    diag(gamma0) cos t + L0 sin t, with the Lax matrix L0 = diag(velocity0)
+    plus i / (gamma0_i - gamma0_j) off the diagonal."""
+    diff = gamma0[:, None] - gamma0[None, :]
+    np.fill_diagonal(diff, 1.0)
+    lax = 1j / diff
+    np.fill_diagonal(lax, velocity0)
+    return np.linalg.eigvals(np.diag(gamma0) * math.cos(t) + lax * math.sin(t))
+
+
+def multiset_distance(expected, got):
+    """Largest distance from each expected value to its nearest value in got,
+    asserting that the nearest neighbours pair the two sets one to one."""
+    distance = np.abs(expected[:, None] - got[None, :])
+    nearest = distance.argmin(axis=1)
+    assert len(set(nearest.tolist())) == expected.size, "nearest neighbours collide"
+    return float(distance.min(axis=1).max())
+
+
+def far_start(n, radius, seed):
+    """Hermite zeros of order n displaced by radius along a seeded direction,
+    and a seeded velocity of the same size."""
+    positions = hermite_zeros(n).zeros + radius * unit_direction(n, seed)
+    return positions, radius * unit_direction(n, seed + 1)
+
+
+class TestExactSolutions:
+    """The integrator against the closed-form solutions of the coefficient
+    flows, from starts far outside the radius-1e-2 neighbourhoods of the
+    periodicity tests."""
+
+    T = 1.3
+
+    @pytest.mark.parametrize("radius", [0.1, 0.3])
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_gamma1(self, n, radius):
+        start, _ = far_start(n, radius, 100 * n + int(10 * radius))
+        record = integrate("gamma1", start, self.T)
+        assert multiset_distance(gamma1_exact(start, self.T), record.final_state) <= 1e-8
+
+    @pytest.mark.parametrize("radius", [0.1, 0.3])
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_gamma2(self, n, radius):
+        start = far_start(n, radius, 200 * n + int(10 * radius))
+        record = integrate("gamma2", start, self.T)
+        assert multiset_distance(gamma2_exact(*start, self.T), record.final_state[:n]) <= 1e-8
+
+    def test_exact_solutions_start_and_return_at_the_start(self):
+        for n in range(3, 7):
+            positions, velocity = far_start(n, 0.3, n)
+            for t in (0.0, TWO_PI):
+                assert multiset_distance(gamma1_exact(positions, t), positions) <= 1e-10
+                assert multiset_distance(gamma2_exact(positions, velocity, t),
+                                         positions) <= 1e-10
 
 
 class TestFiniteDifferenceJacobian:
@@ -418,37 +530,36 @@ class TestKernelPins:
     """Guards of the field kernels that ``integrate`` steps with."""
 
     # One period at N = 4 from ``seeded_start``: step statistics and final
-    # state, recorded with the kernels that expanded the Vieta coefficients
-    # by np.convolve and transported them with np.polyval.
+    # state, recorded with the DOP853 integrator.
     PINNED = {
-        "gamma1": (40, (170, 0), [
-            -1.6547636810645876 - 0.0037111438817459485j,
-            -0.5284710420550354 - 0.003668598328938369j,
-            0.5219400454136444 - 0.0014038121001855174j,
-            1.6534284648860542 + 0.004961832100743164j]),
-        "zeta1": (41, (205, 0), [
-            -0.917129852696036 - 0.44577182587090886j,
-            -0.9111139385335181 + 0.4448929497831673j,
-            1.1744821295055967 - 0.4784308063559643j,
-            1.1765230243885145 + 0.47410762147930485j]),
-        "gamma2": (42, (394, 4), [
-            -1.6506801238854019 + 1.0055554343834858e-13j,
-            -0.5246476232762869 - 4.560862863593751e-13j,
-            0.5246476232760986 + 5.799189893317721e-13j,
-            1.6506801238855902 - 2.25402570482665e-13j,
-            0.001061479373704974 - 0.00679641467276921j,
-            -0.0036227758576640678 - 0.0045361313462453j,
-            0.0026141904044057096 + 0.0004453309518256396j,
-            0.0032764492844823434 - 0.0011016284044780022j]),
-        "zeta2": (43, (384, 3), [
-            -0.9121861179430776 - 0.44044651959740255j,
-            -0.912186117943124 + 0.44044651959673314j,
-            1.1745099295795989 - 0.47880712571478684j,
-            1.174509929579552 + 0.4788071257141399j,
-            0.0009476388423684684 - 0.007728563385607178j,
-            0.0026314105999411066 + 0.0037700099177426474j,
-            -0.002271921936797783 + 6.463226740543063e-05j,
-            -0.0035257571548525687 + 0.0007982615013307176j]),
+        "gamma1": (40, (34, 0), [
+            -1.654763681021689 - 0.0037111437960669416j,
+            -0.5284710419434276 - 0.0036685985012821455j,
+            0.5219400449671343 - 0.0014038121112463972j,
+            1.6534284651770355 + 0.004961832198059817j]),
+        "zeta1": (41, (40, 0), [
+            -0.9171298533842679 - 0.44577182601621546j,
+            -0.9111139387831106 + 0.44489295022050585j,
+            1.174482129070208 - 0.4784308062435788j,
+            1.1765230239454372 + 0.4741076216271008j]),
+        "gamma2": (42, (59, 10), [
+            -1.6506801238863578 - 2.1444055298830422e-13j,
+            -0.5246476232736507 + 8.308348583771497e-13j,
+            0.5246476232738185 - 9.489900727223388e-13j,
+            1.6506801238861897 + 3.3270143638772925e-13j,
+            0.0010614793841059692 - 0.0067964146704334845j,
+            -0.0036227758861317057 - 0.00453613135943941j,
+            0.0026141904278485267 + 0.00044533096859225303j,
+            0.003276449279113274 - 0.0011016284104177392j]),
+        "zeta2": (43, (57, 6), [
+            -0.9121861179414982 - 0.4404465195948349j,
+            -0.9121861179412213 + 0.44044651959605496j,
+            1.1745099295812564 - 0.4788071257138307j,
+            1.1745099295813264 + 0.47880712571497647j,
+            0.0009476388295878021 - 0.00772856341178302j,
+            0.0026314105857258136 + 0.003770009927204611j,
+            -0.0022719219497105425 + 6.463225974008072e-05j,
+            -0.0035257571686881134 + 0.0007982614939374568j]),
     }
 
     @classmethod
