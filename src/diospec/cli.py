@@ -5,11 +5,12 @@ Subcommands: ``hermite-zeros`` (zero tables with equilibrium residuals),
 (periodicity of the four flows from seeded near-equilibrium starts), and
 ``oracle`` (closed-form matrices against finite-difference Jacobians).
 
-Exit codes: 0 success, 1 spectral failure, 2 usage error, 3 numerical
-non-convergence, 4 dynamics collision.  A command returns 0 or 1 and raises
-on any other outcome; ``main`` writes the exception as one ``error:`` line
-and returns the code of the first entry of ``_FAILURES`` it matches.  Other
-exceptions propagate, so a bug is never reported as a usage error.
+Exit codes: 0 success, 1 spectral failure, 2 usage error (an ``--out`` file
+that cannot be written is one), 3 numerical non-convergence, 4 dynamics
+collision.  A command returns 0 or 1 and raises on any other outcome;
+``main`` writes the exception as one ``error:`` line and returns the code of
+the first entry of ``_FAILURES`` it matches.  Other exceptions propagate, so
+a bug is never reported as a usage error.
 """
 
 from __future__ import annotations
@@ -117,8 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, payload, rows=None) -> int:
-    """Write one result to stdout and, with ``--out``, to that file; return
-    EXIT_OK.  A str is written as it is.  Otherwise JSON goes through
+    """Write one result to the ``--out`` file, if given, and then to stdout,
+    so a file that cannot be opened raises before stdout gets anything;
+    return EXIT_OK.  A str is written as it is.  Otherwise JSON goes through
     ``to_json``, and CSV writes ``rows``, by default the flat payload's keys
     and then its values."""
     if isinstance(payload, str):
@@ -130,10 +132,10 @@ def _emit(args, payload, rows=None) -> int:
         csv.writer(buffer, lineterminator="\n").writerows(
             rows or [list(payload), list(payload.values())])
         text = buffer.getvalue()
-    sys.stdout.write(text)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -269,7 +271,8 @@ _COMMANDS = {"hermite-zeros": _hermite_zeros, "verify": _verify,
 
 # Exit code of a command's failure: the first entry its exception matches.
 _FAILURES = ((CollisionAbort, EXIT_COLLISION), (NearCollision, EXIT_COLLISION),
-             (NumericalError, EXIT_NUMERICAL), (ValueError, EXIT_USAGE))
+             (NumericalError, EXIT_NUMERICAL), (ValueError, EXIT_USAGE),
+             (OSError, EXIT_USAGE))
 
 
 def main(argv=None) -> int:

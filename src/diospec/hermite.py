@@ -1,6 +1,6 @@
-"""Hermite polynomials (physicists' convention): coefficients, zeros, the two
-equilibrium identities the zeros satisfy, and the coefficient-ordering
-machinery that turns them into monic seed polynomials.
+"""Hermite polynomials (physicists' convention): zeros, the two equilibrium
+identities the zeros satisfy, and the coefficient-ordering machinery that
+turns them into monic seed polynomials.
 
 The N real zeros of H_N serve as the coefficient pool; each of the N!
 orderings produces one monic polynomial whose own zeros feed the matrix
@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice, permutations
-from typing import Iterator, Optional
 
 import numpy as np
 
@@ -24,11 +22,9 @@ __all__ = [
     "MAX_ORDER",
     "HermiteZeros",
     "PermutationId",
-    "hermite_coefficients",
     "hermite_zeros",
     "residual_first_order",
     "residual_second_order",
-    "enumerate_orderings",
     "permuted_polynomial",
 ]
 
@@ -38,29 +34,7 @@ __all__ = [
 # pass tolerance.
 MAX_ORDER = 30
 
-# Coefficients involve factorial ratios; past 170 even the intermediate
-# factorial overflows a double's exponent range.
-_FACTORIAL_CAP = 170
-
 _RESIDUAL_BOUND = 1e-10
-
-
-def hermite_coefficients(n: int) -> np.ndarray:
-    """Dense monomial coefficients of H_n, highest power first.
-
-    H_n(x) = n! * sum_{k=0..floor(n/2)} (-1)^k (2x)^(n-2k) / (k! (n-2k)!).
-    The coefficients are integers, exact in double precision for n <= 20.
-    """
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
-    if n > _FACTORIAL_CAP:
-        raise OverflowError(f"order {n} exceeds double-precision factorial range")
-    coeffs = np.zeros(n + 1)
-    fact_n = math.factorial(n)
-    for k in range(n // 2 + 1):
-        value = (-1) ** k * 2 ** (n - 2 * k) * (fact_n // (math.factorial(k) * math.factorial(n - 2 * k)))
-        coeffs[2 * k] = float(value)
-    return coeffs
 
 
 def hermite_recurrence(n: int, x):
@@ -202,18 +176,6 @@ def word_from_rank(n: int, ordinal: int) -> tuple:
         pos, rank = divmod(rank, f)
         word.append(remaining.pop(pos))
     return tuple(word)
-
-
-def enumerate_orderings(n: int, limit: Optional[int] = None) -> Iterator[PermutationId]:
-    """Stream all n! permutation words in lexicographic order (or the first
-    ``limit`` of them) without materialising the full set."""
-    if n < 2:
-        raise ValueError(f"order must be >= 2, got {n}")
-    stream = (
-        PermutationId(n, word, rank)
-        for rank, word in enumerate(permutations(range(1, n + 1)), start=1)
-    )
-    return islice(stream, limit) if limit is not None else stream
 
 
 def permuted_polynomial(h: HermiteZeros, perm: PermutationId) -> MonicPolynomial:

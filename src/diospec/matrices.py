@@ -31,7 +31,6 @@ __all__ = [
     "KIND_M1",
     "KIND_M2",
     "CONDITIONING_FLOOR",
-    "WTable",
     "DiophantineMatrix",
     "SpectrumReport",
     "w_table",
@@ -65,24 +64,10 @@ def _profile(kind: str) -> tuple:
 
 
 @dataclass(frozen=True)
-class WTable:
-    """Jacobian of the zeros-to-coefficients map: entries[j-1, m-1] holds
-    d c_j / d z_m, which equals (-1)^j e_{j-1}(z without z_m), the elementary
-    symmetric function of degree j - 1 of the other zeros.  Row j = 1 is
-    identically -1."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-
-
-@dataclass(frozen=True)
 class DiophantineMatrix:
     """A built matrix, its provenance, and the separation metrics that govern
-    how trustworthy a failed spectrum check would be."""
+    how trustworthy a failed spectrum check would be (a sweep reports a
+    failed check as inconclusive when either is below CONDITIONING_FLOOR)."""
 
     kind: str
     n: int
@@ -95,10 +80,6 @@ class DiophantineMatrix:
         arr = np.asarray(self.entries, dtype=complex).copy()
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
-
-    @property
-    def conditioning_warning(self) -> bool:
-        return min(self.zero_separation, self.coeff_separation) < CONDITIONING_FLOOR
 
 
 @dataclass(frozen=True)
@@ -119,9 +100,11 @@ class SpectrumReport:
         object.__setattr__(self, "expected", tuple(int(e) for e in self.expected))
 
 
-def w_table(z) -> WTable:
-    """Coefficient-perturbation table for the ordered zeros z."""
-    return WTable(_vieta_jacobian(_zeros_of(z)[None, :])[0])
+def w_table(z) -> np.ndarray:
+    """Jacobian of the zeros-to-coefficients map at the ordered zeros z, as
+    an (N, N) array: entry [j-1, m-1] is d c_j / d z_m, which equals
+    (-1)^j e_{j-1}(z without z_m).  Row j = 1 is identically -1."""
+    return _vieta_jacobian(_zeros_of(z)[None, :])[0]
 
 
 def _separations(diff: np.ndarray) -> np.ndarray:
@@ -134,7 +117,7 @@ def _separations(diff: np.ndarray) -> np.ndarray:
 def build_stack(zeros: np.ndarray, coefficients: np.ndarray, kinds: tuple):
     """Build the requested kinds of matrix for every row of (B, N) stacks of
     ordered zeros and their polynomial's coefficients; both kinds share one
-    WTable stack and one solve.
+    Vieta Jacobian stack and one solve.
 
     Returns ({kind: (B, N, N) entries}, zero_separation, coeff_separation),
     the separations being (B,) arrays.  Rows are computed independently.

@@ -79,15 +79,6 @@ class ZeroVector:
     def n(self) -> int:
         return self.zeros.size
 
-    @property
-    def separation(self) -> float:
-        """Minimum pairwise distance between zeros (inf for a single zero).
-
-        Values below ~1e-8 mean downstream 1/(z_n - z_l) factors amplify
-        error; matrix builders surface this as a conditioning warning.
-        """
-        return pairwise_separation(self.zeros)
-
 
 def _set_diagonals(stack: np.ndarray, value) -> np.ndarray:
     """Set the main diagonal of every trailing (N, N) matrix of a C-contiguous
@@ -171,10 +162,11 @@ def roots_stack(coefficients, tol: float = 1e-12):
     """Zeros of every monic polynomial in a (B, N) stack of trailing
     coefficients, as the LAPACK eigenvalues of their companion matrices.
 
-    The companion stack is built in the coefficients' own dtype, so real
-    coefficients go through the real LAPACK routine.  The eigenvalues get a
-    guarded Newton polish and each row is sorted by (re, im) ascending, real
-    parts within rounding of each other counting as equal (``_sort_rows``).
+    Complex coefficients whose imaginary parts are all exactly 0 are taken
+    as real, and the companion stack is built in the coefficients' own
+    dtype, so real coefficients go through the real LAPACK routine, whether
+    they come from a sweep or a one-row ``roots`` call.  The eigenvalues get
+    a guarded Newton polish and each row is sorted by (re, im) ascending.
     Each matrix is solved on its own, so a row's zeros have the same bits in
     any stack.
 
@@ -187,6 +179,8 @@ def roots_stack(coefficients, tol: float = 1e-12):
     """
     check_positive("tol", tol)
     c = np.asarray(coefficients)
+    if np.iscomplexobj(c) and not c.imag.any():
+        c = c.real
     if not np.isfinite(c).all():
         raise ValueError("coefficients must be finite")
     b, n = c.shape
@@ -202,22 +196,9 @@ def roots_stack(coefficients, tol: float = 1e-12):
     scale = 1.0 + np.abs(c).max(axis=1, keepdims=True)
     bound = tol * scale * np.maximum(1.0, np.abs(zeros)) ** n
     failed = ~((resid <= bound) & np.isfinite(resid)).all(axis=1)
-    zeros = _sort_rows(zeros)
+    zeros = np.take_along_axis(zeros, np.lexsort((zeros.imag, zeros.real), axis=-1), axis=1)
     zeros[failed] = np.nan
     return zeros, failed
-
-
-def _sort_rows(z: np.ndarray) -> np.ndarray:
-    """Each row sorted by (re, im) ascending, where real parts that chain
-    within 64 eps * max(1, max|z|) of each other count as equal.  The two
-    zeros of a conjugate pair differ in their real parts by at most a few
-    units of that scale, in either direction, so the sign of the imaginary
-    part orders them.  Real parts further apart sort as they are."""
-    by_re = np.take_along_axis(z, np.argsort(z.real, axis=1, kind="stable"), axis=1)
-    tie = 64 * np.finfo(float).eps * np.maximum(1.0, np.abs(z).max(axis=1, keepdims=True))
-    steps = np.diff(by_re.real, axis=1, prepend=by_re.real[:, :1]) > tie
-    group = steps.cumsum(axis=1)
-    return np.take_along_axis(by_re, np.lexsort((by_re.imag, group), axis=-1), axis=1)
 
 
 def roots(p: MonicPolynomial, tol: float = 1e-12) -> ZeroVector:

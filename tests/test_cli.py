@@ -79,6 +79,16 @@ class TestHermiteZerosCommand:
         assert code == EXIT_OK
         assert target.read_text() == out
 
+    def test_unwritable_out_file_is_a_usage_error(self, capsys, tmp_path):
+        # The file is written first, so a path that cannot be opened leaves
+        # stdout empty.
+        target = tmp_path / "missing" / "zeros.json"
+        code, out, err = run_cli(capsys, "hermite-zeros", "--n", "3", "--out", str(target))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not target.exists()
+
 
 class TestVerifyCommand:
     def test_n3_m1_all_orderings_pass(self, capsys):
@@ -365,6 +375,14 @@ class TestReportSerialization:
         report = run_verification(RunConfig(n=4, orderings=(1, 2, 3, 20)))
         agg = report.aggregate
         assert agg["pass"] + agg["fail"] + agg["inconclusive"] == agg["checks"]
+
+    def test_failed_check_below_conditioning_floor_is_inconclusive(self, monkeypatch):
+        # A failed check is inconclusive only where the zero or coefficient
+        # separation of its ordering lies below the floor.
+        config = RunConfig(n=3, pass_tol=1e-300)
+        assert set(run_verification(config).status.ravel()) == {"fail"}
+        monkeypatch.setattr("diospec.report.CONDITIONING_FLOOR", 10.0)
+        assert set(run_verification(config).status.ravel()) == {"inconclusive"}
 
     def test_parallel_matches_serial(self):
         serial = run_verification(RunConfig(n=3, kinds=("M1",), jobs=1))

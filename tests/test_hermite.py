@@ -3,13 +3,12 @@ from itertools import permutations as iter_permutations
 
 import numpy as np
 import pytest
+from numpy.polynomial import hermite as npherm
 
 from diospec.errors import DimensionMismatch
 from diospec.hermite import (
     HermiteZeros,
     PermutationId,
-    enumerate_orderings,
-    hermite_coefficients,
     hermite_recurrence,
     hermite_zeros,
     lexicographic_rank,
@@ -22,29 +21,42 @@ from diospec.hermite import (
 SQRT32 = math.sqrt(1.5)
 
 
+def unit(n):
+    """Hermite-series coefficients of H_n alone, as numpy's hermite module
+    takes them."""
+    return np.eye(n + 1)[n]
+
+
 class TestCoefficients:
+    """``hermite_recurrence`` against the dense monomial coefficients of H_n
+    and its derivative, and against numpy's Hermite series evaluation."""
+
+    xs = np.linspace(-2.0, 2.0, 9)
+
+    def check(self, n, coefficients):
+        value, deriv = hermite_recurrence(n, self.xs)
+        np.testing.assert_allclose(value, np.polyval(coefficients, self.xs), atol=1e-12)
+        np.testing.assert_allclose(deriv, np.polyval(np.polyder(coefficients), self.xs),
+                                   atol=1e-12)
+
     def test_degree_two(self):
-        np.testing.assert_allclose(hermite_coefficients(2), [4.0, 0.0, -2.0])
+        self.check(2, [4.0, 0.0, -2.0])
 
     def test_degree_three(self):
-        np.testing.assert_allclose(hermite_coefficients(3), [8.0, 0.0, -12.0, 0.0])
+        self.check(3, [8.0, 0.0, -12.0, 0.0])
 
     def test_degree_one(self):
-        np.testing.assert_allclose(hermite_coefficients(1), [2.0, 0.0])
+        self.check(1, [2.0, 0.0])
 
     def test_matches_recurrence_evaluation(self):
-        xs = np.linspace(-2.0, 2.0, 9)
-        for n in (4, 7, 12, 20):
-            dense = np.polyval(hermite_coefficients(n), xs)
-            via_recurrence = hermite_recurrence(n, xs)[0]
-            scale = np.max(np.abs(via_recurrence))
-            assert np.max(np.abs(dense - via_recurrence)) <= 1e-10 * scale
-
-    def test_order_validation(self):
-        with pytest.raises(ValueError):
-            hermite_coefficients(0)
-        with pytest.raises(OverflowError):
-            hermite_coefficients(171)
+        for n in (4, 7, 12, 20, 30):
+            value, deriv = hermite_recurrence(n, self.xs)
+            reference = npherm.hermval(self.xs, unit(n))
+            scale = np.max(np.abs(reference))
+            assert np.max(np.abs(value - reference)) <= 1e-13 * scale
+            reference = npherm.hermval(self.xs, npherm.hermder(unit(n)))
+            scale = np.max(np.abs(reference))
+            assert np.max(np.abs(deriv - reference)) <= 1e-13 * scale
 
 
 class TestZeros:
@@ -71,9 +83,17 @@ class TestZeros:
         np.testing.assert_allclose(h.zeros, -h.zeros[::-1], atol=1e-12)
         if n % 2:
             assert h.zeros[n // 2] == 0.0
-        coefficients = hermite_coefficients(n)
-        value = np.polyval(coefficients, h.zeros)
-        assert np.max(np.abs(value)) <= 1e-8 * np.max(np.abs(coefficients))
+        value = npherm.hermval(h.zeros, unit(n))
+        assert np.max(np.abs(value)) <= 1e-8 * np.max(np.abs(npherm.herm2poly(unit(n))))
+
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_matches_golub_welsch_nodes(self, n):
+        # numpy's Gauss-Hermite nodes: the eigenvalues of its own symmetric
+        # tridiagonal companion matrix, polished by a Newton step (Golub &
+        # Welsch 1969), an implementation independent of ours.
+        reference = npherm.hermgauss(n)[0]
+        zeros = hermite_zeros(n).zeros
+        assert np.max(np.abs(zeros - reference)) <= 1e-14 * np.max(np.abs(reference))
 
     @pytest.mark.parametrize("n", range(2, 21))
     def test_residuals_recorded_and_small(self, n):
@@ -119,24 +139,20 @@ class TestResiduals:
 
 class TestOrderings:
     def test_two_symbols(self):
-        words = [p.word for p in enumerate_orderings(2)]
+        words = [word_from_rank(2, rank) for rank in (1, 2)]
         assert words == [(1, 2), (2, 1)]
 
     def test_six_words_in_lexicographic_order(self):
-        perms = list(enumerate_orderings(3))
+        perms = [PermutationId.from_rank(3, rank) for rank in range(1, 7)]
         assert [p.word for p in perms] == sorted(iter_permutations((1, 2, 3)))
         assert [p.ordinal for p in perms] == list(range(1, 7))
 
-    def test_limit_streams_prefix(self):
-        words = [p.word for p in enumerate_orderings(4, limit=3)]
-        assert words == [(1, 2, 3, 4), (1, 2, 4, 3), (1, 3, 2, 4)]
-
     @pytest.mark.parametrize("n", range(2, 9))
     def test_counts_are_factorials(self, n):
-        seen = set()
-        for perm in enumerate_orderings(n):
-            seen.add(perm.word)
-        assert len(seen) == math.factorial(n)
+        # The ranks list each of the n! words once, in the order of
+        # itertools.permutations.
+        words = [word_from_rank(n, rank) for rank in range(1, math.factorial(n) + 1)]
+        assert words == list(iter_permutations(range(1, n + 1)))
 
     def test_rank_round_trip(self):
         for n in (2, 3, 5):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import hermite as npherm
 
 from diospec.errors import SingularConfiguration
 from diospec.hermite import PermutationId, hermite_zeros, permuted_polynomial
@@ -55,7 +56,7 @@ def paper_entries(z, c, factor, power):
 
     The build computes the same matrix as W^(-1) (A_pi W) and is held to
     this sum."""
-    w = w_table(z).entries
+    w = w_table(z)
     size = len(z)
     out = np.empty((size, size), dtype=complex)
     for n in range(size):
@@ -86,15 +87,15 @@ class TestWTable:
     def test_first_row_is_minus_one(self):
         rng = np.random.default_rng(0)
         z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        table = w_table(z).entries
+        table = w_table(z)
         np.testing.assert_allclose(table[0], -1.0, atol=1e-15)
         # A single zero leaves only that row: c_1 = -z_1.
-        np.testing.assert_array_equal(w_table([2.0]).entries, [[-1.0]])
+        np.testing.assert_array_equal(w_table([2.0]), [[-1.0]])
 
     def test_n3_cyclic_structure(self):
         rng = np.random.default_rng(1)
         z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        table = w_table(z).entries
+        table = w_table(z)
         for m in range(3):
             a, b = z[(m + 1) % 3], z[(m + 2) % 3]
             assert table[1, m] == pytest.approx(a + b, abs=1e-14)
@@ -102,7 +103,7 @@ class TestWTable:
 
     def test_n2_entries(self):
         a, b = 0.7 + 0.2j, -1.1
-        table = w_table(np.array([a, b])).entries
+        table = w_table(np.array([a, b]))
         assert table[1, 0] == pytest.approx(b)
         assert table[1, 1] == pytest.approx(a)
 
@@ -139,7 +140,6 @@ class TestBuildM1:
         matrix = build_m1(z, mu_coefficients_n2(1))
         assert matrix.zero_separation == pytest.approx(abs(z[0] - z[1]))
         assert matrix.coeff_separation == pytest.approx(SQRT2)
-        assert not matrix.conditioning_warning
 
     def test_singular_configurations_rejected(self):
         with pytest.raises(SingularConfiguration):
@@ -194,6 +194,29 @@ class TestPaperFormulaOracle:
                 scale = np.abs(reference).max()
                 assert np.abs(built - reference).max() <= 1e-12 * scale, \
                     f"{builder.__name__} n={n} rank={rank}"
+
+
+class TestHermiteBasisCertificate:
+    """A = I + K (D - C) built on the Hermite zeros x_j is upper triangular in
+    the Hermite basis: with V_jm = H_m(x_j), m = 0..N-1, T = V^(-1) A V has
+    a zero lower triangle and the diagonal 1..N (M1) or 1, 4, ..., N^2
+    (M2).  D - C maps the values at the x_j of a polynomial of degree m to
+    those of one of degree <= m (Ahmed, Bruschi, Calogero, Olshanetsky &
+    Perelomov 1979), so the integers follow without an eigensolver."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    @pytest.mark.parametrize("kind, factor, power", [(KIND_M1, 1.0, 2), (KIND_M2, 6.0, 4)])
+    def test_triangular_with_integer_diagonal(self, n, kind, factor, power):
+        x = hermite_zeros(n).zeros
+        diff = x[:, None] - x[None, :]
+        np.fill_diagonal(diff, np.inf)
+        coupling = 1.0 / diff ** power
+        a = np.eye(n) + factor * (np.diag(coupling.sum(axis=1)) - coupling)
+        v = npherm.hermvander(x, n - 1)
+        v /= np.linalg.norm(v, axis=0)
+        t = np.linalg.solve(v, a @ v)
+        assert np.abs(np.tril(t, -1)).max() <= 1e-13 * np.abs(t).max()
+        np.testing.assert_allclose(np.diag(t), expected_spectrum(kind, n), rtol=0, atol=1e-11)
 
 
 class TestSpectrumCheck:
