@@ -259,7 +259,7 @@ def _oracle(args) -> int:
             jac, builder = -1j * dynamics.fd_jacobian("zeta1", zeros.zeros, h), build_m1
         else:
             jac, builder = -dynamics.fd_jacobian("zeta2_force", zeros.zeros, h), build_m2
-        reference = builder(zeros, poly.coefficients, source_perm=perm).entries
+        reference = builder(zeros, poly.coefficients).entries
         payload = {"n": n, "ordering_rank": args.ordering_rank, "kind": args.kind, "h": h}
     payload["max_relative_deviation"] = float(
         np.max(np.abs(reference - jac)) / np.max(np.abs(reference)))

@@ -13,17 +13,24 @@ A_pi = P A P^T for the permutation P of that ordering and one real symmetric
 matrix A, the coefficient flows' Jacobian at equilibrium up to a factor i
 (M1) or -1 (M2).  So every ordering's matrix is similar to A, and the
 eigenvalues are exactly 1..N (M1) and 1, 4, ..., N^2 (M2).
+
+The sweep's coefficients are real, so A_pi is real and the zeros come in
+conjugate pairs whose columns of W are conjugate.  ``build_stack`` keeps
+the column of each real zero and replaces the columns of a pair z_a, z_b =
+conj(z_a) (Im z_b > 0) by Re W_a and Im W_b, which span the same plane.
+That basis V = W R is real, for a fixed block matrix R with entries 1/2
+and +-i/2, so T = V^(-1) A_pi V = R^(-1) M R is real and similar to M, and
+its product, solve and eigenvalues run in real arithmetic.  The one-row
+``build_m1`` and ``build_m2`` take W itself and return M's entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .errors import NonConvergence, SingularConfiguration
-from .hermite import PermutationId
 from .polynomials import (_set_diagonals, _vieta_jacobian, _zeros_of, as_complex_vector,
                           check_positive)
 
@@ -65,16 +72,11 @@ def _profile(kind: str) -> tuple:
 
 @dataclass(frozen=True)
 class DiophantineMatrix:
-    """A built matrix, its provenance, and the separation metrics that govern
-    how trustworthy a failed spectrum check would be (a sweep reports a
-    failed check as inconclusive when either is below CONDITIONING_FLOOR)."""
+    """A built matrix: its kind, order and complex entries."""
 
     kind: str
     n: int
     entries: np.ndarray
-    source_perm: Optional[PermutationId]
-    zero_separation: float
-    coeff_separation: float
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=complex).copy()
@@ -91,7 +93,6 @@ class SpectrumReport:
     expected: tuple
     max_deviation: float
     passed: bool
-    perm: Optional[PermutationId]
 
     def __post_init__(self):
         arr = np.asarray(self.eigenvalues, dtype=complex).copy()
@@ -114,41 +115,62 @@ def _separations(diff: np.ndarray) -> np.ndarray:
     return dist.min(axis=(1, 2))
 
 
-def build_stack(zeros: np.ndarray, coefficients: np.ndarray, kinds: tuple):
-    """Build the requested kinds of matrix for every row of (B, N) stacks of
-    ordered zeros and their polynomial's coefficients; both kinds share one
-    Vieta Jacobian stack and one solve.
-
-    Returns ({kind: (B, N, N) entries}, zero_separation, coeff_separation),
-    the separations being (B,) arrays.  Rows are computed independently.
-    """
-    z = np.asarray(zeros, dtype=complex)
-    c = np.asarray(coefficients, dtype=complex)
-    zdiff = z[:, :, None] - z[:, None, :]
+def _similarity(basis: np.ndarray, c: np.ndarray, kinds: tuple) -> dict:
+    """basis^(-1) A_pi basis of each requested kind, for a (B, N, N) stack of
+    bases and the (B, N) coefficients that set A_pi, as {kind: (B, N, N)}.
+    The kinds share one solve: one LU factorisation per row.  The
+    coefficients of a row must be distinct."""
     cdiff = c[:, :, None] - c[:, None, :]
-    zero_sep = _separations(zdiff)
-    coeff_sep = _separations(cdiff)
-    if np.any(zero_sep == 0.0):
-        raise SingularConfiguration("coincident zeros")
-    if np.any(coeff_sep == 0.0):
-        raise SingularConfiguration("coincident coefficients")
-
-    w = _vieta_jacobian(z)
     _set_diagonals(cdiff, 1.0)
     coupled = []
     for kind in kinds:
         factor, power, _ = _profile(kind)
         inv_pow = 1.0 / cdiff ** power
         _set_diagonals(inv_pow, 0.0)
-        # A_pi W = W + K (D - C) W, vectorised over the columns m.
-        coupled.append(w + factor * (w * inv_pow.sum(axis=2)[:, :, None] - inv_pow @ w))
-    # W^(-1) (A_pi W) for every kind at once: one LU factorisation per row.
-    solved = np.linalg.solve(w, np.concatenate(coupled, axis=2))
-    entries = dict(zip(kinds, np.split(solved, len(kinds), axis=2)))
-    return entries, zero_sep, coeff_sep
+        # A_pi V = V + K (D - C) V, vectorised over the columns m.
+        coupled.append(basis + factor * (basis * inv_pow.sum(axis=2)[:, :, None]
+                                         - inv_pow @ basis))
+    solved = np.linalg.solve(basis, np.concatenate(coupled, axis=2))
+    return dict(zip(kinds, np.split(solved, len(kinds), axis=2)))
 
 
-def _build(z, c, kind: str, source_perm: Optional[PermutationId]) -> DiophantineMatrix:
+def build_stack(zeros: np.ndarray, coefficients: np.ndarray, kinds: tuple):
+    """Build the requested kinds of matrix for every row of (B, N) stacks of
+    ordered zeros and their polynomial's real coefficients, in the real basis
+    of the module docstring, so each is similar to its row's M, not equal to
+    it.  Complex coefficients whose imaginary parts are all exactly 0 are
+    taken as real.  Both kinds share one Vieta Jacobian stack and one solve;
+    rows are computed independently.
+
+    Returns ({kind: (B, N, N) real entries}, zero_separation,
+    coeff_separation), the separations being (B,) arrays.  Raises ValueError
+    for coefficients that are not real or zeros not exactly closed under
+    conjugation, and SingularConfiguration for coincident zeros or
+    coefficients.
+    """
+    z = np.asarray(zeros, dtype=complex)
+    c = np.asarray(coefficients)
+    if np.iscomplexobj(c) and c.imag.any():
+        raise ValueError("build_stack needs real coefficients")
+    c = c.real
+    zero_sep = _separations(z[:, :, None] - z[:, None, :])
+    coeff_sep = _separations(c[:, :, None] - c[:, None, :])
+    if not zero_sep.all():
+        raise SingularConfiguration("coincident zeros")
+    if not coeff_sep.all():
+        raise SingularConfiguration("coincident coefficients")
+    # Each row must equal its conjugate as a multiset: sorted, they match.
+    if not (np.sort(z, axis=1) == np.sort(z.conj(), axis=1)).all():
+        raise ValueError("zeros of real coefficients must be closed under conjugation")
+
+    # Each column picks by the sign of its own zero, not by the position of
+    # its partner, so pairs sharing a real part need no matching.
+    w = _vieta_jacobian(z)
+    basis = np.where(z.imag[:, None, :] > 0, w.imag, w.real)
+    return _similarity(basis, c, kinds), zero_sep, coeff_sep
+
+
+def _build(z, c, kind: str) -> DiophantineMatrix:
     zz = _zeros_of(z)
     cc = as_complex_vector(c, "coefficients")
     n = zz.size
@@ -157,20 +179,23 @@ def _build(z, c, kind: str, source_perm: Optional[PermutationId]) -> Diophantine
             f"zeros ({n}) and coefficients ({cc.size}) must have equal length")
     if n < 2:
         raise SingularConfiguration("need at least two zeros")
-    entries, zero_sep, coeff_sep = build_stack(zz[None, :], cc[None, :], (kind,))
-    return DiophantineMatrix(kind, n, entries[kind][0], source_perm,
-                             float(zero_sep[0]), float(coeff_sep[0]))
+    for values, what in ((zz, "zeros"), (cc, "coefficients")):
+        if np.unique(values).size < n:
+            raise SingularConfiguration(f"coincident {what}")
+    entries = _similarity(_vieta_jacobian(zz[None, :]), cc[None, :], (kind,))
+    return DiophantineMatrix(kind, n, entries[kind][0])
 
 
-def build_m1(z, c, source_perm: Optional[PermutationId] = None) -> DiophantineMatrix:
-    """Matrix with spectrum 1..N: inverse-square coefficient coupling."""
-    return _build(z, c, KIND_M1, source_perm)
+def build_m1(z, c, source_perm=None) -> DiophantineMatrix:
+    """Matrix with spectrum 1..N: inverse-square coefficient coupling.  An
+    ordering label passed as ``source_perm`` is ignored."""
+    return _build(z, c, KIND_M1)
 
 
-def build_m2(z, c, source_perm: Optional[PermutationId] = None) -> DiophantineMatrix:
+def build_m2(z, c, source_perm=None) -> DiophantineMatrix:
     """Matrix with spectrum 1, 4, ..., N^2: inverse-fourth-power coupling,
-    weighted by 6."""
-    return _build(z, c, KIND_M2, source_perm)
+    weighted by 6.  An ordering label passed as ``source_perm`` is ignored."""
+    return _build(z, c, KIND_M2)
 
 
 def expected_spectrum(kind: str, n: int) -> np.ndarray:
@@ -186,15 +211,17 @@ def expected_determinant(kind: str, n: int) -> float:
 
 
 def spectrum_stack(entries: np.ndarray, kind: str):
-    """LAPACK eigenvalues of a (B, N, N) stack of matrices of one kind, each
-    row sorted by real part, and each row's maximum deviation from the
-    expected integers.
+    """LAPACK eigenvalues of a (B, N, N) stack of matrices of one kind, as
+    complex numbers, each row sorted by real part, and each row's maximum
+    deviation from the expected integers.  A real stack runs the real
+    routine, and its real eigenvalues carry an imaginary part of exactly 0.
 
     Eigenvalues are compared positionally; any imaginary parts feed straight
     into the deviation, so a complex eigenvalue cannot sneak past the check.
     """
     try:
-        lam = np.linalg.eigvals(entries)
+        # numpy returns a float array when every eigenvalue of the stack is real.
+        lam = np.linalg.eigvals(entries).astype(complex, copy=False)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigenvalue computation failed: {exc}") from exc
     lam = np.take_along_axis(lam, np.argsort(lam.real, axis=1, kind="stable"), axis=1)
@@ -209,8 +236,7 @@ def spectrum_check(matrix: DiophantineMatrix, tol: float = 1e-6) -> SpectrumRepo
     lam, deviation = spectrum_stack(matrix.entries[None], matrix.kind)
     return SpectrumReport(matrix.kind, lam[0],
                           tuple(expected_spectrum(matrix.kind, matrix.n)),
-                          float(deviation[0]), bool(deviation[0] <= tol),
-                          matrix.source_perm)
+                          float(deviation[0]), bool(deviation[0] <= tol))
 
 
 def permutation_similarity_check(z, c, kind: str, swap: tuple) -> float:
@@ -225,10 +251,10 @@ def permutation_similarity_check(z, c, kind: str, swap: tuple) -> float:
     n = zz.size
     if not (1 <= a < b <= n):
         raise ValueError(f"swap positions must satisfy 1 <= a < b <= {n}, got {swap}")
-    base = _build(zz, c, kind, None).entries
+    base = _build(zz, c, kind).entries
     swapped_zeros = zz.copy()
     swapped_zeros[[a - 1, b - 1]] = swapped_zeros[[b - 1, a - 1]]
-    rebuilt = _build(swapped_zeros, c, kind, None).entries
+    rebuilt = _build(swapped_zeros, c, kind).entries
 
     conjugated = np.array(base)
     conjugated[[a - 1, b - 1], :] = conjugated[[b - 1, a - 1], :]

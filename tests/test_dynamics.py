@@ -471,10 +471,10 @@ class TestLinearEvolution:
         from diospec.matrices import DiophantineMatrix, KIND_M1, KIND_M2
 
         block = np.array([[1.0, 1.0], [0.0, 1.0]])
-        jordan = DiophantineMatrix(KIND_M1, 2, block, None, 1.0, 1.0)
+        jordan = DiophantineMatrix(KIND_M1, 2, block)
         with pytest.raises(DegenerateSpectrum):
             linear_evolution_first(jordan, np.ones(2), 1.0)
-        jordan = DiophantineMatrix(KIND_M2, 2, block, None, 1.0, 1.0)
+        jordan = DiophantineMatrix(KIND_M2, 2, block)
         with pytest.raises(DegenerateSpectrum):
             linear_evolution_second(jordan, np.ones(2), np.ones(2), 1.0)
 

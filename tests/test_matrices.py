@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from diospec.matrices import (
     w_table,
 )
 from diospec.polynomials import MonicPolynomial, poly_from_zeros, roots
+from diospec.report import RunConfig, run_verification
 
 SQRT2 = math.sqrt(2.0)
 SQRT32 = math.sqrt(1.5)
@@ -136,10 +138,15 @@ class TestBuildM1:
         assert np.abs(built - jac).max() <= 1e-5 * np.abs(built).max()
 
     def test_separation_metrics_recorded(self):
-        z = zeros_n2(1)
-        matrix = build_m1(z, mu_coefficients_n2(1))
-        assert matrix.zero_separation == pytest.approx(abs(z[0] - z[1]))
-        assert matrix.coeff_separation == pytest.approx(SQRT2)
+        # The sweep records each ordering's zero and coefficient separations;
+        # ranks 1 and 2 at N = 2 are the mu = 2 and mu = 1 assignments.
+        report = run_verification(RunConfig(n=2))
+        coefficients = hermite_zeros(2).zeros[report.word - 1]
+        for row, mu in enumerate((2, 1)):
+            np.testing.assert_array_equal(coefficients[row], mu_coefficients_n2(mu))
+            z = zeros_n2(mu)
+            assert report.zero_separation[row] == pytest.approx(abs(z[0] - z[1]))
+            assert report.coeff_separation[row] == pytest.approx(SQRT2)
 
     def test_singular_configurations_rejected(self):
         with pytest.raises(SingularConfiguration):
@@ -238,8 +245,7 @@ class TestSpectrumCheck:
     def test_hand_built_diagonal(self):
         from diospec.matrices import DiophantineMatrix
 
-        matrix = DiophantineMatrix(KIND_M1, 2, np.diag([1.0, 2.0]), None,
-                                   1.0, 1.0)
+        matrix = DiophantineMatrix(KIND_M1, 2, np.diag([1.0, 2.0]))
         report = spectrum_check(matrix)
         assert report.passed
         assert report.max_deviation < 1e-14
@@ -255,6 +261,60 @@ class TestSpectrumCheck:
         matrix = build_m1(zeros_n2(1), mu_coefficients_n2(1))
         with pytest.raises(ValueError, match="positive and finite"):
             spectrum_check(matrix, tol=tol)
+
+
+def _matched_deviation(a, b):
+    """Largest |a_k - b_p(k)| under the pairing p of the two eigenvalue
+    lists that makes it smallest, found over every permutation."""
+    return min(np.abs(a - b[list(p)]).max() for p in itertools.permutations(range(b.size)))
+
+
+class TestRealBasis:
+    """The sweep builds each matrix in the real basis of its conjugate zero
+    pairs, so its spectra must be those of the complex M that the one-row
+    builders return."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_sweep_rows_match_the_complex_matrix(self, ordering_sweep, n):
+        report = run_verification(RunConfig(n=n))
+        for record, spectra in zip(ordering_sweep(n), report.eigenvalues):
+            for builder, values in zip((build_m1, build_m2), spectra):
+                complex_m = spectrum_check(builder(record.zeros, record.poly.coefficients))
+                assert np.abs(values - complex_m.eigenvalues).max() <= 1e-11, \
+                    f"{builder.__name__} n={n} rank={record.perm.ordinal}"
+
+    def test_pairs_sharing_a_real_part(self):
+        # The zeros of x^4 - 4x^3 + 11x^2 - 14x + 10 sorted by (re, im):
+        # neighbours in that order are not conjugates.
+        z = np.array([1 - 2j, 1 - 1j, 1 + 1j, 1 + 2j])
+        c = np.array([-4.0, 11.0, -14.0, 10.0])
+        np.testing.assert_array_equal(poly_from_zeros(z).coefficients, c)
+        entries, _, _ = build_stack(z[None], c[None], (KIND_M1, KIND_M2))
+        for kind, builder in ((KIND_M1, build_m1), (KIND_M2, build_m2)):
+            assert entries[kind].dtype == np.float64
+            real_form = np.linalg.eigvals(entries[kind][0])
+            complex_m = np.linalg.eigvals(builder(z, c).entries)
+            scale = np.abs(complex_m).max()
+            assert _matched_deviation(real_form, complex_m) <= 1e-13 * scale, kind
+
+    def test_complex_coefficients_rejected(self):
+        z = np.array([[1 - 1j, 1 + 1j]])
+        with pytest.raises(ValueError, match="real coefficients"):
+            build_stack(z, np.array([[-2.0 + 1e-3j, 2.0]]), (KIND_M1,))
+        # Imaginary parts that are all exactly 0 are taken as real.
+        real, _, _ = build_stack(z, np.array([[-2.0, 2.0]]), (KIND_M1,))
+        taken, _, _ = build_stack(z, np.array([[-2.0 + 0j, 2.0]]), (KIND_M1,))
+        np.testing.assert_array_equal(taken[KIND_M1], real[KIND_M1])
+
+    @pytest.mark.parametrize("zeros", [
+        [1 - 1j, 1 + 1j, 2 + 1j],
+        [1 - 1j, 1 + 1.0000000000000002j, 3.0],
+        [1 - 2j, 1 - 1j, 1 + 1j, 1 + 3j],
+    ])
+    def test_zeros_not_closed_under_conjugation_rejected(self, zeros):
+        c = np.arange(1.0, len(zeros) + 1)
+        with pytest.raises(ValueError, match="closed under conjugation"):
+            build_stack(np.array([zeros]), c[None], (KIND_M1,))
 
 
 class TestExpectedValues:
