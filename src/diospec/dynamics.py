@@ -48,7 +48,7 @@ from .errors import (
     StepFloorReached,
 )
 from .matrices import KIND_M1, KIND_M2, DiophantineMatrix
-from .polynomials import (_set_diagonals, as_complex_vector, check_positive, esp_table,
+from .polynomials import (_differences, as_complex_vector, check_positive, esp_table,
                           pairwise_separation)
 
 __all__ = [
@@ -69,6 +69,7 @@ SYSTEMS = ("gamma1", "zeta1", "gamma2", "zeta2")
 
 COLLISION_FLOOR = 1e-10
 STEP_FLOOR = 1e-12
+_MAX_STEPS = 2_000_000  # steps, accepted or rejected, before integrate gives up
 
 _FD_STEP_RANGE = (1e-8, 1e-4)
 
@@ -103,13 +104,11 @@ class TrajectoryRecord:
 
 
 def _diff_gap(values: np.ndarray, what: str):
-    """Pairwise differences v_m - v_l with an infinite diagonal, so that
-    dividing by them leaves a zero diagonal, and their smallest modulus, the
-    separation; raises NearCollision when that lies below COLLISION_FLOOR."""
+    """``_differences`` of the values; raises NearCollision when their
+    separation lies below COLLISION_FLOOR."""
     if values.size < 2:
         raise ValueError(f"{what} needs at least two components")
-    diff = _set_diagonals(values[:, None] - values[None, :], np.inf)
-    gap = np.minimum.reduce(np.abs(diff), axis=None)
+    diff, gap = _differences(values)
     if gap < COLLISION_FLOOR:
         raise NearCollision(f"{what} separation {gap:.3e} below {COLLISION_FLOOR}")
     return diff, gap
@@ -262,7 +261,7 @@ def _error_norm(stages: np.ndarray, scale: np.ndarray, h: float) -> float:
 
 
 def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
-              abs_tol: float = 1e-12, max_steps: int = 2_000_000) -> TrajectoryRecord:
+              abs_tol: float = 1e-12) -> TrajectoryRecord:
     """Adaptive DOP853 (8th order, 5th/3rd-order error estimate) integration
     of one of the four flows.
 
@@ -308,7 +307,7 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
         raise CollisionAbort(str(exc)) from exc
     h = min(t_end, 1e-2)
 
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if t >= t_end:
             break
         final_step = h >= t_end - t
@@ -350,7 +349,7 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
                 raise StepFloorReached(
                     f"error control drove the step below {STEP_FLOOR} at t={t:.6f}")
     else:
-        raise StepFloorReached(f"step budget {max_steps} exhausted at t={t:.6f}")
+        raise StepFloorReached(f"step budget {_MAX_STEPS} exhausted at t={t:.6f}")
 
     return TrajectoryRecord(system, samples, (accepted, rejected), float(min_sep))
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, NonConvergence
-from .polynomials import MonicPolynomial, _set_diagonals
+from .polynomials import MonicPolynomial, _differences
 
 __all__ = [
     "MAX_ORDER",
@@ -91,14 +91,15 @@ def hermite_zeros(n: int) -> HermiteZeros:
     return HermiteZeros(n, x, r1, r2)
 
 
-def _pairwise_differences(c) -> np.ndarray:
+def _inverse_power_sums(c, power: int):
+    """c as a float vector, and sum_{l != m} 1/(c_m - c_l)^power for each m."""
     arr = np.asarray(c, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("need a 1-d vector with at least two entries")
-    diff = _set_diagonals(arr[:, None] - arr[None, :], np.inf)
-    if np.any(diff == 0.0):
+    diff, separation = _differences(arr)
+    if separation == 0.0:
         raise ZeroDivisionError("coincident entries make the residual singular")
-    return diff
+    return arr, (1.0 / diff ** power).sum(axis=1)
 
 
 def residual_first_order(c) -> float:
@@ -107,9 +108,8 @@ def residual_first_order(c) -> float:
     Zero exactly when c is a stationary configuration of the first-order
     coefficient flow; Hermite zeros satisfy this identity.
     """
-    arr = np.asarray(c, dtype=float)
-    diff = _pairwise_differences(arr)
-    return float(np.max(np.abs(arr - (1.0 / diff).sum(axis=1))))
+    arr, sums = _inverse_power_sums(c, 1)
+    return float(np.max(np.abs(arr - sums)))
 
 
 def residual_second_order(c) -> float:
@@ -118,9 +118,8 @@ def residual_second_order(c) -> float:
     Zero exactly when c is an equilibrium of the second-order coefficient
     flow; Hermite zeros satisfy this identity as well.
     """
-    arr = np.asarray(c, dtype=float)
-    diff = _pairwise_differences(arr)
-    return float(np.max(np.abs(-arr + 2.0 * (1.0 / diff ** 3).sum(axis=1))))
+    arr, sums = _inverse_power_sums(c, 3)
+    return float(np.max(np.abs(-arr + 2.0 * sums)))
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergence, SingularConfiguration
-from .polynomials import (_set_diagonals, _vieta_jacobian, _zeros_of, as_complex_vector,
-                          check_positive)
+from .polynomials import (_differences, _set_diagonals, _vieta_jacobian, _zeros_of,
+                          as_complex_vector, check_positive)
 
 __all__ = [
     "KIND_M1",
@@ -108,13 +108,6 @@ def w_table(z) -> np.ndarray:
     return _vieta_jacobian(_zeros_of(z)[None, :])[0]
 
 
-def _separations(diff: np.ndarray) -> np.ndarray:
-    """Minimum off-diagonal |diff| of each (N, N) difference matrix."""
-    dist = np.abs(diff)
-    _set_diagonals(dist, np.inf)
-    return dist.min(axis=(1, 2))
-
-
 def _similarity(basis: np.ndarray, c: np.ndarray, kinds: tuple) -> dict:
     """basis^(-1) A_pi basis of each requested kind, for a (B, N, N) stack of
     bases and the (B, N) coefficients that set A_pi, as {kind: (B, N, N)}.
@@ -153,12 +146,10 @@ def build_stack(zeros: np.ndarray, coefficients: np.ndarray, kinds: tuple):
     if np.iscomplexobj(c) and c.imag.any():
         raise ValueError("build_stack needs real coefficients")
     c = c.real
-    zero_sep = _separations(z[:, :, None] - z[:, None, :])
-    coeff_sep = _separations(c[:, :, None] - c[:, None, :])
-    if not zero_sep.all():
-        raise SingularConfiguration("coincident zeros")
-    if not coeff_sep.all():
-        raise SingularConfiguration("coincident coefficients")
+    zero_sep, coeff_sep = _differences(z)[1], _differences(c)[1]
+    for separation, what in ((zero_sep, "zeros"), (coeff_sep, "coefficients")):
+        if not separation.all():
+            raise SingularConfiguration(f"coincident {what}")
     # Each row must equal its conjugate as a multiset: sorted, they match.
     if not (np.sort(z, axis=1) == np.sort(z.conj(), axis=1)).all():
         raise ValueError("zeros of real coefficients must be closed under conjugation")
@@ -180,7 +171,7 @@ def _build(z, c, kind: str) -> DiophantineMatrix:
     if n < 2:
         raise SingularConfiguration("need at least two zeros")
     for values, what in ((zz, "zeros"), (cc, "coefficients")):
-        if np.unique(values).size < n:
+        if not _differences(values)[1]:
             raise SingularConfiguration(f"coincident {what}")
     entries = _similarity(_vieta_jacobian(zz[None, :]), cc[None, :], (kind,))
     return DiophantineMatrix(kind, n, entries[kind][0])

@@ -88,31 +88,29 @@ def _set_diagonals(stack: np.ndarray, value) -> np.ndarray:
     return stack
 
 
+def _differences(values: np.ndarray):
+    """Differences v_i - v_j along the last axis, as (..., N, N) with an
+    infinite diagonal, so that dividing by them leaves a zero diagonal, and
+    the separation min_{i != j} |v_i - v_j| of each (N, N) block."""
+    diff = _set_diagonals(values[..., :, None] - values[..., None, :], np.inf)
+    return diff, np.minimum.reduce(np.abs(diff), axis=(-2, -1))
+
+
 def pairwise_separation(values: np.ndarray) -> float:
     """Minimum off-diagonal |v_i - v_j|; inf when fewer than two entries."""
     if values.size < 2:
         return math.inf
-    diff = _set_diagonals(np.abs(values[:, None] - values[None, :]), np.inf)
-    return float(diff.min())
+    return float(_differences(values)[1])
 
 
 def _zeros_of(z) -> np.ndarray:
     return z.zeros if isinstance(z, ZeroVector) else as_complex_vector(z, "zeros")
 
 
-def evaluate(p: MonicPolynomial, x):
-    """Evaluate p at x (scalar or array) by nested multiplication."""
-    xv = np.asarray(x, dtype=complex)
-    acc = np.ones_like(xv)
-    for c in p.coefficients:
-        acc = acc * xv + c
-    return acc if acc.ndim else complex(acc)
-
-
 def _horner_with_derivative(columns: list, x: np.ndarray):
     """Value and derivative of each row's monic polynomial at the matching row
     of x, both by one in-place Horner pass; ``columns`` holds the trailing
-    coefficients as (B, 1) column slices."""
+    coefficients as (B, 1) column slices, or as scalars for one polynomial."""
     # The first step, 1 * x + c_1 and 0 * x + 1, is x + c_1 and 1 exactly
     # for finite x, up to the sign of a zero.
     val = x + columns[0]
@@ -123,6 +121,12 @@ def _horner_with_derivative(columns: list, x: np.ndarray):
         val *= x
         val += c
     return val, der
+
+
+def evaluate(p: MonicPolynomial, x):
+    """Evaluate p at x (scalar or array) by nested multiplication."""
+    value, _ = _horner_with_derivative(p.coefficients.tolist(), np.asarray(x, dtype=complex))
+    return value if value.ndim else complex(value)
 
 
 def _columns(c: np.ndarray) -> list:

@@ -92,7 +92,7 @@ _FREQUENCY_NOTE = (
 _CHUNK_ENTRIES = 2 ** 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Configuration of one verification sweep.  ``jobs`` only sets how many
     processes check the chunks, so it is left out of the hashed ``to_dict``."""
@@ -108,7 +108,7 @@ class RunConfig:
     force: bool = False
 
     def __post_init__(self):
-        self.kinds = tuple(self.kinds)
+        object.__setattr__(self, "kinds", tuple(self.kinds))
         self.validate()
 
     def validate(self):
@@ -239,11 +239,10 @@ def run_verification(config: RunConfig) -> VerificationReport:
     """Run the sweep described by ``config`` and aggregate the outcomes.
 
     The orderings are checked in fixed chunks; with jobs > 1 the chunks are
-    mapped over a process pool.  Reduction is order-preserving and a chunk's
-    arithmetic does not depend on where it runs, so reports are identical
-    either way.
+    mapped over a process pool of at most one worker per chunk.  Reduction
+    is order-preserving and a chunk's arithmetic does not depend on where it
+    runs, so reports are identical either way.
     """
-    config.validate()
     ranks = config.ordering_ranks()
     started = time.perf_counter()
 
@@ -251,8 +250,10 @@ def run_verification(config: RunConfig) -> VerificationReport:
     chunks = [ranks[i:i + size] for i in range(0, len(ranks), size)]
     verify = partial(_verify_chunk, config.n, kinds=config.kinds,
                      root_tol=config.root_tol, pass_tol=config.pass_tol)
-    if config.jobs > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    # A fork-started pool launches all its workers at the first submit.
+    workers = min(config.jobs, len(chunks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             grouped = list(pool.map(verify, chunks))
     else:
         grouped = [verify(chunk) for chunk in chunks]
@@ -322,48 +323,30 @@ def _scalar_token(obj):
     return None
 
 
-def _write_json(obj, out: list, indent: int, level: int):
+def _write_json(obj, level: int) -> str:
+    """The JSON text of obj, nested ``level`` deep, at two spaces a level."""
     token = _scalar_token(obj)
     if token is not None:
-        out.append(token)
-        return
+        return token
     if isinstance(obj, np.ndarray):
         obj = obj.tolist()
     if isinstance(obj, dict):
-        opener, closer, prefixes = "{", "}", (f'"{key}": ' for key in obj)
-        values = obj.values()
+        items = [f'"{key}": ' + _write_json(value, level + 1) for key, value in obj.items()]
     elif isinstance(obj, (list, tuple)):
-        opener, closer, prefixes = "[", "]", None
-        values = obj
+        items = [_write_json(value, level + 1) for value in obj]
     else:
         raise TypeError(f"cannot serialise {type(obj)!r}")
-    if not values:
-        out.append(opener + closer)
-        return
-    # Scalar elements are written here without recursing.  Every element
-    # after the first shares one separator string, so the pieces list holds
-    # no per-element copy of it.
-    pad_in = "\n" + " " * (indent * (level + 1))
-    separator, following = opener + pad_in, "," + pad_in
-    for value in values:
-        out.append(separator)
-        if prefixes is not None:
-            out.append(next(prefixes))
-        token = _scalar_token(value)
-        if token is None:
-            _write_json(value, out, indent, level + 1)
-        else:
-            out.append(token)
-        separator = following
-    out.append("\n" + " " * (indent * level) + closer)
+    opener, closer = "{}" if isinstance(obj, dict) else "[]"
+    if not items:
+        return opener + closer
+    pad = "\n" + "  " * level
+    return opener + pad + "  " + ("," + pad + "  ").join(items) + pad + closer
 
 
-def to_json(obj, indent: int = 2) -> str:
+def to_json(obj) -> str:
     """Deterministic JSON with 17-significant-digit floats and complex values
     rendered as {"re": ..., "im": ...}."""
-    out: list = []
-    _write_json(obj, out, indent, 0)
-    return "".join(out) + "\n"
+    return _write_json(obj, 0) + "\n"
 
 
 def determinism_hash(payload: dict) -> str:
@@ -416,16 +399,10 @@ def report_to_dict(report: VerificationReport) -> dict:
 
 
 def _float_tokens(values: np.ndarray) -> list:
-    """``_format_float`` of every element of a float64 array: one finiteness
-    check, then one formatting pass over its distinct bit patterns (equal
-    bits give equal tokens; -0.0 and 0.0 stay apart)."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        _format_float(float(values[~finite][0]))  # raises its ValueError
+    """``_format_float`` of every element of a float64 array, called once per
+    distinct bit pattern: equal bits give equal tokens, -0.0 and 0.0 differ."""
     bits, where = np.unique(values.view(np.int64), return_inverse=True)
-    distinct = bits.view(np.float64).tolist()
-    tokens = [t if "." in t or "e" in t else t + ".0"
-              for t in ("%.17g\n" * len(distinct) % tuple(distinct)).split("\n")[:-1]]
+    tokens = [_format_float(x) for x in bits.view(np.float64).tolist()]
     return [tokens[i] for i in where.tolist()]
 
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -411,6 +412,35 @@ class TestReportSerialization:
             assert other.rank == first.rank
             np.testing.assert_array_equal(other.eigenvalues, first.eigenvalues)
 
+    def test_pool_is_bounded_by_the_chunks(self, monkeypatch):
+        # A pool that records its size and maps serially, so no process
+        # starts: n = 7 splits into four chunks, so four workers at most,
+        # and a single chunk takes no pool at all.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("diospec.report.ProcessPoolExecutor", SerialPool)
+        pooled = run_verification(RunConfig(n=7, kinds=("M1",), jobs=10 ** 6))
+        assert sizes == [4]
+        serial = run_verification(RunConfig(n=7, kinds=("M1",)))
+        assert pooled.rank == serial.rank
+        np.testing.assert_array_equal(pooled.eigenvalues, serial.eigenvalues)
+        np.testing.assert_array_equal(pooled.status, serial.status)
+        run_verification(RunConfig(n=6, kinds=("M1",), jobs=10 ** 6))
+        assert sizes == [4]
+
     def test_ordering_alone_matches_its_sweep_row(self):
         # Each ordering's zeros, matrices and spectra are computed on their
         # own, so checking an ordering alone reproduces its row of the full
@@ -489,6 +519,13 @@ class TestReportSerialization:
             RunConfig(n=3, orderings=(0, 1))
         with pytest.raises(ValueError, match=r"n must be in 2\.\.30, got 31"):
             RunConfig(n=31, orderings=("sample", 1))
+
+    def test_config_is_frozen(self):
+        # Validated once when built, so it must not change afterwards.
+        config = RunConfig(n=3, kinds=["M1"])
+        assert config.kinds == ("M1",)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.n = 40
 
     def test_sampled_ranks_beyond_ssize_t(self):
         # 20! still fits random.sample's population length; 21! does not,

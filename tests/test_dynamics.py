@@ -265,10 +265,11 @@ class TestIntegrate:
         assert record.samples[-1][0] == 0.5
         assert record.step_stats == (116, 35)
 
-    def test_step_budget_exhaustion(self):
+    def test_step_budget_exhaustion(self, monkeypatch):
         start = hermite_zeros(3).zeros + 0.01 * unit_direction(3, 17)
+        monkeypatch.setattr("diospec.dynamics._MAX_STEPS", 3)
         with pytest.raises(StepFloorReached):
-            integrate("gamma1", start, TWO_PI, max_steps=3)
+            integrate("gamma1", start, TWO_PI)
 
     def test_argument_validation(self):
         zeros = hermite_zeros(2).zeros

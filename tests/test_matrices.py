@@ -11,6 +11,7 @@ from diospec.hermite import PermutationId, hermite_zeros, permuted_polynomial
 from diospec.matrices import (
     KIND_M1,
     KIND_M2,
+    _similarity,
     build_m1,
     build_m2,
     build_stack,
@@ -22,7 +23,7 @@ from diospec.matrices import (
     spectrum_stack,
     w_table,
 )
-from diospec.polynomials import MonicPolynomial, poly_from_zeros, roots
+from diospec.polynomials import MonicPolynomial, _vieta_jacobian, poly_from_zeros, roots
 from diospec.report import RunConfig, run_verification
 
 SQRT2 = math.sqrt(2.0)
@@ -156,6 +157,21 @@ class TestBuildM1:
         with pytest.raises(SingularConfiguration):
             build_m1([1.0, -1.0], [0.5, -0.5, 0.1])
 
+    @pytest.mark.parametrize("builder", [build_m1, build_m2])
+    def test_coincidence_is_exact_equality(self, builder):
+        # Equal values anywhere in the vector coincide, 0.0 and -0.0
+        # included; values one ulp apart do not.
+        z, c = [1 + 1j, -2.0, 0.5j, 3.0], [0.25, -1.0, 2.0, 0.0]
+        for what, index, value in (("zeros", 3, 1 + 1j), ("coefficients", 2, 0.25),
+                                   ("coefficients", 0, -0.0)):
+            bad = {"zeros": list(z), "coefficients": list(c)}
+            bad[what][index] = value
+            with pytest.raises(SingularConfiguration, match=f"coincident {what}"):
+                builder(bad["zeros"], bad["coefficients"])
+        close = list(c)
+        close[2] = np.nextafter(0.25, 1.0)
+        assert builder(z, close).entries.shape == (4, 4)
+
 
 class TestBuildM2:
     def test_matches_closed_form_n2(self):
@@ -276,12 +292,22 @@ class TestRealBasis:
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_sweep_rows_match_the_complex_matrix(self, ordering_sweep, n):
+        # Every ordering's complex M comes from one stacked build per kind,
+        # which equals the one-row builders bit for bit on a spread of ranks.
         report = run_verification(RunConfig(n=n))
-        for record, spectra in zip(ordering_sweep(n), report.eigenvalues):
-            for builder, values in zip((build_m1, build_m2), spectra):
-                complex_m = spectrum_check(builder(record.zeros, record.poly.coefficients))
-                assert np.abs(values - complex_m.eigenvalues).max() <= 1e-11, \
-                    f"{builder.__name__} n={n} rank={record.perm.ordinal}"
+        records = ordering_sweep(n)
+        w = _vieta_jacobian(np.array([record.zeros.zeros for record in records]))
+        c = np.array([record.poly.coefficients for record in records])
+        spread = range(0, len(records), max(1, len(records) // 40))
+        for k, (kind, builder) in enumerate(((KIND_M1, build_m1), (KIND_M2, build_m2))):
+            complex_m = _similarity(w, c, (kind,))[kind]
+            for row in spread:
+                one_row = builder(records[row].zeros, records[row].poly.coefficients)
+                np.testing.assert_array_equal(complex_m[row], one_row.entries)
+            eigenvalues, _ = spectrum_stack(complex_m, kind)
+            deviation = np.abs(report.eigenvalues[:, k] - eigenvalues).max(axis=1)
+            worst = int(deviation.argmax())
+            assert deviation[worst] <= 1e-11, f"{kind} n={n} rank={records[worst].perm.ordinal}"
 
     def test_pairs_sharing_a_real_part(self):
         # The zeros of x^4 - 4x^3 + 11x^2 - 14x + 10 sorted by (re, im):

@@ -13,6 +13,7 @@ from diospec.matrices import w_table
 from diospec.polynomials import (
     MonicPolynomial,
     ZeroVector,
+    _differences,
     esp_table,
     evaluate,
     pairwise_separation,
@@ -319,3 +320,29 @@ class TestZeroVector:
         z = ZeroVector([1.0, 2.0])
         with pytest.raises(ValueError):
             z.zeros[0] = 5.0
+
+
+class TestDifferences:
+    def test_single_entry_has_infinite_separation(self):
+        assert pairwise_separation(np.array([0.5])) == math.inf
+        assert pairwise_separation(np.array([0.5 + 2j])) == math.inf
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stack_matches_brute_force(self, dtype):
+        rng = np.random.default_rng(16)
+        values = rng.standard_normal((6, 5)).astype(dtype)
+        if dtype is complex:
+            values += 1j * rng.standard_normal((6, 5))
+        values[2, 4] = values[2, 1]  # a coincident pair
+        diff, separation = _differences(values)
+        assert diff.shape == (6, 5, 5) and separation.shape == (6,)
+        for row, matrix, gap in zip(values, diff, separation):
+            pairs = list(permutations(range(row.size), 2))
+            assert all(matrix[i, j] == row[i] - row[j] for i, j in pairs)
+            assert all(matrix[i, i] == math.inf for i in range(row.size))
+            # numpy's vectorised complex modulus may differ from the scalar
+            # one in the last bit; a real modulus is exact.
+            brute = min(abs(row[i] - row[j]) for i, j in pairs)
+            assert gap == pytest.approx(brute, rel=1e-15 if dtype is complex else 0, abs=0)
+            assert pairwise_separation(row) == gap
+        assert separation[2] == 0.0
