@@ -32,7 +32,6 @@ Second-order pair (goldfish velocity coupling in the zero picture):
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -48,8 +47,8 @@ from .errors import (
     StepFloorReached,
 )
 from .matrices import KIND_M1, KIND_M2, DiophantineMatrix
-from .polynomials import (_differences, as_complex_vector, check_positive, esp_table,
-                          pairwise_separation)
+from .polynomials import (_differences, _off_diagonal, _vieta, as_complex_vector,
+                          check_positive, pairwise_separation)
 
 __all__ = [
     "SYSTEMS",
@@ -103,52 +102,51 @@ class TrajectoryRecord:
         return np.array([t for t, _ in self.samples])
 
 
-def _diff_gap(values: np.ndarray, what: str):
-    """``_differences`` of the values; raises NearCollision when their
-    separation lies below COLLISION_FLOOR."""
-    if values.size < 2:
-        raise ValueError(f"{what} needs at least two components")
-    diff, gap = _differences(values)
-    if gap < COLLISION_FLOOR:
-        raise NearCollision(f"{what} separation {gap:.3e} below {COLLISION_FLOOR}")
-    return diff, gap
+def _diff_gap(values: np.ndarray, *names: str):
+    """``_differences``; NearCollision names the first row closer than COLLISION_FLOOR."""
+    if values.shape[-1] < 2:
+        raise ValueError(f"{names[0]} needs at least two components")
+    diff, gaps = _differences(values)
+    for name, gap in zip(names, gaps.flat):
+        if gap < COLLISION_FLOOR:
+            raise NearCollision(f"{name} separation {gap:.3e} below {COLLISION_FLOOR}")
+    return diff, gaps
 
 
-@functools.lru_cache(maxsize=None)
-def _off_diagonal(n: int) -> np.ndarray:
-    """Flat indices of the off-diagonal entries of an (n, n) matrix, by row."""
-    return np.flatnonzero(~np.eye(n, dtype=bool)).reshape(n, n - 1)
+def _coefficient_rate(values: np.ndarray, diff: np.ndarray, order: int) -> np.ndarray:
+    """Velocity (order 1) or acceleration (order 2) of the coefficient flow, from
+    the sums over l != m of 1/diff_ml^(2 order - 1), diff from ``_differences``."""
+    inv = 1.0 / diff
+    if order == 1:
+        return 1j * (values - np.add.reduce(inv, axis=1))
+    return -values + 2.0 * np.add.reduce(inv ** 3, axis=1)
 
 
 def _gamma_rate(gamma: np.ndarray, order: int):
-    """Velocity (order 1) or acceleration (order 2) of the coefficient flow,
-    from the sums over l != m of 1/(gamma_m - gamma_l)^(2 order - 1)."""
     diff, gap = _diff_gap(gamma, "gamma")
-    inv = 1.0 / diff
-    if order == 1:
-        return 1j * (gamma - np.add.reduce(inv, axis=1)), gap
-    return -gamma + 2.0 * np.add.reduce(inv ** 3, axis=1), gap
+    return _coefficient_rate(gamma, diff, order), gap
 
 
 def _zeta_rate(zeta: np.ndarray, order: int, zeta_dot=None):
     """Coefficient-flow rate at the Vieta coefficients of zeta, transported to
     zero space: component n is -(sum_m rate_m zeta_n^(N-m)) / prod_{l != n}
     (zeta_n - zeta_l).  ``zeta_dot`` adds the goldfish coupling
-    2 zdot_n zdot_l / (zeta_n - zeta_l) from the same difference matrix."""
-    diff, gap = _diff_gap(zeta, "zeta")
-    coefficients = esp_table(-zeta)[1:]
-    if not np.logical_and.reduce(np.isfinite(coefficients)):
+    2 zdot_n zdot_l / (zeta_n - zeta_l) from the same difference matrix.
+    Coefficients are checked finite before their shared difference pass."""
+    stack = np.array([zeta, _vieta(zeta)])
+    if not np.logical_and.reduce(np.isfinite(stack[1])):
         raise ValueError("coefficients must have finite components")
-    rate, _ = _gamma_rate(coefficients, order)
+    diff, (gap, _) = _diff_gap(stack, "zeta", "gamma")
+    rate = _coefficient_rate(stack[1], diff[1], order)
     # Horner's rule in place, with np.polyval's arithmetic.
     transport = np.zeros(zeta.size, dtype=complex)
     for c in rate.tolist():
         transport *= zeta
         transport += c
-    field = -transport / np.multiply.reduce(diff.take(_off_diagonal(zeta.size)), axis=1)
+    field = -transport / np.multiply.reduce(diff[0].take(_off_diagonal(zeta.size)), axis=1)
     if zeta_dot is None:
         return field, gap
-    return 2.0 * zeta_dot * np.add.reduce(zeta_dot / diff, axis=1) + field, gap
+    return 2.0 * zeta_dot * np.add.reduce(zeta_dot / diff[0], axis=1) + field, gap
 
 
 def _packed(y: np.ndarray, n: int, accel_gap):
@@ -194,11 +192,11 @@ def vector_field(system: str, y) -> np.ndarray:
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, after Prince & Dormand
 # 1981): row i of _A, lower triangle only, weights the stages feeding stage
-# i, and _B weights all twelve into the eighth-order solution.  _E5 and _E3
-# weight them into the fifth- and third-order error estimates, which
-# _error_norm combines.  Stage sums multiply and add row by row in a fixed
-# order, not through a BLAS product, so trajectories do not depend on the
-# BLAS kernel.
+# i, and _B weights all twelve into the eighth-order solution: _STAGE_WEIGHTS
+# stacks them.  _E5 and _E3 weight them into the fifth- and third-order error
+# estimates, which _error_norm combines.  Stage sums multiply and add row by
+# row in a fixed order, not through a BLAS product, so trajectories do not
+# depend on the BLAS kernel.
 _A_ROWS = (
     (5.26001519587677318785587544488e-2,),
     (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
@@ -246,6 +244,7 @@ _E5 = np.array([
 _E3 = _B - np.array([
     0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
     0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1])
+_STAGE_WEIGHTS = np.vstack((_A[1:], _B))
 
 
 def _error_norm(stages: np.ndarray, scale: np.ndarray, h: float) -> float:
@@ -296,11 +295,12 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
     samples = [(0.0, y)]
     accepted = rejected = 0
 
-    stages = np.empty((12, y.size), dtype=complex)
-    # Each stage's weights, as a column, and the earlier stages they weight;
-    # the last entry forms the new state from all twelve.
-    stage_terms = [(_A[i, :i, None], stages[:i]) for i in range(1, 12)]
-    stage_terms.append((_B[:, None], stages))
+    # Row 0 of ``table`` is y, weighted 1 in every stage sum; rows 1..12 are the stages.
+    table = np.empty((13, y.size), dtype=complex)
+    table[0] = y
+    stages = table[1:]
+    weights = np.ones((12, 13, 1))
+    prefixes = [(weights[i, :i + 2], table[:i + 2]) for i in range(12)]
     try:
         stages[0], min_sep = field(y, n_pos)
     except NearCollision as exc:  # a collision at the start is not recoverable
@@ -314,9 +314,10 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
         if final_step:
             h = t_end - t
 
+        weights[:, 1:, 0] = h * _STAGE_WEIGHTS
         try:
-            for i, (weights, earlier) in enumerate(stage_terms, start=1):
-                y_stage = y + h * np.add.reduce(weights * earlier, axis=0)
+            for i, (w, rows) in enumerate(prefixes, start=1):
+                y_stage = np.add.reduce(w * rows, axis=0)
                 if not np.logical_and.reduce(np.isfinite(y_stage)):
                     raise ValueError("state must have finite components")
                 if i < 12:
@@ -335,7 +336,7 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
 
         if err <= 1.0:
             t = t_end if final_step else t + h
-            y = y_stage  # the eighth-order solution
+            y = table[0] = y_stage  # the eighth-order solution
             stages[0] = first_stage
             samples.append((t, y))
             accepted += 1

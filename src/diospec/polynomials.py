@@ -11,6 +11,7 @@ matrices built downstream, so it is never silently canonicalised.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -133,13 +134,23 @@ def _columns(c: np.ndarray) -> list:
     return [c[:, k, None] for k in range(c.shape[1])]
 
 
+def _vieta(zeros: np.ndarray) -> list:
+    """Trailing coefficients of prod_n (x - z_n) for one zero vector: the
+    recurrence of ``esp_table`` on Python scalars, faster than it up to N = 30."""
+    e = [1.0] + [0.0] * zeros.size
+    for i, z in enumerate(zeros.tolist(), start=1):
+        for k in range(i, 0, -1):
+            e[k] -= z * e[k - 1]
+    return e[1:]
+
+
 def poly_from_zeros(z) -> MonicPolynomial:
     """Expand prod_n (x - z_n) by incremental multiplication of linear factors.
 
     Coefficient m of the result equals (-1)^m e_m(z), the elementary
     symmetric function of degree m.
     """
-    return MonicPolynomial(esp_table(-_zeros_of(z))[1:])
+    return MonicPolynomial(_vieta(_zeros_of(z)))
 
 
 def _polish(c: np.ndarray, z: np.ndarray):
@@ -232,14 +243,17 @@ def esp_table(values: np.ndarray) -> np.ndarray:
     return e
 
 
+@functools.lru_cache(maxsize=None)
+def _off_diagonal(n: int) -> np.ndarray:
+    """Row m holds the flat indices of the (n, n) entries (m, k), k != m; modulo n, the k."""
+    return np.flatnonzero(~np.eye(n, dtype=bool)).reshape(n, n - 1)
+
+
 def _vieta_jacobian(z: np.ndarray) -> np.ndarray:
     """Jacobian d c_j / d z_m of the zeros-to-coefficients map for every row
     of a (B, N) zero stack, as (B, N, N) indexed [b, j-1, m-1]: entry (j, m)
     is (-1)^j e_{j-1} of the row's zeros without z_m."""
     n = z.shape[1]
-    # Row m of ``others`` lists every index but m.  The explicit integer
-    # dtype keeps it an index array at N = 1, where its shape is (1, 0).
-    others = np.array([[k for k in range(n) if k != m] for m in range(n)], dtype=np.intp)
-    reduced = esp_table(z[:, others])
+    reduced = esp_table(z[:, _off_diagonal(n) % n])
     signs = (-1.0) ** np.arange(1, n + 1)
     return signs[:, None] * reduced.transpose(0, 2, 1)

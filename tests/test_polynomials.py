@@ -14,6 +14,7 @@ from diospec.polynomials import (
     MonicPolynomial,
     ZeroVector,
     _differences,
+    _vieta,
     esp_table,
     evaluate,
     pairwise_separation,
@@ -262,12 +263,30 @@ class TestVietaConsistency:
     @given(zero_vectors(max_n=10, min_sep=0.0))
     @settings(max_examples=40, deadline=None)
     def test_coefficients_are_signed_sigmas(self, z):
-        # The convolution expansion against the triangular recurrence.
+        # The scalar expansion of poly_from_zeros against the stacked table.
         p = poly_from_zeros(z)
         e = esp_table(z)
         for m in range(1, z.size + 1):
             expected = (-1.0) ** m * e[m]
             assert abs(p.coefficients[m - 1] - expected) <= 1e-12 * (1 + abs(expected))
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_scalar_expansion_matches_the_table(self, n):
+        # ``_vieta`` runs the recurrence on Python scalars and ``esp_table``
+        # on numpy's kernels, which may round complex products differently,
+        # so the two need not agree bit for bit.  The bound is fixed from the
+        # dtype: each term of e_k meets at most N multiplications and N
+        # additions, which gives the recurrence's forward-error bound
+        # gamma_2N e_k(|z|), with gamma_m = m u / (1 - m u) and u = 2^-53;
+        # the two expansions differ by at most twice that.
+        u = 2.0 ** -53
+        gamma = 2 * n * u / (1 - 2 * n * u)
+        rng = np.random.default_rng(n)
+        z = rng.standard_normal((200, n)) + 1j * rng.standard_normal((200, n))
+        scalar = np.array([_vieta(row) for row in z])
+        table = esp_table(-z)[:, 1:]
+        bound = 2 * gamma * esp_table(np.abs(z))[:, 1:].real
+        assert (np.abs(scalar - table) <= bound).all()
 
 
 class TestVietaJacobianApply:
