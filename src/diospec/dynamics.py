@@ -46,6 +46,7 @@ from .errors import (
     NonConvergence,
     StepFloorReached,
 )
+from .hermite import _coefficient_rate
 from .matrices import KIND_M1, KIND_M2, DiophantineMatrix
 from .polynomials import (_differences, _off_diagonal, _vieta, as_complex_vector,
                           check_positive, pairwise_separation)
@@ -111,15 +112,6 @@ def _diff_gap(values: np.ndarray, *names: str):
         if gap < COLLISION_FLOOR:
             raise NearCollision(f"{name} separation {gap:.3e} below {COLLISION_FLOOR}")
     return diff, gaps
-
-
-def _coefficient_rate(values: np.ndarray, diff: np.ndarray, order: int) -> np.ndarray:
-    """Velocity (order 1) or acceleration (order 2) of the coefficient flow, from
-    the sums over l != m of 1/diff_ml^(2 order - 1), diff from ``_differences``."""
-    inv = 1.0 / diff
-    if order == 1:
-        return 1j * (values - np.add.reduce(inv, axis=1))
-    return -values + 2.0 * np.add.reduce(inv ** 3, axis=1)
 
 
 def _gamma_rate(gamma: np.ndarray, order: int):

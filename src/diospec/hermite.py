@@ -1,6 +1,7 @@
 """Hermite polynomials (physicists' convention): zeros, the two equilibrium
-identities the zeros satisfy, and the coefficient-ordering machinery that
-turns them into monic seed polynomials.
+identities the zeros satisfy, which are the coefficient-flow field of
+:mod:`diospec.dynamics` vanishing at them, and the coefficient-ordering
+machinery that turns them into monic seed polynomials.
 
 The N real zeros of H_N serve as the coefficient pool; each of the N!
 orderings produces one monic polynomial whose own zeros feed the matrix
@@ -83,43 +84,46 @@ def hermite_zeros(n: int) -> HermiteZeros:
     if n % 2:
         x[n // 2] = 0.0
 
-    r1 = residual_first_order(x)
-    r2 = residual_second_order(x)
+    r1, r2 = _residuals(x, 1, 2)
     if max(r1, r2) > _RESIDUAL_BOUND:
         raise NonConvergence(
             f"equilibrium residuals {r1:.3e}/{r2:.3e} exceed {_RESIDUAL_BOUND} at n={n}")
     return HermiteZeros(n, x, r1, r2)
 
 
-def _inverse_power_sums(c, power: int):
-    """c as a float vector, and sum_{l != m} 1/(c_m - c_l)^power for each m."""
+def _coefficient_rate(values: np.ndarray, diff: np.ndarray, order: int) -> np.ndarray:
+    """Velocity (order 1) or acceleration (order 2) of the coefficient flow, from
+    the sums over l != m of 1/diff_ml^(2 order - 1), diff from ``_differences``."""
+    inv = 1.0 / diff
+    if order == 1:
+        return 1j * (values - np.add.reduce(inv, axis=1))
+    return -values + 2.0 * np.add.reduce(inv ** 3, axis=1)
+
+
+def _residuals(c, *orders: int) -> list:
+    """Max |rate| of the coefficient flow at c for each order, from one
+    difference pass."""
     arr = np.asarray(c, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError("need a 1-d vector with at least two entries")
     diff, separation = _differences(arr)
     if separation == 0.0:
         raise ZeroDivisionError("coincident entries make the residual singular")
-    return arr, (1.0 / diff ** power).sum(axis=1)
+    return [float(np.max(np.abs(_coefficient_rate(arr, diff, order)))) for order in orders]
 
 
 def residual_first_order(c) -> float:
-    """Max over m of |c_m - sum_{l != m} 1/(c_m - c_l)|.
-
-    Zero exactly when c is a stationary configuration of the first-order
-    coefficient flow; Hermite zeros satisfy this identity.
-    """
-    arr, sums = _inverse_power_sums(c, 1)
-    return float(np.max(np.abs(arr - sums)))
+    """Max over m of |c_m - sum_{l != m} 1/(c_m - c_l)|, the speed of the
+    first-order coefficient flow at c: zero exactly when c is a stationary
+    configuration of that flow, as Hermite zeros are."""
+    return _residuals(c, 1)[0]
 
 
 def residual_second_order(c) -> float:
-    """Max over m of |-c_m + 2 sum_{l != m} 1/(c_m - c_l)^3|.
-
-    Zero exactly when c is an equilibrium of the second-order coefficient
-    flow; Hermite zeros satisfy this identity as well.
-    """
-    arr, sums = _inverse_power_sums(c, 3)
-    return float(np.max(np.abs(-arr + 2.0 * sums)))
+    """Max over m of |-c_m + 2 sum_{l != m} 1/(c_m - c_l)^3|, the acceleration
+    of the second-order coefficient flow at rest at c: zero exactly when c is
+    an equilibrium of that flow, as Hermite zeros are."""
+    return _residuals(c, 2)[0]
 
 
 @dataclass(frozen=True)

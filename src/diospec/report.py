@@ -15,14 +15,16 @@ the determinism hash.
 ``report_to_json`` renders the ``results`` array of a report, nearly all of
 its bytes, from one template per check with the floats of every column
 formatted in one pass.  The generic writer (``to_json``) renders everything
-else, and ``to_json(report_to_dict(report))`` is the oracle that output is
-tested against byte for byte.
+else; the tests hold the whole text to its rendering of the report built as
+nested dicts from ``_checks``, byte for byte.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import math
+import operator
 import random
 import sys
 import time
@@ -54,8 +56,6 @@ __all__ = [
     "run_verification",
     "mu_assignment_table",
     "to_json",
-    "determinism_hash",
-    "report_to_dict",
     "report_to_json",
     "report_to_csv",
 ]
@@ -92,6 +92,14 @@ _FREQUENCY_NOTE = (
 _CHUNK_ENTRIES = 2 ** 16
 
 
+def _integer(name: str, value) -> int:
+    """value as an int, or ValueError naming ``name`` unless it is integral."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Configuration of one verification sweep.  ``jobs`` only sets how many
@@ -109,10 +117,7 @@ class RunConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "kinds", tuple(self.kinds))
-        self.validate()
-
-    def validate(self):
-        if not 2 <= self.n <= MAX_ORDER:
+        if not 2 <= _integer("n", self.n) <= MAX_ORDER:
             raise ValueError(f"n must be in 2..{MAX_ORDER}, got {self.n}")
         if not self.kinds:
             raise ValueError("at least one kind required")
@@ -122,59 +127,50 @@ class RunConfig:
             raise ValueError(f"kinds must not repeat, got {','.join(self.kinds)}")
         if self.output_format not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.orderings == "all" and self.n > 8 and not self.force:
-            raise ValueError(
-                f"a full sweep of {self.n}! orderings needs force=True beyond n=8")
         for name in ("root_tol", "pass_tol"):
             check_positive(name, getattr(self, name))
-        if self.jobs < 1:
+        if _integer("jobs", self.jobs) < 1:
             raise ValueError("jobs must be >= 1")
-        if self.orderings == "all":
-            return
-        total = math.factorial(self.n)
-        if self._is_sample_spec():
-            if not 1 <= int(self.orderings[1]) <= total:
+        # Hashed form of the orderings: "all", {"sample": k} or the ranks as given.
+        total, spec = math.factorial(self.n), self.orderings
+        if isinstance(spec, str) and spec == "all":
+            if self.n > 8 and not self.force:
+                raise ValueError(
+                    f"a full sweep of {self.n}! orderings needs force=True beyond n=8")
+            payload = spec
+        elif isinstance(spec, tuple) and len(spec) == 2 and spec[0] == "sample":
+            payload = {"sample": _integer("sample size", spec[1])}
+            if not 1 <= payload["sample"] <= total:
                 raise ValueError(f"a sample of orderings must number 1..{total}")
-            return
-        ranks = [int(r) for r in self.orderings]
-        if not ranks or min(ranks) < 1 or max(ranks) > total:
-            raise ValueError(f"ordering ranks must lie in 1..{total}")
-
-    def _is_sample_spec(self) -> bool:
-        return (isinstance(self.orderings, tuple) and len(self.orderings) == 2
-                and self.orderings[0] == "sample")
+        else:
+            payload = [_integer("ordering rank", rank) for rank in spec]
+            if not payload or min(payload) < 1 or max(payload) > total:
+                raise ValueError(f"ordering ranks must lie in 1..{total}")
+        object.__setattr__(self, "_orderings", payload)
 
     def ordering_ranks(self) -> list:
         """Resolve the orderings field to an explicit list of 1-based ranks."""
-        total = math.factorial(self.n)
-        if self.orderings == "all":
+        total, spec = math.factorial(self.n), self._orderings
+        if spec == "all":
             return list(range(1, total + 1))
-        if self._is_sample_spec():
-            k = int(self.orderings[1])
-            rng = random.Random(self.seed)
-            if total <= sys.maxsize:
-                return sorted(rng.sample(range(1, total + 1), k))
-            # random.sample cannot take len() of a range this large.  Its own
-            # rule for populations above its pooling threshold (every one this
-            # large) is randrange(total) with repeats redrawn, so use that.
-            ranks = set()
-            while len(ranks) < k:
-                ranks.add(rng.randrange(total) + 1)
-            return sorted(ranks)
-        return sorted(set(int(r) for r in self.orderings))
-
-    def _orderings_payload(self):
-        if self.orderings == "all":
-            return "all"
-        if self._is_sample_spec():
-            return {"sample": int(self.orderings[1])}
-        return [int(r) for r in self.orderings]
+        if isinstance(spec, list):
+            return sorted(set(spec))
+        k, rng = spec["sample"], random.Random(self.seed)
+        if total <= sys.maxsize:
+            return sorted(rng.sample(range(1, total + 1), k))
+        # random.sample cannot take len() of a range this large.  Its own
+        # rule for populations above its pooling threshold (every one this
+        # large) is randrange(total) with repeats redrawn, so use that.
+        ranks = set()
+        while len(ranks) < k:
+            ranks.add(rng.randrange(total) + 1)
+        return sorted(ranks)
 
     def to_dict(self) -> dict:
         return {
             "n": self.n,
             "kinds": list(self.kinds),
-            "orderings": self._orderings_payload(),
+            "orderings": copy.copy(self._orderings),  # the caller may edit it
             "tolerances": {
                 "root_tol": self.root_tol,
                 "pass_tol": self.pass_tol,
@@ -349,12 +345,6 @@ def to_json(obj) -> str:
     return _write_json(obj, 0) + "\n"
 
 
-def determinism_hash(payload: dict) -> str:
-    """SHA-256 over the JSON payload with the timing field removed."""
-    filtered = {k: v for k, v in payload.items() if k != "timing"}
-    return hashlib.sha256(to_json(filtered).encode()).hexdigest()
-
-
 def _expected(report: VerificationReport) -> list:
     """The expected spectrum of each kind, as lists of ints."""
     return [expected_spectrum(kind, report.config.n).tolist() for kind in report.config.kinds]
@@ -373,29 +363,6 @@ def _checks(report: VerificationReport):
         for kind, values, expected, deviation, status in zip(
                 report.config.kinds, spectra, expected_by_kind, deviations, statuses):
             yield rank, word, kind, values, expected, deviation, status, zero_sep, coeff_sep
-
-
-def _hashed_payload(report: VerificationReport) -> dict:
-    """The report entries the determinism hash covers."""
-    return {
-        "version": report.version,
-        "config": report.config.to_dict(),
-        "results": [
-            {"rank": rank, "word": list(word), "kind": kind, "eigenvalues": values,
-             "expected": list(expected), "max_deviation": deviation, "status": status,
-             "zero_separation": zero_sep, "coeff_separation": coeff_sep}
-            for rank, word, kind, values, expected, deviation, status, zero_sep, coeff_sep
-            in _checks(report)],
-        "aggregate": report.aggregate,
-        "notes": list(report.notes),
-    }
-
-
-def report_to_dict(report: VerificationReport) -> dict:
-    payload = _hashed_payload(report)
-    payload["determinism_sha256"] = determinism_hash(payload)
-    payload["timing"] = {"seconds": report.timing_seconds}
-    return payload
 
 
 def _float_tokens(values: np.ndarray) -> list:
@@ -454,10 +421,12 @@ def _merge_objects(*rendered: str) -> str:
 
 
 def report_to_json(report: VerificationReport) -> str:
-    """``to_json(report_to_dict(report))``: the ``results`` array built by
-    ``_render_results``, spliced between the generic writer's rendering of
-    the entries before and after it.  The hash is taken over that hash-free
-    payload, to which the hash and timing entries are then appended."""
+    """The report as ``to_json`` renders its entries: ``version``, ``config``,
+    ``results``, ``aggregate``, ``notes``, ``determinism_sha256`` and
+    ``timing``.  ``results`` comes from ``_render_results``, spliced between
+    the generic writer's renderings.  The hash is the SHA-256 of the first
+    five entries rendered as a top-level object of their own: it covers all
+    but itself and the wall clock."""
     body = _merge_objects(
         to_json({"version": report.version, "config": report.config.to_dict()}),
         '{\n  "results": ' + _render_results(report) + "\n}\n",

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -27,15 +28,34 @@ from diospec.errors import (
 )
 from diospec.report import (
     RunConfig,
+    _checks,
     _float_tokens,
     _format_float,
-    determinism_hash,
     report_to_csv,
-    report_to_dict,
     report_to_json,
     run_verification,
     to_json,
 )
+
+_RESULT_FIELDS = ("rank", "word", "kind", "eigenvalues", "expected", "max_deviation",
+                  "status", "zero_separation", "coeff_separation")
+
+
+def determinism_hash(payload: dict) -> str:
+    """SHA-256 of the generic writer's rendering of payload without ``timing``."""
+    hashed = {key: value for key, value in payload.items() if key != "timing"}
+    return hashlib.sha256(to_json(hashed).encode()).hexdigest()
+
+
+def report_to_dict(report) -> dict:
+    """The report as nested dicts, built from ``_checks``: ``to_json`` of it is
+    the oracle that ``report_to_json`` must match byte for byte."""
+    payload = {"version": report.version, "config": report.config.to_dict(),
+               "results": [dict(zip(_RESULT_FIELDS, check)) for check in _checks(report)],
+               "aggregate": report.aggregate, "notes": list(report.notes)}
+    payload["determinism_sha256"] = determinism_hash(payload)
+    payload["timing"] = {"seconds": report.timing_seconds}
+    return payload
 
 
 def run_cli(capsys, *args):
@@ -519,6 +539,40 @@ class TestReportSerialization:
             RunConfig(n=3, orderings=(0, 1))
         with pytest.raises(ValueError, match=r"n must be in 2\.\.30, got 31"):
             RunConfig(n=31, orderings=("sample", 1))
+
+    @pytest.mark.parametrize("field, config", [
+        ("ordering rank", dict(n=3, orderings=(2.7,))),
+        ("sample size", dict(n=3, orderings=("sample", 2.5))),
+        ("jobs", dict(n=7, kinds=("M1",), jobs=2.5)),
+        ("n", dict(n=3.0)),
+    ])
+    def test_non_integer_fields_are_refused(self, field, config, monkeypatch):
+        # A float is refused when the config is built: it is neither
+        # truncated to a rank or sample size nor handed to a process pool.
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr("diospec.report.ProcessPoolExecutor", no_pool)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            run_verification(RunConfig(**config))
+
+    def test_orderings_payload_and_ranks(self):
+        # The hashed payload keeps the ranks as given; the sweep checks each
+        # rank once, in order.  An array of ranks is the equal list.
+        configs = [RunConfig(n=4, orderings=spec)
+                   for spec in ((3, 1, 3), [3, 1, 3], np.array([3, 1, 3]))]
+        for config in configs:
+            assert config.to_dict()["orderings"] == [3, 1, 3]
+            config.to_dict()["orderings"].append(4)  # a copy: the config stays
+            assert config.ordering_ranks() == [1, 3]
+        digests = {json.loads(report_to_json(run_verification(config)))["determinism_sha256"]
+                   for config in configs}
+        assert len(digests) == 1
+        assert RunConfig(n=4).to_dict()["orderings"] == "all"
+        assert RunConfig(n=4).ordering_ranks() == list(range(1, 25))
+        sampled = RunConfig(n=4, orderings=("sample", 5), seed=3)
+        assert sampled.to_dict()["orderings"] == {"sample": 5}
+        assert len(set(sampled.ordering_ranks())) == 5
 
     def test_config_is_frozen(self):
         # Validated once when built, so it must not change afterwards.

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import hermite as npherm
 
+from diospec.dynamics import vector_field
 from diospec.errors import DimensionMismatch
 from diospec.hermite import (
     HermiteZeros,
@@ -135,6 +136,27 @@ class TestResiduals:
             residual_first_order([1.0, 1.0])
         with pytest.raises(ZeroDivisionError):
             residual_second_order([0.5, 0.5, 2.0])
+
+    def test_non_vector_rejected(self):
+        for c in ([1.0], [[1.0, 2.0], [3.0, 4.0]]):
+            for residual in (residual_first_order, residual_second_order):
+                with pytest.raises(ValueError, match="1-d vector"):
+                    residual(c)
+
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_residuals_are_the_coefficient_flow_field(self, n):
+        # The residuals are max |rate| of the coefficient flows that
+        # ``integrate`` steps: the gamma1 velocity, and the gamma2
+        # acceleration at rest.  The field runs in complex arithmetic, so
+        # they agree to rounding, not bit for bit.
+        rng = np.random.default_rng(n)
+        for c in (hermite_zeros(n).zeros, rng.standard_normal(n)):
+            velocity = vector_field("gamma1", c)
+            acceleration = vector_field("gamma2", np.concatenate([c, np.zeros(n)]))[n:]
+            for residual, rate in ((residual_first_order(c), velocity),
+                                   (residual_second_order(c), acceleration)):
+                expected = float(np.max(np.abs(rate)))
+                assert abs(residual - expected) <= 1e-14 * max(1.0, expected)
 
 
 class TestOrderings:
