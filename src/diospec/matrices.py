@@ -108,11 +108,11 @@ def w_table(z) -> np.ndarray:
     return _vieta_jacobian(_zeros_of(z)[None, :])[0]
 
 
-def _similarity(basis: np.ndarray, c: np.ndarray, kinds: tuple) -> dict:
+def _similarity(basis: np.ndarray, c: np.ndarray, kinds: tuple) -> np.ndarray:
     """basis^(-1) A_pi basis of each requested kind, for a (B, N, N) stack of
-    bases and the (B, N) coefficients that set A_pi, as {kind: (B, N, N)}.
-    The kinds share one solve: one LU factorisation per row.  The
-    coefficients of a row must be distinct."""
+    bases and the (B, N) coefficients that set A_pi, as a (B, K, N, N) view
+    of the solve's output, kind k at [:, k].  The kinds share one solve: one
+    LU factorisation per row.  The coefficients of a row must be distinct."""
     cdiff = c[:, :, None] - c[:, None, :]
     _set_diagonals(cdiff, 1.0)
     coupled = []
@@ -124,7 +124,7 @@ def _similarity(basis: np.ndarray, c: np.ndarray, kinds: tuple) -> dict:
         coupled.append(basis + factor * (basis * inv_pow.sum(axis=2)[:, :, None]
                                          - inv_pow @ basis))
     solved = np.linalg.solve(basis, np.concatenate(coupled, axis=2))
-    return dict(zip(kinds, np.split(solved, len(kinds), axis=2)))
+    return solved.reshape(basis.shape[:2] + (len(kinds), -1)).transpose(0, 2, 1, 3)
 
 
 def build_stack(zeros: np.ndarray, coefficients: np.ndarray, kinds: tuple):
@@ -135,11 +135,11 @@ def build_stack(zeros: np.ndarray, coefficients: np.ndarray, kinds: tuple):
     taken as real.  Both kinds share one Vieta Jacobian stack and one solve;
     rows are computed independently.
 
-    Returns ({kind: (B, N, N) real entries}, zero_separation,
-    coeff_separation), the separations being (B,) arrays.  Raises ValueError
-    for coefficients that are not real or zeros not exactly closed under
-    conjugation, and SingularConfiguration for coincident zeros or
-    coefficients.
+    Returns (entries, zero_separation, coeff_separation): the (B, K, N, N)
+    real entries, kind k of ``kinds`` at [:, k], and two (B,) arrays.
+    Raises ValueError for coefficients that are not real or zeros not
+    exactly closed under conjugation, and SingularConfiguration for
+    coincident zeros or coefficients.
     """
     z = np.asarray(zeros, dtype=complex)
     c = np.asarray(coefficients)
@@ -174,7 +174,7 @@ def _build(z, c, kind: str) -> DiophantineMatrix:
         if not _differences(values)[1]:
             raise SingularConfiguration(f"coincident {what}")
     entries = _similarity(_vieta_jacobian(zz[None, :]), cc[None, :], (kind,))
-    return DiophantineMatrix(kind, n, entries[kind][0])
+    return DiophantineMatrix(kind, n, entries[0, 0])
 
 
 def build_m1(z, c, source_perm=None) -> DiophantineMatrix:
@@ -201,33 +201,34 @@ def expected_determinant(kind: str, n: int) -> float:
     return float(expected_spectrum(kind, n).prod())
 
 
-def spectrum_stack(entries: np.ndarray, kind: str):
-    """LAPACK eigenvalues of a (B, N, N) stack of matrices of one kind, as
-    complex numbers, each row sorted by real part, and each row's maximum
-    deviation from the expected integers.  A real stack runs the real
+def spectrum_stack(entries: np.ndarray, kinds: tuple):
+    """LAPACK eigenvalues of a (B, K, N, N) stack of matrices, kind k of
+    ``kinds`` at [:, k], by one call for all kinds: (B, K, N) complex
+    eigenvalues, each row sorted by real part, and each row's (B, K) maximum
+    deviation from its kind's expected integers.  A real stack runs the real
     routine, and its real eigenvalues carry an imaginary part of exactly 0.
 
     Eigenvalues are compared positionally; any imaginary parts feed straight
     into the deviation, so a complex eigenvalue cannot sneak past the check.
     """
+    expected = np.array([expected_spectrum(kind, entries.shape[-1]) for kind in kinds])
     try:
         # numpy returns a float array when every eigenvalue of the stack is real.
         lam = np.linalg.eigvals(entries).astype(complex, copy=False)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigenvalue computation failed: {exc}") from exc
-    lam = np.take_along_axis(lam, np.argsort(lam.real, axis=1, kind="stable"), axis=1)
-    deviation = np.abs(lam - expected_spectrum(kind, entries.shape[-1])).max(axis=1)
-    return lam, deviation
+    lam = np.take_along_axis(lam, np.argsort(lam.real, axis=-1, kind="stable"), axis=-1)
+    return lam, np.abs(lam - expected).max(axis=-1)
 
 
 def spectrum_check(matrix: DiophantineMatrix, tol: float = 1e-6) -> SpectrumReport:
     """Compare the matrix spectrum against its expected integer list:
     ``spectrum_stack`` on a one-matrix stack."""
     check_positive("tol", tol)
-    lam, deviation = spectrum_stack(matrix.entries[None], matrix.kind)
-    return SpectrumReport(matrix.kind, lam[0],
+    lam, deviation = spectrum_stack(matrix.entries[None, None], (matrix.kind,))
+    return SpectrumReport(matrix.kind, lam[0, 0],
                           tuple(expected_spectrum(matrix.kind, matrix.n)),
-                          float(deviation[0]), bool(deviation[0] <= tol))
+                          float(deviation[0, 0]), bool(deviation[0, 0] <= tol))
 
 
 def permutation_similarity_check(z, c, kind: str, swap: tuple) -> float:

@@ -108,17 +108,19 @@ def _zeros_of(z) -> np.ndarray:
     return z.zeros if isinstance(z, ZeroVector) else as_complex_vector(z, "zeros")
 
 
-def _horner_with_derivative(columns: list, x: np.ndarray):
-    """Value and derivative of each row's monic polynomial at the matching row
-    of x, both by one in-place Horner pass; ``columns`` holds the trailing
-    coefficients as (B, 1) column slices, or as scalars for one polynomial."""
+def _horner(columns: list, x: np.ndarray, derivative: bool):
+    """Value of each row's monic polynomial at the matching row of x, and
+    its derivative if asked for (else None), by one in-place Horner pass;
+    ``columns`` holds the trailing coefficients as (B, 1) column slices, or
+    as scalars for one polynomial."""
     # The first step, 1 * x + c_1 and 0 * x + 1, is x + c_1 and 1 exactly
     # for finite x, up to the sign of a zero.
     val = x + columns[0]
-    der = np.ones_like(x)
+    der = np.ones_like(x) if derivative else None
     for c in columns[1:]:
-        der *= x
-        der += val
+        if derivative:
+            der *= x
+            der += val
         val *= x
         val += c
     return val, der
@@ -126,12 +128,8 @@ def _horner_with_derivative(columns: list, x: np.ndarray):
 
 def evaluate(p: MonicPolynomial, x):
     """Evaluate p at x (scalar or array) by nested multiplication."""
-    value, _ = _horner_with_derivative(p.coefficients.tolist(), np.asarray(x, dtype=complex))
+    value, _ = _horner(p.coefficients.tolist(), np.asarray(x, dtype=complex), derivative=False)
     return value if value.ndim else complex(value)
-
-
-def _columns(c: np.ndarray) -> list:
-    return [c[:, k, None] for k in range(c.shape[1])]
 
 
 def _vieta(zeros: np.ndarray) -> list:
@@ -155,21 +153,21 @@ def poly_from_zeros(z) -> MonicPolynomial:
 
 def _polish(c: np.ndarray, z: np.ndarray):
     """Two guarded Newton steps per zero, each kept only where it does not
-    increase the residual.  Returns the zeros and their residuals |p(z)|."""
+    increase the residual.  Returns the zeros and their residuals |p(z)|.
+    No step follows the last, so its Horner pass computes the value only."""
     tiny = np.finfo(float).tiny
-    columns = _columns(c)
-    val, der = _horner_with_derivative(columns, z)
+    columns = [c[:, k, None] for k in range(c.shape[1])]
+    val, der = _horner(columns, z, derivative=True)
     best = np.abs(val)
-    for _ in range(2):
-        der = np.where(np.abs(der) < tiny, tiny, der)
-        candidate = z - val / der
-        cval, cder = _horner_with_derivative(columns, candidate)
+    for last in (False, True):
+        candidate = z - val / np.where(np.abs(der) < tiny, tiny, der)
+        cval, cder = _horner(columns, candidate, derivative=not last)
         resid = np.abs(cval)
         improved = resid <= best
         z = np.where(improved, candidate, z)
-        val = np.where(improved, cval, val)
-        der = np.where(improved, cder, der)
         best = np.minimum(resid, best)
+        if not last:
+            val, der = np.where(improved, cval, val), np.where(improved, cder, der)
     return z, best
 
 
@@ -211,7 +209,7 @@ def roots_stack(coefficients, tol: float = 1e-12):
     scale = 1.0 + np.abs(c).max(axis=1, keepdims=True)
     bound = tol * scale * np.maximum(1.0, np.abs(zeros)) ** n
     failed = ~((resid <= bound) & np.isfinite(resid)).all(axis=1)
-    zeros = np.take_along_axis(zeros, np.lexsort((zeros.imag, zeros.real), axis=-1), axis=1)
+    zeros = np.sort(zeros, axis=1, kind="stable")  # complex values sort by (re, im)
     zeros[failed] = np.nan
     return zeros, failed
 

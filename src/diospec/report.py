@@ -21,7 +21,6 @@ nested dicts from ``_checks``, byte for byte.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import math
 import operator
@@ -131,31 +130,31 @@ class RunConfig:
             check_positive(name, getattr(self, name))
         if _integer("jobs", self.jobs) < 1:
             raise ValueError("jobs must be >= 1")
-        # Hashed form of the orderings: "all", {"sample": k} or the ranks as given.
+        # Normal form of the orderings, which equal sweeps share: "all",
+        # ("sample", k) or a tuple of the int ranks as given.
         total, spec = math.factorial(self.n), self.orderings
         if isinstance(spec, str) and spec == "all":
             if self.n > 8 and not self.force:
                 raise ValueError(
                     f"a full sweep of {self.n}! orderings needs force=True beyond n=8")
-            payload = spec
         elif isinstance(spec, tuple) and len(spec) == 2 and spec[0] == "sample":
-            payload = {"sample": _integer("sample size", spec[1])}
-            if not 1 <= payload["sample"] <= total:
+            spec = ("sample", _integer("sample size", spec[1]))
+            if not 1 <= spec[1] <= total:
                 raise ValueError(f"a sample of orderings must number 1..{total}")
         else:
-            payload = [_integer("ordering rank", rank) for rank in spec]
-            if not payload or min(payload) < 1 or max(payload) > total:
+            spec = tuple(_integer("ordering rank", rank) for rank in spec)
+            if not spec or min(spec) < 1 or max(spec) > total:
                 raise ValueError(f"ordering ranks must lie in 1..{total}")
-        object.__setattr__(self, "_orderings", payload)
+        object.__setattr__(self, "orderings", spec)
 
     def ordering_ranks(self) -> list:
         """Resolve the orderings field to an explicit list of 1-based ranks."""
-        total, spec = math.factorial(self.n), self._orderings
+        total, spec = math.factorial(self.n), self.orderings
         if spec == "all":
             return list(range(1, total + 1))
-        if isinstance(spec, list):
+        if spec[0] != "sample":
             return sorted(set(spec))
-        k, rng = spec["sample"], random.Random(self.seed)
+        k, rng = spec[1], random.Random(self.seed)
         if total <= sys.maxsize:
             return sorted(rng.sample(range(1, total + 1), k))
         # random.sample cannot take len() of a range this large.  Its own
@@ -167,10 +166,14 @@ class RunConfig:
         return sorted(ranks)
 
     def to_dict(self) -> dict:
+        """The hashed config: orderings as "all", {"sample": k} or a list of ranks."""
+        spec = self.orderings
+        if spec != "all":
+            spec = {"sample": spec[1]} if spec[0] == "sample" else list(spec)
         return {
             "n": self.n,
             "kinds": list(self.kinds),
-            "orderings": copy.copy(self._orderings),  # the caller may edit it
+            "orderings": spec,
             "tolerances": {
                 "root_tol": self.root_tol,
                 "pass_tol": self.pass_tol,
@@ -223,8 +226,7 @@ def _verify_chunk(n: int, ranks: list, kinds: tuple, root_tol: float,
             f"rank={bad[0]}{more}")
 
     entries, zero_sep, coeff_sep = build_stack(zeros, coeffs, kinds)
-    spectra, deviations = zip(*(spectrum_stack(entries[kind], kind) for kind in kinds))
-    eigenvalues, deviation = np.stack(spectra, axis=1), np.stack(deviations, axis=1)
+    eigenvalues, deviation = spectrum_stack(entries, kinds)
     warned = np.minimum(zero_sep, coeff_sep) < CONDITIONING_FLOOR
     status = np.where(deviation <= pass_tol, "pass",
                       np.where(warned[:, None], "inconclusive", "fail"))
@@ -437,19 +439,18 @@ def report_to_json(report: VerificationReport) -> str:
     }))
 
 
-def _complex_token(value: complex) -> str:
-    return f"{value.real:.17g}{value.imag:+.17g}j"
-
-
 def report_to_csv(report: VerificationReport) -> str:
     """One row per (ordering, kind); eigenvalues joined with semicolons.  No
     field holds a comma, quote or newline, so none needs CSV quoting."""
     lines = ["n,rank,word,kind,status,max_deviation,zero_separation,coeff_separation,"
              "eigenvalues,expected"]
-    n, rows = report.config.n, _checks(report)
-    for rank, word, kind, values, expected, deviation, status, zero_sep, coeff_sep in rows:
+    n = report.config.n
+    spectrum = ";".join(["%.17g%+.17gj"] * n)  # a row's eigenvalues, from their (re, im)
+    parts = report.eigenvalues.view(np.float64).reshape(-1, 2 * n).tolist()
+    for (rank, word, kind, _, expected, deviation, status, zero_sep, coeff_sep), values in zip(
+            _checks(report), parts):
         lines.append(",".join([
             str(n), str(rank), " ".join(map(str, word)), kind, status,
             f"{deviation:.17g}", f"{zero_sep:.17g}", f"{coeff_sep:.17g}",
-            ";".join(map(_complex_token, values)), ";".join(map(str, expected))]))
+            spectrum % tuple(values), ";".join(map(str, expected))]))
     return "\n".join(lines) + "\n"

@@ -574,6 +574,23 @@ class TestReportSerialization:
         assert sampled.to_dict()["orderings"] == {"sample": 5}
         assert len(set(sampled.ordering_ranks())) == 5
 
+    def test_equal_orderings_compare_and_hash_equal(self):
+        # The orderings field holds its normal form, so a list, a tuple and
+        # an array of the same ranks build equal, hashable configs.
+        configs = [RunConfig(n=4, orderings=spec)
+                   for spec in ([1, 2], (1, 2), np.array([1, 2]))]
+        assert all(config.orderings == (1, 2) for config in configs)
+        assert all(config == configs[0] for config in configs)
+        assert len({hash(config) for config in configs}) == 1
+        assert dataclasses.replace(configs[2], seed=3).orderings == (1, 2)
+        swapped = RunConfig(n=4, orderings=[2, 1])
+        assert swapped != configs[0]
+        assert swapped.to_dict()["orderings"] == [2, 1]
+        sampled = [RunConfig(n=4, orderings=("sample", k)) for k in (5, np.int64(5))]
+        assert sampled[0] == sampled[1] and hash(sampled[0]) == hash(sampled[1])
+        assert sampled[0].orderings == ("sample", 5)
+        assert hash(RunConfig(n=4)) == hash(RunConfig(n=4, orderings="all"))
+
     def test_config_is_frozen(self):
         # Validated once when built, so it must not change afterwards.
         config = RunConfig(n=3, kinds=["M1"])

@@ -279,6 +279,51 @@ class TestSpectrumCheck:
             spectrum_check(matrix, tol=tol)
 
 
+def _bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+class TestSpectrumStack:
+    """One ``spectrum_stack`` call over all kinds gives each kind the bits
+    of a call of its own."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_one_call_equals_one_kind_calls_on_sweep_rows(self, ordering_sweep, n):
+        records = ordering_sweep(n)
+        z = np.array([record.zeros.zeros for record in records])
+        c = np.array([record.poly.coefficients for record in records])
+        kinds = (KIND_M1, KIND_M2)
+        entries, _, _ = build_stack(z, c, kinds)
+        eigenvalues, deviation = spectrum_stack(entries, kinds)
+        assert eigenvalues.shape == (len(records), 2, n) and deviation.shape == (len(records), 2)
+        for k, kind in enumerate(kinds):
+            alone, alone_deviation = spectrum_stack(entries[:, k:k + 1], (kind,))
+            assert np.array_equal(_bits(eigenvalues[:, k]), _bits(alone[:, 0])), kind
+            assert np.array_equal(_bits(deviation[:, k]), _bits(alone_deviation[:, 0])), kind
+
+    def test_all_real_kind_beside_a_complex_pair(self):
+        # numpy returns real eigenvalues only when every eigenvalue of the
+        # stack is real.  So the stacked call returns the all-real kind's
+        # eigenvalues as complex numbers; their imaginary parts must be +0.0,
+        # as the real array of a call of its own gives once made complex.
+        rng = np.random.default_rng(19)
+        rotation = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+        basis = rng.standard_normal((2, 3, 3))
+        entries = np.empty((2, 2, 3, 3))
+        entries[:, 0] = basis @ rotation @ np.linalg.inv(basis)
+        entries[:, 1] = basis @ np.diag([1.0, 4.0, 9.0]) @ np.linalg.inv(basis)
+        assert np.linalg.eigvals(entries[:, 1]).dtype == np.float64
+        assert np.linalg.eigvals(entries).dtype == np.complex128
+        kinds = (KIND_M1, KIND_M2)
+        eigenvalues, deviation = spectrum_stack(entries, kinds)
+        assert not np.signbit(eigenvalues[:, 1].imag).any()
+        assert (eigenvalues[:, 1].imag == 0).all() and (eigenvalues[:, 0].imag != 0).any()
+        for k, kind in enumerate(kinds):
+            alone, alone_deviation = spectrum_stack(entries[:, k:k + 1], (kind,))
+            assert np.array_equal(_bits(eigenvalues[:, k]), _bits(alone[:, 0])), kind
+            assert np.array_equal(_bits(deviation[:, k]), _bits(alone_deviation[:, 0])), kind
+
+
 def _matched_deviation(a, b):
     """Largest |a_k - b_p(k)| under the pairing p of the two eigenvalue
     lists that makes it smallest, found over every permutation."""
@@ -300,12 +345,12 @@ class TestRealBasis:
         c = np.array([record.poly.coefficients for record in records])
         spread = range(0, len(records), max(1, len(records) // 40))
         for k, (kind, builder) in enumerate(((KIND_M1, build_m1), (KIND_M2, build_m2))):
-            complex_m = _similarity(w, c, (kind,))[kind]
+            complex_m = _similarity(w, c, (kind,))[:, 0]
             for row in spread:
                 one_row = builder(records[row].zeros, records[row].poly.coefficients)
                 np.testing.assert_array_equal(complex_m[row], one_row.entries)
-            eigenvalues, _ = spectrum_stack(complex_m, kind)
-            deviation = np.abs(report.eigenvalues[:, k] - eigenvalues).max(axis=1)
+            eigenvalues, _ = spectrum_stack(complex_m[:, None], (kind,))
+            deviation = np.abs(report.eigenvalues[:, k] - eigenvalues[:, 0]).max(axis=1)
             worst = int(deviation.argmax())
             assert deviation[worst] <= 1e-11, f"{kind} n={n} rank={records[worst].perm.ordinal}"
 
@@ -316,9 +361,9 @@ class TestRealBasis:
         c = np.array([-4.0, 11.0, -14.0, 10.0])
         np.testing.assert_array_equal(poly_from_zeros(z).coefficients, c)
         entries, _, _ = build_stack(z[None], c[None], (KIND_M1, KIND_M2))
-        for kind, builder in ((KIND_M1, build_m1), (KIND_M2, build_m2)):
-            assert entries[kind].dtype == np.float64
-            real_form = np.linalg.eigvals(entries[kind][0])
+        for k, (kind, builder) in enumerate(((KIND_M1, build_m1), (KIND_M2, build_m2))):
+            assert entries.dtype == np.float64
+            real_form = np.linalg.eigvals(entries[0, k])
             complex_m = np.linalg.eigvals(builder(z, c).entries)
             scale = np.abs(complex_m).max()
             assert _matched_deviation(real_form, complex_m) <= 1e-13 * scale, kind
@@ -330,7 +375,7 @@ class TestRealBasis:
         # Imaginary parts that are all exactly 0 are taken as real.
         real, _, _ = build_stack(z, np.array([[-2.0, 2.0]]), (KIND_M1,))
         taken, _, _ = build_stack(z, np.array([[-2.0 + 0j, 2.0]]), (KIND_M1,))
-        np.testing.assert_array_equal(taken[KIND_M1], real[KIND_M1])
+        np.testing.assert_array_equal(taken, real)
 
     @pytest.mark.parametrize("zeros", [
         [1 - 1j, 1 + 1j, 2 + 1j],
@@ -359,7 +404,7 @@ class TestUnknownKind:
         lambda: expected_spectrum("M3", 3),
         lambda: expected_trace("m1", 3),
         lambda: permutation_similarity_check([1.0, 2.0, 3.0], [1.0, 2.0, 4.0], "M3", (1, 2)),
-        lambda: spectrum_stack(np.eye(3)[None], "m1"),
+        lambda: spectrum_stack(np.eye(3)[None, None], ("m1",)),
         lambda: build_stack(np.array([[1.0, 2.0, 3.0]]), np.array([[1.0, 2.0, 4.0]]), ("M3",)),
     ])
     def test_unknown_kind_rejected(self, call):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import diospec.polynomials as polynomials
 from diospec.errors import NonConvergence
 from diospec.hermite import hermite_zeros
 from diospec.matrices import w_table
@@ -14,6 +15,7 @@ from diospec.polynomials import (
     MonicPolynomial,
     ZeroVector,
     _differences,
+    _polish,
     _vieta,
     esp_table,
     evaluate,
@@ -143,6 +145,35 @@ class TestRoots:
         order = sorted(range(3), key=lambda i: (z.zeros[i].real, z.zeros[i].imag))
         assert order == [0, 1, 2]
 
+    def test_row_order_is_lexsort_by_real_then_imaginary(self, monkeypatch):
+        # Each row is sorted as lexsort((imag, real)) sorts it, ties kept in
+        # place: conjugate pairs that share a real part, and entries that
+        # differ only in the sign of a zero part.  The polish is replaced so
+        # that the rows to sort are exactly these.
+        rows = np.array([
+            [1 + 2j, 1 - 1j, 1 + 1j, 1 - 2j],
+            [complex(2, -0.0), complex(2, 0.0), complex(-1, 0.0), complex(-1, -0.0)],
+            [complex(0.0, 1), complex(-0.0, -1), complex(0.0, -0.0), complex(-0.0, 0.0)],
+            [complex(3, 0.0), complex(3, -0.0), 1 + 1j, complex(1, -1)],
+        ])
+        monkeypatch.setattr(polynomials, "_polish",
+                            lambda c, z: (rows.copy(), np.zeros(rows.shape)))
+        zeros, failed = roots_stack(np.ones((4, 4)))
+        assert not failed.any()
+        expected = np.take_along_axis(rows, np.lexsort((rows.imag, rows.real), axis=-1), axis=1)
+        assert np.array_equal(zeros.view(np.uint64), expected.view(np.uint64))
+
+    def test_conjugate_pairs_sort_by_imaginary_part(self):
+        # x^4 - 4x^3 + 11x^2 - 14x + 10 has zeros 1 -+ 2i and 1 -+ i.  In
+        # double precision the two pairs' real parts differ in the last bit,
+        # and each pair's are equal, so its imaginary parts set its order.
+        zeros, failed = roots_stack(np.array([[-4.0, 11.0, -14.0, 10.0]]))
+        assert not failed.any()
+        row = zeros[0]
+        assert row.tolist() == sorted(row.tolist(), key=lambda z: (z.real, z.imag))
+        assert row[0].real == row[1].real and row[2].real == row[3].real
+        np.testing.assert_allclose(row.imag, [-2.0, 2.0, -1.0, 1.0], atol=1e-13)
+
     def test_stacked_zeros_match_one_row_labels(self, ordering_sweep):
         # An ordering checked alone is the same computation as its row of a
         # sweep: a one-row ``roots`` call on the complex coefficients of a
@@ -203,6 +234,59 @@ class TestRoots:
                 continue
             recovered = roots(poly_from_zeros(z))
             assert multiset_deviation(recovered.zeros, z) < 1e-8
+
+
+def _horner_reference(c, x):
+    """Value and derivative of each row's polynomial by one full Horner pass."""
+    val, der = x + c[:, 0, None], np.ones_like(x)
+    for k in range(1, c.shape[1]):
+        der *= x
+        der += val
+        val *= x
+        val += c[:, k, None]
+    return val, der
+
+
+def polish_reference(c, z):
+    """The guarded two-step Newton polish with a full value-and-derivative
+    pass and both merges after each step, the last step's included."""
+    tiny = np.finfo(float).tiny
+    val, der = _horner_reference(c, z)
+    best = np.abs(val)
+    for _ in range(2):
+        der = np.where(np.abs(der) < tiny, tiny, der)
+        candidate = z - val / der
+        cval, cder = _horner_reference(c, candidate)
+        resid = np.abs(cval)
+        improved = resid <= best
+        z = np.where(improved, candidate, z)
+        val = np.where(improved, cval, val)
+        der = np.where(improved, cder, der)
+        best = np.minimum(resid, best)
+    return z, best
+
+
+class TestPolish:
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_matches_the_two_full_pass_reference(self, n):
+        # Complex coefficients of seeded zeros, polished from starts at
+        # several distances, so steps are both kept and refused; and real
+        # Hermite orderings from their companion eigenvalues, as in a sweep.
+        rng = np.random.default_rng(n)
+        true = rng.standard_normal((8, n)) + 1j * rng.standard_normal((8, n))
+        offset = rng.standard_normal((8, n)) + 1j * rng.standard_normal((8, n))
+        starts = true + np.array([0.0, 1e-14, 1e-10, 1e-6, 1e-4, 1e-3, 1e-2, 0.1])[:, None] * offset
+        words = np.array([rng.permutation(n) for _ in range(8)])
+        real = hermite_zeros(n).zeros.real[words]
+        companion = np.zeros((8, n, n))
+        companion[:, 0, :] = -real
+        companion.reshape(8, n * n)[:, n::n + 1] = 1.0
+        cases = ((esp_table(-true)[:, 1:], starts),
+                 (real, np.linalg.eigvals(companion).astype(complex)))
+        for c, z in cases:
+            got, expected = _polish(c, z), polish_reference(c, z)
+            for a, b in zip(got, expected):
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 class TestSigma:
