@@ -16,7 +16,7 @@ the determinism hash.
 its bytes, from one template per check with the floats of every column
 formatted in one pass.  The generic writer (``to_json``) renders everything
 else; the tests hold the whole text to its rendering of the report built as
-nested dicts from ``_checks``, byte for byte.
+nested dicts, byte for byte.
 """
 
 from __future__ import annotations
@@ -352,21 +352,6 @@ def _expected(report: VerificationReport) -> list:
     return [expected_spectrum(kind, report.config.n).tolist() for kind in report.config.kinds]
 
 
-def _checks(report: VerificationReport):
-    """Each check's fields as Python values, ordering-major: rank, word,
-    kind, eigenvalues, expected, max_deviation, status, zero_separation and
-    coeff_separation.  The columns become lists before the loop, as indexing
-    numpy scalars per check costs more than converting them all."""
-    expected_by_kind = _expected(report)
-    for rank, word, spectra, deviations, statuses, zero_sep, coeff_sep in zip(
-            report.rank, report.word.tolist(), report.eigenvalues.tolist(),
-            report.max_deviation.tolist(), report.status.tolist(),
-            report.zero_separation.tolist(), report.coeff_separation.tolist()):
-        for kind, values, expected, deviation, status in zip(
-                report.config.kinds, spectra, expected_by_kind, deviations, statuses):
-            yield rank, word, kind, values, expected, deviation, status, zero_sep, coeff_sep
-
-
 def _float_tokens(values: np.ndarray) -> list:
     """``_format_float`` of every element of a float64 array, called once per
     distinct bit pattern: equal bits give equal tokens, -0.0 and 0.0 differ."""
@@ -444,13 +429,18 @@ def report_to_csv(report: VerificationReport) -> str:
     field holds a comma, quote or newline, so none needs CSV quoting."""
     lines = ["n,rank,word,kind,status,max_deviation,zero_separation,coeff_separation,"
              "eigenvalues,expected"]
-    n = report.config.n
+    n, kinds = report.config.n, report.config.kinds
     spectrum = ";".join(["%.17g%+.17gj"] * n)  # a row's eigenvalues, from their (re, im)
-    parts = report.eigenvalues.view(np.float64).reshape(-1, 2 * n).tolist()
-    for (rank, word, kind, _, expected, deviation, status, zero_sep, coeff_sep), values in zip(
-            _checks(report), parts):
-        lines.append(",".join([
-            str(n), str(rank), " ".join(map(str, word)), kind, status,
-            f"{deviation:.17g}", f"{zero_sep:.17g}", f"{coeff_sep:.17g}",
-            spectrum % tuple(values), ";".join(map(str, expected))]))
+    spectra = report.eigenvalues.view(np.float64).reshape(-1, 2 * n).tolist()
+    deviation, status = report.max_deviation.ravel().tolist(), report.status.ravel().tolist()
+    expected = [";".join(map(str, values)) for values in _expected(report)]
+    for i, (rank, word, zero_sep, coeff_sep) in enumerate(zip(
+            report.rank, report.word.tolist(), report.zero_separation.tolist(),
+            report.coeff_separation.tolist())):
+        for k, kind in enumerate(kinds):
+            j = i * len(kinds) + k
+            lines.append(",".join([
+                str(n), str(rank), " ".join(map(str, word)), kind, status[j],
+                f"{deviation[j]:.17g}", f"{zero_sep:.17g}", f"{coeff_sep:.17g}",
+                spectrum % tuple(spectra[j]), expected[k]]))
     return "\n".join(lines) + "\n"

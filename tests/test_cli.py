@@ -26,9 +26,9 @@ from diospec.errors import (
     SingularConfiguration,
     StepFloorReached,
 )
+from diospec.matrices import expected_spectrum
 from diospec.report import (
     RunConfig,
-    _checks,
     _float_tokens,
     _format_float,
     report_to_csv,
@@ -47,11 +47,25 @@ def determinism_hash(payload: dict) -> str:
     return hashlib.sha256(to_json(hashed).encode()).hexdigest()
 
 
+def report_checks(report):
+    """Each check's fields as Python values, ordering-major, in the order of
+    ``_RESULT_FIELDS``: check j is ordering j // K and kind j % K."""
+    kinds = report.config.kinds
+    expected_by_kind = [expected_spectrum(kind, report.config.n).tolist() for kind in kinds]
+    for rank, word, spectra, deviations, statuses, zero_sep, coeff_sep in zip(
+            report.rank, report.word.tolist(), report.eigenvalues.tolist(),
+            report.max_deviation.tolist(), report.status.tolist(),
+            report.zero_separation.tolist(), report.coeff_separation.tolist()):
+        for kind, values, expected, deviation, status in zip(
+                kinds, spectra, expected_by_kind, deviations, statuses):
+            yield rank, word, kind, values, expected, deviation, status, zero_sep, coeff_sep
+
+
 def report_to_dict(report) -> dict:
-    """The report as nested dicts, built from ``_checks``: ``to_json`` of it is
-    the oracle that ``report_to_json`` must match byte for byte."""
+    """The report as nested dicts, built from ``report_checks``: ``to_json`` of
+    it is the oracle that ``report_to_json`` and ``report_to_csv`` must match."""
     payload = {"version": report.version, "config": report.config.to_dict(),
-               "results": [dict(zip(_RESULT_FIELDS, check)) for check in _checks(report)],
+               "results": [dict(zip(_RESULT_FIELDS, check)) for check in report_checks(report)],
                "aggregate": report.aggregate, "notes": list(report.notes)}
     payload["determinism_sha256"] = determinism_hash(payload)
     payload["timing"] = {"seconds": report.timing_seconds}
