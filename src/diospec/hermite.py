@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, NonConvergence
-from .polynomials import MonicPolynomial, _differences
+from .polynomials import MonicPolynomial, _differences, _frozen
 
 __all__ = [
     "MAX_ORDER",
@@ -59,9 +59,7 @@ class HermiteZeros:
     residual_second: float
 
     def __post_init__(self):
-        arr = np.asarray(self.zeros, dtype=float).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "zeros", arr)
+        object.__setattr__(self, "zeros", _frozen(self.zeros, float))
 
 
 @lru_cache(maxsize=None)
@@ -69,8 +67,8 @@ def hermite_zeros(n: int) -> HermiteZeros:
     """Zeros of H_n from the symmetric tridiagonal Jacobi matrix (off-diagonal
     sqrt(k/2)), polished by one Newton step on the recurrence evaluation.
 
-    The zero set is antisymmetrised exactly about 0; for odd n the central
-    zero is pinned to 0.
+    The zero set is antisymmetrised exactly about 0, so for odd n the central
+    zero is 0.5 * (x - x), which is +0.0.
     """
     if not 2 <= n <= MAX_ORDER:
         raise ValueError(f"order must be in 2..{MAX_ORDER}, got {n}")
@@ -81,8 +79,6 @@ def hermite_zeros(n: int) -> HermiteZeros:
     value, deriv = hermite_recurrence(n, x)
     x = x - value / deriv          # simple zeros: deriv bounded away from 0
     x = 0.5 * (x - x[::-1])
-    if n % 2:
-        x[n // 2] = 0.0
 
     r1, r2 = _residuals(x, 1, 2)
     if max(r1, r2) > _RESIDUAL_BOUND:

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergence, SingularConfiguration
-from .polynomials import (_differences, _set_diagonals, _vieta_jacobian, _zeros_of,
-                          as_complex_vector, check_positive)
+from .polynomials import (_differences, _frozen, _set_diagonals, _vieta_jacobian,
+                          _zeros_of, as_complex_vector, check_positive)
 
 __all__ = [
     "KIND_M1",
@@ -79,9 +79,7 @@ class DiophantineMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "entries", _frozen(self.entries))
 
 
 @dataclass(frozen=True)
@@ -95,9 +93,7 @@ class SpectrumReport:
     passed: bool
 
     def __post_init__(self):
-        arr = np.asarray(self.eigenvalues, dtype=complex).copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", arr)
+        object.__setattr__(self, "eigenvalues", _frozen(self.eigenvalues))
         object.__setattr__(self, "expected", tuple(int(e) for e in self.expected))
 
 
@@ -243,12 +239,8 @@ def permutation_similarity_check(z, c, kind: str, swap: tuple) -> float:
     n = zz.size
     if not (1 <= a < b <= n):
         raise ValueError(f"swap positions must satisfy 1 <= a < b <= {n}, got {swap}")
-    base = _build(zz, c, kind).entries
-    swapped_zeros = zz.copy()
-    swapped_zeros[[a - 1, b - 1]] = swapped_zeros[[b - 1, a - 1]]
-    rebuilt = _build(swapped_zeros, c, kind).entries
-
-    conjugated = np.array(base)
-    conjugated[[a - 1, b - 1], :] = conjugated[[b - 1, a - 1], :]
-    conjugated[:, [a - 1, b - 1]] = conjugated[:, [b - 1, a - 1]]
+    p = np.arange(n)
+    p[[a - 1, b - 1]] = b - 1, a - 1
+    rebuilt = _build(zz[p], c, kind).entries
+    conjugated = _build(zz, c, kind).entries[np.ix_(p, p)]
     return float(np.max(np.abs(rebuilt - conjugated)))

@@ -49,6 +49,14 @@ def as_complex_vector(values, name: str = "values") -> np.ndarray:
     return arr
 
 
+def _frozen(values, dtype=complex) -> np.ndarray:
+    """A read-only copy of values as an array of dtype, for a frozen
+    dataclass's array field; the ``hermite_zeros`` cache relies on it."""
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class MonicPolynomial:
     """Degree-N monic polynomial held as its N trailing coefficients."""
@@ -56,9 +64,8 @@ class MonicPolynomial:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        arr = as_complex_vector(self.coefficients, "coefficients").copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "coefficients", arr)
+        object.__setattr__(self, "coefficients",
+                           _frozen(as_complex_vector(self.coefficients, "coefficients")))
 
     @property
     def degree(self) -> int:
@@ -72,13 +79,7 @@ class ZeroVector:
     zeros: np.ndarray
 
     def __post_init__(self):
-        arr = as_complex_vector(self.zeros, "zeros").copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "zeros", arr)
-
-    @property
-    def n(self) -> int:
-        return self.zeros.size
+        object.__setattr__(self, "zeros", _frozen(as_complex_vector(self.zeros, "zeros")))
 
 
 def _set_diagonals(stack: np.ndarray, value) -> np.ndarray:

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NonConvergence
-from .hermite import MAX_ORDER, hermite_zeros, word_from_rank
+from .hermite import MAX_ORDER, hermite_zeros, lexicographic_rank, word_from_rank
 from .matrices import (
     CONDITIONING_FLOOR,
     KIND_M1,
@@ -126,12 +126,16 @@ class RunConfig:
             raise ValueError(f"kinds must not repeat, got {','.join(self.kinds)}")
         if self.output_format not in ("json", "csv"):
             raise ValueError(f"unknown output format {self.output_format!r}")
+        # Each hashed field holds one normal form, so equal configs hash equal.
         for name in ("root_tol", "pass_tol"):
             check_positive(name, getattr(self, name))
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        if not isinstance(self.force, bool):
+            raise ValueError(f"force must be a bool, got {self.force!r}")
         if _integer("jobs", self.jobs) < 1:
             raise ValueError("jobs must be >= 1")
-        # Normal form of the orderings, which equal sweeps share: "all",
-        # ("sample", k) or a tuple of the int ranks as given.
+        # The orderings: "all", ("sample", k) or a tuple of the int ranks as given.
         total, spec = math.factorial(self.n), self.orderings
         if isinstance(spec, str) and spec == "all":
             if self.n > 8 and not self.force:
@@ -279,15 +283,8 @@ def run_verification(config: RunConfig) -> VerificationReport:
 
 def mu_assignment_table() -> dict:
     """Rank/word rows for the six commonly quoted mu assignments at n = 3."""
-    from .hermite import lexicographic_rank
-
-    rows = []
-    for mu, word in sorted(MU_WORDS_N3.items()):
-        rows.append({
-            "mu": mu,
-            "word": list(word),
-            "rank": lexicographic_rank(word),
-        })
+    rows = [{"mu": mu, "word": list(word), "rank": lexicographic_rank(word)}
+            for mu, word in sorted(MU_WORDS_N3.items())]
     return {"n": 3, "assignments": rows, "notes": [_MU5_NOTE]}
 
 
@@ -302,8 +299,8 @@ def _format_float(x: float) -> str:
     return text if "." in text or "e" in text else text + ".0"
 
 
-def _scalar_token(obj):
-    """The JSON token of a scalar, or None for a container."""
+def _write_json(obj, level: int) -> str:
+    """The JSON text of obj, nested ``level`` deep, at two spaces a level."""
     if isinstance(obj, (float, np.floating)):
         return _format_float(float(obj))
     if isinstance(obj, (complex, np.complexfloating)):
@@ -318,16 +315,6 @@ def _scalar_token(obj):
         return f'"{escaped}"'
     if obj is None:
         return "null"
-    return None
-
-
-def _write_json(obj, level: int) -> str:
-    """The JSON text of obj, nested ``level`` deep, at two spaces a level."""
-    token = _scalar_token(obj)
-    if token is not None:
-        return token
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
     if isinstance(obj, dict):
         items = [f'"{key}": ' + _write_json(value, level + 1) for key, value in obj.items()]
     elif isinstance(obj, (list, tuple)):
@@ -360,43 +347,43 @@ def _float_tokens(values: np.ndarray) -> list:
     return [tokens[i] for i in where.tolist()]
 
 
+def _inner_list(items) -> str:
+    """A list nested in a result: its items sit at nesting level 4."""
+    return "[\n        " + ",\n        ".join(items) + "\n      ]"
+
+
 def _render_results(report: VerificationReport) -> str:
     """The ``results`` array as ``to_json`` renders it under the top-level
     payload, built from one template per check.
 
-    The floats of all columns are formatted together, each word is rendered
-    once per ordering and each expected spectrum once per kind.  Kinds and
-    statuses are fixed names that need no escaping."""
-    flat = report.eigenvalues.ravel()
-    parts = [flat.real, flat.imag, report.max_deviation.ravel(),
-             report.zero_separation, report.coeff_separation]
-    tokens = _float_tokens(np.concatenate(parts))
-    bounds = np.cumsum([0] + [part.size for part in parts]).tolist()
-    re, im, deviation, zero_sep, coeff_sep = (
-        tokens[a:b] for a, b in zip(bounds, bounds[1:]))
-    pairs = [f'{{"re": {a}, "im": {b}}}' for a, b in zip(re, im)]
-
-    def inner_list(items) -> str:
-        # A list nested in a result: its items sit at nesting level 4.
-        return "[\n        " + ",\n        ".join(items) + "\n      ]"
-
+    The floats are formatted together in memory order: the (re, im) of each
+    eigenvalue, then the deviations and the two separations.  Each spectrum
+    fills one format; each word and expected spectrum is rendered once.
+    Kinds and statuses are fixed names that need no escaping."""
     n, kinds = report.config.n, report.config.kinds
-    words = [inner_list(map(str, word)) for word in report.word.tolist()]
-    expected = [inner_list(map(str, values)) for values in _expected(report)]
+    checks, orderings = report.status.size, len(report.rank)
+    tokens = _float_tokens(np.concatenate([
+        report.eigenvalues.view(np.float64).ravel(), report.max_deviation.ravel(),
+        report.zero_separation, report.coeff_separation]))
+    deviation = tokens[2 * n * checks:]
+    zero_sep, coeff_sep = deviation[checks:], deviation[checks + orderings:]
+    spectrum = _inner_list(['{"re": %s, "im": %s}'] * n)
+    words = [_inner_list(map(str, word)) for word in report.word.tolist()]
+    expected = [_inner_list(map(str, values)) for values in _expected(report)]
     status = report.status.ravel().tolist()
     pieces = []
-    for i, (rank, word) in enumerate(zip(report.rank, words)):
-        for k, kind in enumerate(kinds):
-            j = i * len(kinds) + k
-            pieces.append(
-                f'{{\n      "rank": {rank},\n      "word": {word},\n'
-                f'      "kind": "{kind}",\n'
-                f'      "eigenvalues": {inner_list(pairs[j * n:(j + 1) * n])},\n'
-                f'      "expected": {expected[k]},\n'
-                f'      "max_deviation": {deviation[j]},\n'
-                f'      "status": "{status[j]}",\n'
-                f'      "zero_separation": {zero_sep[i]},\n'
-                f'      "coeff_separation": {coeff_sep[i]}\n    }}')
+    # Check j takes the next 2n tokens, its spectrum's (re, im) pairs.
+    for j, values in zip(range(checks), zip(*[iter(tokens)] * (2 * n))):
+        i, k = divmod(j, len(kinds))
+        pieces.append(
+            f'{{\n      "rank": {report.rank[i]},\n      "word": {words[i]},\n'
+            f'      "kind": "{kinds[k]}",\n'
+            f'      "eigenvalues": {spectrum % values},\n'
+            f'      "expected": {expected[k]},\n'
+            f'      "max_deviation": {deviation[j]},\n'
+            f'      "status": "{status[j]}",\n'
+            f'      "zero_separation": {zero_sep[i]},\n'
+            f'      "coeff_separation": {coeff_sep[i]}\n    }}')
     return "[\n    " + ",\n    ".join(pieces) + "\n  ]"
 
 
@@ -425,22 +412,19 @@ def report_to_json(report: VerificationReport) -> str:
 
 
 def report_to_csv(report: VerificationReport) -> str:
-    """One row per (ordering, kind); eigenvalues joined with semicolons.  No
-    field holds a comma, quote or newline, so none needs CSV quoting."""
-    lines = ["n,rank,word,kind,status,max_deviation,zero_separation,coeff_separation,"
-             "eigenvalues,expected"]
+    """One row per (ordering, kind), each from one format; eigenvalues joined
+    with semicolons.  No field holds a comma, quote or newline to quote."""
     n, kinds = report.config.n, report.config.kinds
-    spectrum = ";".join(["%.17g%+.17gj"] * n)  # a row's eigenvalues, from their (re, im)
+    row = (f"{n},%s,%s,%s,%s,%.17g,%.17g,%.17g," + ";".join(["%.17g%+.17gj"] * n) + ",%s")
     spectra = report.eigenvalues.view(np.float64).reshape(-1, 2 * n).tolist()
     deviation, status = report.max_deviation.ravel().tolist(), report.status.ravel().tolist()
+    words = [" ".join(map(str, word)) for word in report.word.tolist()]
+    zero_sep, coeff_sep = report.zero_separation.tolist(), report.coeff_separation.tolist()
     expected = [";".join(map(str, values)) for values in _expected(report)]
-    for i, (rank, word, zero_sep, coeff_sep) in enumerate(zip(
-            report.rank, report.word.tolist(), report.zero_separation.tolist(),
-            report.coeff_separation.tolist())):
-        for k, kind in enumerate(kinds):
-            j = i * len(kinds) + k
-            lines.append(",".join([
-                str(n), str(rank), " ".join(map(str, word)), kind, status[j],
-                f"{deviation[j]:.17g}", f"{zero_sep:.17g}", f"{coeff_sep:.17g}",
-                spectrum % tuple(spectra[j]), expected[k]]))
+    lines = ["n,rank,word,kind,status,max_deviation,zero_separation,coeff_separation,"
+             "eigenvalues,expected"]
+    for j, values in enumerate(spectra):
+        i, k = divmod(j, len(kinds))
+        lines.append(row % (report.rank[i], words[i], kinds[k], status[j], deviation[j],
+                            zero_sep[i], coeff_sep[i], *values, expected[k]))
     return "\n".join(lines) + "\n"

@@ -40,6 +40,9 @@ from diospec.report import (
 _RESULT_FIELDS = ("rank", "word", "kind", "eigenvalues", "expected", "max_deviation",
                   "status", "zero_separation", "coeff_separation")
 
+# Full sweeps, as (n, kinds), that both renderings are held to the oracle on.
+_ORACLE_CASES = [(2, ("M1", "M2")), (3, ("M1",)), (6, ("M1", "M2")), (7, ("M1",))]
+
 
 def determinism_hash(payload: dict) -> str:
     """SHA-256 of the generic writer's rendering of payload without ``timing``."""
@@ -347,6 +350,10 @@ class TestExitCodeTable:
 
 
 class TestReportSerialization:
+    def test_unknown_type_is_not_serialised(self):
+        with pytest.raises(TypeError, match="cannot serialise"):
+            to_json({"value": object()})
+
     def test_json_round_trip(self):
         report = run_verification(RunConfig(n=3, kinds=("M1",)))
         text = report_to_json(report)
@@ -390,13 +397,19 @@ class TestReportSerialization:
         lines = report_to_csv(report).strip().splitlines()
         assert len(lines) == 1 + 4  # header + 2 orderings x 2 kinds
 
-    def test_csv_matches_the_dict(self):
-        report = run_verification(RunConfig(n=4))
+    @pytest.mark.parametrize("n, kinds, orderings", [
+        *((n, kinds, "all") for n, kinds in _ORACLE_CASES),
+        (4, ("M1", "M2"), "all"),
+        (4, ("M2", "M1"), "all"),
+        (12, ("M1", "M2"), (123456789,)),
+    ])
+    def test_csv_matches_the_dict(self, n, kinds, orderings):
+        report = run_verification(RunConfig(n=n, kinds=kinds, orderings=orderings))
         rows = list(csv.DictReader(io.StringIO(report_to_csv(report))))
         results = report_to_dict(report)["results"]
-        assert len(rows) == len(results) == 48
+        assert len(rows) == len(results) == report.status.size
         for row, result in zip(rows, results):
-            assert int(row["n"]) == 4
+            assert int(row["n"]) == n
             assert int(row["rank"]) == result["rank"]
             assert [int(w) for w in row["word"].split()] == result["word"]
             assert row["kind"] == result["kind"] and row["status"] == result["status"]
@@ -486,8 +499,7 @@ class TestReportSerialization:
             np.testing.assert_array_equal(alone.max_deviation[0],
                                           sweep.max_deviation[rank - 1])
 
-    @pytest.mark.parametrize("n, kinds", [(2, ("M1", "M2")), (3, ("M1",)),
-                                          (6, ("M1", "M2")), (7, ("M1",))])
+    @pytest.mark.parametrize("n, kinds", _ORACLE_CASES)
     def test_json_matches_rendered_dict(self, n, kinds):
         report = run_verification(RunConfig(n=n, kinds=kinds))
         rendered, reference = report_to_json(report), to_json(report_to_dict(report))
@@ -553,12 +565,18 @@ class TestReportSerialization:
             RunConfig(n=3, orderings=(0, 1))
         with pytest.raises(ValueError, match=r"n must be in 2\.\.30, got 31"):
             RunConfig(n=31, orderings=("sample", 1))
+        with pytest.raises(ValueError, match="at least one kind"):
+            RunConfig(n=3, kinds=())
+        with pytest.raises(ValueError, match="unknown output format 'xml'"):
+            RunConfig(n=3, output_format="xml")
 
     @pytest.mark.parametrize("field, config", [
         ("ordering rank", dict(n=3, orderings=(2.7,))),
         ("sample size", dict(n=3, orderings=("sample", 2.5))),
         ("jobs", dict(n=7, kinds=("M1",), jobs=2.5)),
         ("n", dict(n=3.0)),
+        ("seed", dict(n=3, orderings=("sample", 2), seed=2.0)),
+        ("seed", dict(n=3, orderings=("sample", 2), seed=None)),
     ])
     def test_non_integer_fields_are_refused(self, field, config, monkeypatch):
         # A float is refused when the config is built: it is neither
@@ -604,6 +622,25 @@ class TestReportSerialization:
         assert sampled[0] == sampled[1] and hash(sampled[0]) == hash(sampled[1])
         assert sampled[0].orderings == ("sample", 5)
         assert hash(RunConfig(n=4)) == hash(RunConfig(n=4, orderings="all"))
+
+    def test_hashed_fields_hold_one_normal_form(self):
+        # Configs that compare equal render one hashed payload: the
+        # tolerances are held as floats and the seed as an int.
+        for given, normal in ((dict(pass_tol=1), dict(pass_tol=1.0)),
+                              (dict(root_tol=np.float64(1e-12)), dict(root_tol=1e-12)),
+                              (dict(seed=np.int64(2)), dict(seed=2))):
+            first, second = RunConfig(n=3, **given), RunConfig(n=3, **normal)
+            assert first == second and hash(first) == hash(second)
+            assert to_json(first.to_dict()) == to_json(second.to_dict())
+        assert type(RunConfig(n=3, pass_tol=1).pass_tol) is float
+        assert type(RunConfig(n=3, seed=np.int64(2)).seed) is int
+        digests = {json.loads(report_to_json(run_verification(RunConfig(n=3, pass_tol=tol))))[
+            "determinism_sha256"] for tol in (1, 1.0)}
+        assert len(digests) == 1
+        # force is hashed as true or false, so nothing else is taken for it.
+        for force in (1, "yes", None):
+            with pytest.raises(ValueError, match="force must be a bool"):
+                RunConfig(n=9, force=force)
 
     def test_config_is_frozen(self):
         # Validated once when built, so it must not change afterwards.

@@ -377,6 +377,18 @@ class TestRealBasis:
         taken, _, _ = build_stack(z, np.array([[-2.0 + 0j, 2.0]]), (KIND_M1,))
         np.testing.assert_array_equal(taken, real)
 
+    @pytest.mark.parametrize("what, row", [
+        ("zeros", ([2.0, 2.0], [-4.0, 4.0])),
+        ("coefficients", ([-0.5 - 0.75 ** 0.5 * 1j, -0.5 + 0.75 ** 0.5 * 1j], [1.0, 1.0])),
+    ])
+    def test_coincident_row_rejected(self, what, row):
+        # One row with coincident zeros or coefficients refuses the whole stack.
+        z, c = np.array([[1 - 1j, 1 + 1j], [-1.0, 2.0]]), np.array([[-2.0, 2.0], [-1.0, -2.0]])
+        build_stack(z, c, (KIND_M1,))
+        z[1], c[1] = row
+        with pytest.raises(SingularConfiguration, match=f"coincident {what}"):
+            build_stack(z, c, (KIND_M1,))
+
     @pytest.mark.parametrize("zeros", [
         [1 - 1j, 1 + 1j, 2 + 1j],
         [1 - 1j, 1 + 1.0000000000000002j, 3.0],

@@ -17,6 +17,7 @@ from diospec.polynomials import (
     _differences,
     _polish,
     _vieta,
+    as_complex_vector,
     esp_table,
     evaluate,
     pairwise_separation,
@@ -423,6 +424,12 @@ class TestZeroVector:
         z = ZeroVector([1.0, 2.0])
         with pytest.raises(ValueError):
             z.zeros[0] = 5.0
+
+    def test_empty_vector_rejected(self):
+        with pytest.raises(ValueError, match="zeros must be non-empty"):
+            as_complex_vector([], "zeros")
+        with pytest.raises(ValueError, match="zeros must be non-empty"):
+            ZeroVector([])
 
 
 class TestDifferences:
