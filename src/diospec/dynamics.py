@@ -48,8 +48,7 @@ from .errors import (
 )
 from .hermite import _coefficient_rate
 from .matrices import KIND_M1, KIND_M2, DiophantineMatrix
-from .polynomials import (_differences, _off_diagonal, _vieta, as_complex_vector,
-                          check_positive, pairwise_separation)
+from .polynomials import _differences, _off_diagonal, _vieta, as_complex_vector, check_positive
 
 __all__ = [
     "SYSTEMS",
@@ -97,10 +96,6 @@ class TrajectoryRecord:
     @property
     def final_state(self) -> np.ndarray:
         return self.samples[-1][1]
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([t for t, _ in self.samples])
 
 
 def _diff_gap(values: np.ndarray, *names: str):
@@ -390,7 +385,7 @@ def _modal_basis(entries: np.ndarray):
         values, basis = np.linalg.eig(entries)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigen-decomposition failed: {exc}") from exc
-    gap = pairwise_separation(values)
+    gap = float(_differences(values)[1])
     scale = max(1.0, float(np.max(np.abs(values))))
     if gap <= _GAP_FLOOR * scale:
         raise DegenerateSpectrum(

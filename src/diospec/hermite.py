@@ -24,8 +24,6 @@ __all__ = [
     "HermiteZeros",
     "PermutationId",
     "hermite_zeros",
-    "residual_first_order",
-    "residual_second_order",
     "permuted_polynomial",
 ]
 
@@ -51,7 +49,10 @@ def hermite_recurrence(n: int, x):
 @dataclass(frozen=True)
 class HermiteZeros:
     """Ascending zeros of H_N plus the residuals of the two equilibrium
-    identities they satisfy."""
+    identities they satisfy: the largest speed of the first-order
+    coefficient flow at the zeros, max_m |c_m - sum_{l != m} 1/(c_m - c_l)|,
+    and the largest acceleration of the second-order flow at rest there,
+    max_m |-c_m + 2 sum_{l != m} 1/(c_m - c_l)^3|."""
 
     order: int
     zeros: np.ndarray
@@ -80,7 +81,8 @@ def hermite_zeros(n: int) -> HermiteZeros:
     x = x - value / deriv          # simple zeros: deriv bounded away from 0
     x = 0.5 * (x - x[::-1])
 
-    r1, r2 = _residuals(x, 1, 2)
+    diff = _differences(x)[0]
+    r1, r2 = (float(np.max(np.abs(_coefficient_rate(x, diff, order)))) for order in (1, 2))
     if max(r1, r2) > _RESIDUAL_BOUND:
         raise NonConvergence(
             f"equilibrium residuals {r1:.3e}/{r2:.3e} exceed {_RESIDUAL_BOUND} at n={n}")
@@ -94,32 +96,6 @@ def _coefficient_rate(values: np.ndarray, diff: np.ndarray, order: int) -> np.nd
     if order == 1:
         return 1j * (values - np.add.reduce(inv, axis=1))
     return -values + 2.0 * np.add.reduce(inv ** 3, axis=1)
-
-
-def _residuals(c, *orders: int) -> list:
-    """Max |rate| of the coefficient flow at c for each order, from one
-    difference pass."""
-    arr = np.asarray(c, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError("need a 1-d vector with at least two entries")
-    diff, separation = _differences(arr)
-    if separation == 0.0:
-        raise ZeroDivisionError("coincident entries make the residual singular")
-    return [float(np.max(np.abs(_coefficient_rate(arr, diff, order)))) for order in orders]
-
-
-def residual_first_order(c) -> float:
-    """Max over m of |c_m - sum_{l != m} 1/(c_m - c_l)|, the speed of the
-    first-order coefficient flow at c: zero exactly when c is a stationary
-    configuration of that flow, as Hermite zeros are."""
-    return _residuals(c, 1)[0]
-
-
-def residual_second_order(c) -> float:
-    """Max over m of |-c_m + 2 sum_{l != m} 1/(c_m - c_l)^3|, the acceleration
-    of the second-order coefficient flow at rest at c: zero exactly when c is
-    an equilibrium of that flow, as Hermite zeros are."""
-    return _residuals(c, 2)[0]
 
 
 @dataclass(frozen=True)
@@ -139,11 +115,6 @@ class PermutationId:
         if self.ordinal != lexicographic_rank(word):
             raise ValueError(
                 f"ordinal {self.ordinal} inconsistent with word {word}")
-
-    @classmethod
-    def from_word(cls, word) -> "PermutationId":
-        word = tuple(int(w) for w in word)
-        return cls(len(word), word, lexicographic_rank(word))
 
     @classmethod
     def from_rank(cls, n: int, ordinal: int) -> "PermutationId":

@@ -40,7 +40,6 @@ __all__ = [
     "CONDITIONING_FLOOR",
     "DiophantineMatrix",
     "SpectrumReport",
-    "w_table",
     "build_stack",
     "build_m1",
     "build_m2",
@@ -95,13 +94,6 @@ class SpectrumReport:
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _frozen(self.eigenvalues))
         object.__setattr__(self, "expected", tuple(int(e) for e in self.expected))
-
-
-def w_table(z) -> np.ndarray:
-    """Jacobian of the zeros-to-coefficients map at the ordered zeros z, as
-    an (N, N) array: entry [j-1, m-1] is d c_j / d z_m, which equals
-    (-1)^j e_{j-1}(z without z_m).  Row j = 1 is identically -1."""
-    return _vieta_jacobian(_zeros_of(z)[None, :])[0]
 
 
 def _similarity(basis: np.ndarray, c: np.ndarray, kinds: tuple) -> np.ndarray:

@@ -25,7 +25,6 @@ __all__ = [
     "check_positive",
     "esp_table",
     "evaluate",
-    "poly_from_zeros",
     "roots",
     "roots_stack",
 ]
@@ -98,13 +97,6 @@ def _differences(values: np.ndarray):
     return diff, np.minimum.reduce(np.abs(diff), axis=(-2, -1))
 
 
-def pairwise_separation(values: np.ndarray) -> float:
-    """Minimum off-diagonal |v_i - v_j|; inf when fewer than two entries."""
-    if values.size < 2:
-        return math.inf
-    return float(_differences(values)[1])
-
-
 def _zeros_of(z) -> np.ndarray:
     return z.zeros if isinstance(z, ZeroVector) else as_complex_vector(z, "zeros")
 
@@ -141,15 +133,6 @@ def _vieta(zeros: np.ndarray) -> list:
         for k in range(i, 0, -1):
             e[k] -= z * e[k - 1]
     return e[1:]
-
-
-def poly_from_zeros(z) -> MonicPolynomial:
-    """Expand prod_n (x - z_n) by incremental multiplication of linear factors.
-
-    Coefficient m of the result equals (-1)^m e_m(z), the elementary
-    symmetric function of degree m.
-    """
-    return MonicPolynomial(_vieta(_zeros_of(z)))
 
 
 def _polish(c: np.ndarray, z: np.ndarray):

@@ -387,28 +387,24 @@ def _render_results(report: VerificationReport) -> str:
     return "[\n    " + ",\n    ".join(pieces) + "\n  ]"
 
 
-def _merge_objects(*rendered: str) -> str:
-    """One object from top-level ``to_json`` renderings of objects, spliced
-    at their shared nesting level: each opens with a "{" line and closes
-    with a "}" line."""
-    return "{\n" + ",\n".join(text[2:-3] for text in rendered) + "\n}\n"
-
-
 def report_to_json(report: VerificationReport) -> str:
     """The report as ``to_json`` renders its entries: ``version``, ``config``,
     ``results``, ``aggregate``, ``notes``, ``determinism_sha256`` and
-    ``timing``.  ``results`` comes from ``_render_results``, spliced between
-    the generic writer's renderings.  The hash is the SHA-256 of the first
-    five entries rendered as a top-level object of their own: it covers all
-    but itself and the wall clock."""
-    body = _merge_objects(
-        to_json({"version": report.version, "config": report.config.to_dict()}),
-        '{\n  "results": ' + _render_results(report) + "\n}\n",
-        to_json({"aggregate": report.aggregate, "notes": list(report.notes)}))
-    return _merge_objects(body, to_json({
-        "determinism_sha256": hashlib.sha256(body.encode()).hexdigest(),
-        "timing": {"seconds": report.timing_seconds},
-    }))
+    ``timing``.  Each entry is rendered once, ``results`` by
+    ``_render_results``.  The hash is the SHA-256 of the first five entries
+    rendered as a top-level object of their own: it covers all but itself
+    and the wall clock."""
+    entries = ['  "version": ' + _write_json(report.version, 1),
+               '  "config": ' + _write_json(report.config.to_dict(), 1),
+               '  "results": ' + _render_results(report),
+               '  "aggregate": ' + _write_json(report.aggregate, 1),
+               '  "notes": ' + _write_json(report.notes, 1)]
+    # Each object is "{\n" + joined entries + "\n}\n", built by one join so the
+    # text is not copied again; the hashed one is not kept past the hash.
+    digest = hashlib.sha256(",\n".join(entries).join(("{\n", "\n}\n")).encode()).hexdigest()
+    entries += ['  "determinism_sha256": ' + _write_json(digest, 1),
+                '  "timing": ' + _write_json({"seconds": report.timing_seconds}, 1)]
+    return ",\n".join(entries).join(("{\n", "\n}\n"))
 
 
 def report_to_csv(report: VerificationReport) -> str:

@@ -227,13 +227,18 @@ class TestSimulateCommand:
         payload = json.loads(out)
         assert payload["return_distance"] < 1e-5
 
-    def test_collision_exit_code(self, capsys):
-        # radius far beyond the zero separation forces a collision abort
-        code, _, err = run_cli(capsys, "simulate", "--system", "gamma1", "--n", "2",
+    def test_far_start_still_returns(self, capsys):
+        # A start 200 away from equilibrium neither collides nor loses the
+        # period: isochrony is not a small-amplitude effect.  A collision
+        # needs a start on a measure-zero set: the seeded starts of every
+        # system at N = 2 and 3, radius 0.5 to 5 and seeds 1 to 8 all exit
+        # 0.  TestExitCodeTable covers the EXIT_COLLISION mapping.
+        code, out, _ = run_cli(capsys, "simulate", "--system", "gamma1", "--n", "2",
                                "--radius", "200.0", "--seed", "1")
-        assert code in (EXIT_COLLISION, EXIT_OK)
-        if code == EXIT_COLLISION:
-            assert "collision" in err.lower() or "separation" in err.lower()
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["verdict"] == "pass"
+        assert payload["return_distance"] < payload["return_tol"]
 
 
 class TestOracleCommand:

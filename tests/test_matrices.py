@@ -21,9 +21,8 @@ from diospec.matrices import (
     permutation_similarity_check,
     spectrum_check,
     spectrum_stack,
-    w_table,
 )
-from diospec.polynomials import MonicPolynomial, _vieta_jacobian, poly_from_zeros, roots
+from diospec.polynomials import _vieta_jacobian, roots
 from diospec.report import RunConfig, run_verification
 
 SQRT2 = math.sqrt(2.0)
@@ -50,6 +49,18 @@ def closed_form_m2_n2(z1, z2):
     ])
 
 
+def vieta_jacobian(z):
+    """The library's Vieta Jacobian of one zero vector, as an (N, N) array."""
+    return _vieta_jacobian(np.asarray(z, dtype=complex)[None])[0]
+
+
+def vieta_jacobian_reference(z):
+    """numpy's expansion of the Vieta Jacobian: column m is minus the monic
+    coefficients of the zeros other than z_m, since d c_j / d z_m =
+    (-1)^j e_{j-1}(z without z_m).  ``np.poly([])`` is the scalar 1.0."""
+    return -np.array([np.atleast_1d(np.poly(np.delete(z, m))) for m in range(len(z))]).T
+
+
 def paper_entries(z, c, factor, power):
     """The paper's entry formula as its direct double sum over the Vieta
     Jacobian table: entry (n, m) is
@@ -59,7 +70,7 @@ def paper_entries(z, c, factor, power):
 
     The build computes the same matrix as W^(-1) (A_pi W) and is held to
     this sum."""
-    w = w_table(z)
+    w = vieta_jacobian_reference(z)
     size = len(z)
     out = np.empty((size, size), dtype=complex)
     for n in range(size):
@@ -90,15 +101,15 @@ class TestWTable:
     def test_first_row_is_minus_one(self):
         rng = np.random.default_rng(0)
         z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        table = w_table(z)
+        table = vieta_jacobian(z)
         np.testing.assert_allclose(table[0], -1.0, atol=1e-15)
         # A single zero leaves only that row: c_1 = -z_1.
-        np.testing.assert_array_equal(w_table([2.0]), [[-1.0]])
+        np.testing.assert_array_equal(vieta_jacobian([2.0]), [[-1.0]])
 
     def test_n3_cyclic_structure(self):
         rng = np.random.default_rng(1)
         z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        table = w_table(z)
+        table = vieta_jacobian(z)
         for m in range(3):
             a, b = z[(m + 1) % 3], z[(m + 2) % 3]
             assert table[1, m] == pytest.approx(a + b, abs=1e-14)
@@ -106,9 +117,24 @@ class TestWTable:
 
     def test_n2_entries(self):
         a, b = 0.7 + 0.2j, -1.1
-        table = w_table(np.array([a, b]))
+        table = vieta_jacobian(np.array([a, b]))
         assert table[1, 0] == pytest.approx(b)
         assert table[1, 1] == pytest.approx(a)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_numpy_expansion(self, ordering_sweep, n):
+        # Random complex zeros, and a spread of sweep rows for n = 2..7,
+        # held to numpy's expansion within 4 n u of the largest entry,
+        # u = 2^-53 (measured: at most 1.8e-15 relative up to n = 8).
+        rng = np.random.default_rng(n)
+        rows = list(rng.standard_normal((20, n)) + 1j * rng.standard_normal((20, n)))
+        if 2 <= n <= 7:
+            records = ordering_sweep(n)
+            rows += [r.zeros.zeros for r in records[::max(1, len(records) // 20)]]
+        for z in rows:
+            reference = vieta_jacobian_reference(z)
+            bound = 4 * n * 2.0 ** -53 * np.abs(reference).max()
+            assert np.abs(vieta_jacobian(z) - reference).max() <= bound
 
 
 class TestBuildM1:
@@ -156,6 +182,8 @@ class TestBuildM1:
             build_m1([1.0, -1.0], [0.5, 0.5])
         with pytest.raises(SingularConfiguration):
             build_m1([1.0, -1.0], [0.5, -0.5, 0.1])
+        with pytest.raises(SingularConfiguration, match="need at least two zeros"):
+            build_m1([1.0], [2.0])
 
     @pytest.mark.parametrize("builder", [build_m1, build_m2])
     def test_coincidence_is_exact_equality(self, builder):
@@ -359,7 +387,7 @@ class TestRealBasis:
         # neighbours in that order are not conjugates.
         z = np.array([1 - 2j, 1 - 1j, 1 + 1j, 1 + 2j])
         c = np.array([-4.0, 11.0, -14.0, 10.0])
-        np.testing.assert_array_equal(poly_from_zeros(z).coefficients, c)
+        np.testing.assert_array_equal(np.poly(z)[1:], c)
         entries, _, _ = build_stack(z[None], c[None], (KIND_M1, KIND_M2))
         for k, (kind, builder) in enumerate(((KIND_M1, build_m1), (KIND_M2, build_m2))):
             assert entries.dtype == np.float64
@@ -465,7 +493,7 @@ class TestMatrixRelations:
         # second-power one, even though it is for Hermite-seeded data.
         rng = np.random.default_rng(6)
         z = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        c = poly_from_zeros(z).coefficients
+        c = np.poly(z)[1:]
         m1 = build_m1(z, c).entries
         m2 = build_m2(z, c).entries
         assert np.abs(m2 - m1 @ m1).max() > 1e-3

@@ -1,0 +1,40 @@
+import ast
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import diospec
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(diospec.__path__))
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_example():
+    """The README's Python example, the one fenced ``python`` block."""
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    return block
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"diospec.{name}")
+    exported = getattr(module, "__all__", [])
+    assert len(set(exported)) == len(exported), f"diospec.{name}.__all__ repeats a name"
+    missing = [item for item in exported if not hasattr(module, item)]
+    assert not missing, f"diospec.{name}.__all__ names {missing}, which do not exist"
+
+
+def test_top_level_exports_the_readme_example():
+    # The package top level exports __version__ and exactly the names the
+    # README example imports from it, and the example runs.
+    example = readme_example()
+    imported = [alias.name for node in ast.walk(ast.parse(example))
+                if isinstance(node, ast.ImportFrom) and node.module == "diospec"
+                for alias in node.names]
+    assert len(imported) == 6
+    assert sorted(diospec.__all__) == sorted(["__version__", *imported])
+    assert all(hasattr(diospec, item) for item in diospec.__all__)
+    exec(compile(example, str(README), "exec"), {})

@@ -10,18 +10,16 @@ from hypothesis import strategies as st
 import diospec.polynomials as polynomials
 from diospec.errors import NonConvergence
 from diospec.hermite import hermite_zeros
-from diospec.matrices import w_table
 from diospec.polynomials import (
     MonicPolynomial,
     ZeroVector,
     _differences,
     _polish,
     _vieta,
+    _vieta_jacobian,
     as_complex_vector,
     esp_table,
     evaluate,
-    pairwise_separation,
-    poly_from_zeros,
     roots,
     roots_stack,
 )
@@ -47,16 +45,26 @@ def sigma_brute(j, z):
     return complex(sum(math.prod(t) for t in combinations(z, j)))
 
 
+def vieta(z):
+    """The library's Vieta expansion of one zero vector, as an array."""
+    return np.array(_vieta(np.asarray(z, dtype=complex)))
+
+
+def vieta_jacobian(z):
+    """The library's Vieta Jacobian of one zero vector, as an (N, N) array."""
+    return _vieta_jacobian(np.asarray(z, dtype=complex)[None])[0]
+
+
 def sigmas(z):
     """e_1(z), ..., e_N(z) read off the Vieta coefficients: c_j = (-1)^j e_j."""
-    c = poly_from_zeros(z).coefficients
+    c = vieta(z)
     return (-1.0) ** np.arange(1, c.size + 1) * c
 
 
 def sigmas_excluding(z):
     """Entry [j-1, m-1] is e_{j-1} of the zeros other than z_m, read off the
     Vieta Jacobian: d c_j / d z_m = (-1)^j e_{j-1}(z without z_m)."""
-    w = w_table(z)
+    w = vieta_jacobian(z)
     return (-1.0) ** np.arange(1, len(w) + 1)[:, None] * w
 
 
@@ -67,7 +75,7 @@ def zero_vectors(draw, min_n=2, max_n=8, min_sep=1e-3):
         st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
         min_size=n, max_size=n))
     z = np.asarray(entries, dtype=complex)
-    assume(pairwise_separation(z) > min_sep)
+    assume(_differences(z)[1] > min_sep)
     return z
 
 
@@ -101,19 +109,17 @@ class TestEvaluate:
 
 class TestPolyFromZeros:
     def test_symmetric_pair(self):
-        p = poly_from_zeros([1.0, -1.0])
-        np.testing.assert_allclose(p.coefficients, [0.0, -1.0], atol=1e-15)
+        np.testing.assert_allclose(vieta([1.0, -1.0]), [0.0, -1.0], atol=1e-15)
 
     def test_mu1_zeros_reproduce_coefficients(self):
         # the zeros of z^2 + z/sqrt(2) - 1/sqrt(2) must Vieta back to it
         zeros = quadratic_roots(1 / SQRT2, -1 / SQRT2)
-        p = poly_from_zeros(zeros)
-        np.testing.assert_allclose(p.coefficients, [1 / SQRT2, -1 / SQRT2], atol=1e-14)
+        np.testing.assert_allclose(vieta(zeros), [1 / SQRT2, -1 / SQRT2], atol=1e-14)
 
     def test_round_trip_degree_five(self):
         rng = np.random.default_rng(5)
         z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        recovered = roots(poly_from_zeros(z))
+        recovered = roots(MonicPolynomial(np.poly(z)[1:]))
         assert multiset_deviation(recovered.zeros, z) < 1e-10
 
 
@@ -203,7 +209,7 @@ class TestRoots:
         zeros, failed = roots_stack(coeffs)
         assert not failed.any()
         for c, z in zip(coeffs, zeros):
-            recovered = poly_from_zeros(z).coefficients
+            recovered = np.poly(z)[1:]
             assert np.max(np.abs(recovered - c)) < 1e-8
 
     def test_unreachable_bound_fails(self):
@@ -231,9 +237,9 @@ class TestRoots:
         for _ in range(60):
             n = int(rng.integers(2, 11))
             z = rng.uniform(-1, 1, n) + 1j * rng.uniform(-1, 1, n)
-            if pairwise_separation(z) <= 1e-3:
+            if _differences(z)[1] <= 1e-3:
                 continue
-            recovered = roots(poly_from_zeros(z))
+            recovered = roots(MonicPolynomial(np.poly(z)[1:]))
             assert multiset_deviation(recovered.zeros, z) < 1e-8
 
 
@@ -348,12 +354,12 @@ class TestVietaConsistency:
     @given(zero_vectors(max_n=10, min_sep=0.0))
     @settings(max_examples=40, deadline=None)
     def test_coefficients_are_signed_sigmas(self, z):
-        # The scalar expansion of poly_from_zeros against the stacked table.
-        p = poly_from_zeros(z)
+        # The scalar expansion ``_vieta`` against the stacked table.
+        c = vieta(z)
         e = esp_table(z)
         for m in range(1, z.size + 1):
             expected = (-1.0) ** m * e[m]
-            assert abs(p.coefficients[m - 1] - expected) <= 1e-12 * (1 + abs(expected))
+            assert abs(c[m - 1] - expected) <= 1e-12 * (1 + abs(expected))
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_scalar_expansion_matches_the_table(self, n):
@@ -380,28 +386,27 @@ class TestVietaJacobianApply:
 
     def test_zero_direction(self):
         z = np.array([0.3 + 0.1j, -0.5, 0.8j])
-        np.testing.assert_allclose(w_table(z) @ np.zeros(3), 0.0)
+        np.testing.assert_allclose(vieta_jacobian(z) @ np.zeros(3), 0.0)
 
     def test_degree_three_closed_form(self):
         rng = np.random.default_rng(8)
         z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        w = w_table(z) @ v
+        w = vieta_jacobian(z) @ v
         w1 = -(v[0] + v[1] + v[2])
         w2 = v[0] * (z[1] + z[2]) + v[1] * (z[0] + z[2]) + v[2] * (z[0] + z[1])
         w3 = -(v[0] * z[1] * z[2] + v[1] * z[0] * z[2] + v[2] * z[0] * z[1])
         np.testing.assert_allclose(w, [w1, w2, w3], atol=1e-12)
         # Degree one: c_1 = -z_1.
-        np.testing.assert_array_equal(w_table([2.0]) @ [1.0], [-1.0])
+        np.testing.assert_array_equal(vieta_jacobian([2.0]) @ [1.0], [-1.0])
 
     def test_against_central_difference(self):
         rng = np.random.default_rng(21)
         z = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         h = 1e-6
-        fd = (poly_from_zeros(z + h * v).coefficients
-              - poly_from_zeros(z - h * v).coefficients) / (2 * h)
-        w = w_table(z) @ v
+        fd = (np.poly(z + h * v)[1:] - np.poly(z - h * v)[1:]) / (2 * h)
+        w = vieta_jacobian(z) @ v
         assert np.max(np.abs(w - fd)) <= 1e-6 * np.max(np.abs(w))
 
     @given(zero_vectors(max_n=7, min_sep=0.0),
@@ -412,7 +417,7 @@ class TestVietaJacobianApply:
         rng = np.random.default_rng(z.size)
         v1 = rng.standard_normal(z.size) + 1j * rng.standard_normal(z.size)
         v2 = rng.standard_normal(z.size) + 1j * rng.standard_normal(z.size)
-        w = w_table(z)
+        w = vieta_jacobian(z)
         combined = w @ (alpha * v1 + beta * v2)
         split = alpha * (w @ v1) + beta * (w @ v2)
         scale = max(1.0, np.max(np.abs(split)))
@@ -434,8 +439,8 @@ class TestZeroVector:
 
 class TestDifferences:
     def test_single_entry_has_infinite_separation(self):
-        assert pairwise_separation(np.array([0.5])) == math.inf
-        assert pairwise_separation(np.array([0.5 + 2j])) == math.inf
+        assert _differences(np.array([0.5]))[1] == math.inf
+        assert _differences(np.array([0.5 + 2j]))[1] == math.inf
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_stack_matches_brute_force(self, dtype):
@@ -454,5 +459,5 @@ class TestDifferences:
             # one in the last bit; a real modulus is exact.
             brute = min(abs(row[i] - row[j]) for i, j in pairs)
             assert gap == pytest.approx(brute, rel=1e-15 if dtype is complex else 0, abs=0)
-            assert pairwise_separation(row) == gap
+            assert _differences(row)[1] == gap
         assert separation[2] == 0.0
