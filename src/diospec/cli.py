@@ -16,6 +16,7 @@ a bug is never reported as a usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import math
@@ -30,9 +31,9 @@ from .matrices import KIND_M1, KIND_M2, build_m1, build_m2
 from .polynomials import check_positive, roots
 from .report import (
     RunConfig,
+    csv_slices,
+    json_slices,
     mu_assignment_table,
-    report_to_csv,
-    report_to_json,
     run_verification,
     to_json,
 )
@@ -118,24 +119,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(args, payload, rows=None) -> int:
-    """Write one result to the ``--out`` file, if given, and then to stdout,
-    so a file that cannot be opened raises before stdout gets anything;
-    return EXIT_OK.  A str is written as it is.  Otherwise JSON goes through
-    ``to_json``, and CSV writes ``rows``, by default the flat payload's keys
-    and then its values."""
-    if isinstance(payload, str):
-        text = payload
+    """Write one result to the ``--out`` file, if given, and to stdout, and
+    return EXIT_OK.  The file is opened first, so one that cannot be opened
+    raises before stdout gets anything.  A dict payload is rendered whole:
+    JSON through ``to_json``, and CSV as ``rows``, by default the flat
+    payload's keys and then its values.  Any other payload is an iterable
+    of text slices, each written to both in turn."""
+    if not isinstance(payload, dict):
+        slices = payload
     elif args.format == "json":
-        text = to_json(payload)
+        slices = [to_json(payload)]
     else:
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows(
             rows or [list(payload), list(payload.values())])
-        text = buffer.getvalue()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+        slices = [buffer.getvalue()]
+    with (open(args.out, "w") if args.out else contextlib.nullcontext()) as fh:
+        for text in slices:
+            if fh:
+                fh.write(text)
+            sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -182,7 +185,7 @@ def _verify(args) -> int:
             [row["mu"], " ".join(map(str, row["word"])), row["rank"]]
             for row in table["assignments"]])
     report = run_verification(config)
-    _emit(args, report_to_json(report) if args.format == "json" else report_to_csv(report))
+    _emit(args, (json_slices if args.format == "json" else csv_slices)(report))
     return EXIT_OK if report.aggregate["fail"] == 0 else EXIT_SPECTRAL_FAIL
 
 

@@ -12,11 +12,16 @@ objects; identical configuration and seed therefore produce byte-identical
 output, except for the wall-clock ``timing`` field, which is excluded from
 the determinism hash.
 
-``report_to_json`` renders the ``results`` array of a report, nearly all of
-its bytes, from one template per check with the floats of every column
-formatted in one pass.  The generic writer (``to_json``) renders everything
-else; the tests hold the whole text to its rendering of the report built as
-nested dicts, byte for byte.
+``json_slices`` and ``csv_slices`` render a report as a stream of text
+slices, the checks cut into the sweep's own chunks of orderings, so a large
+sweep is written without its whole text in memory; ``report_to_json`` and
+``report_to_csv`` join them.  A JSON slice is filled by columns: each slot of
+a check (an eigenvalue's real or imaginary part, the deviation, the status,
+an ordering's rank and word) takes a whole column by one extended-slice
+assignment, with the floats of the slice formatted in one pass.  The
+generic writer (``to_json``) renders everything else; the tests hold the
+whole text to its rendering of the report built as nested dicts, byte for
+byte.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Sequence, Union
 
 import numpy as np
@@ -57,6 +62,8 @@ __all__ = [
     "to_json",
     "report_to_json",
     "report_to_csv",
+    "json_slices",
+    "csv_slices",
 ]
 
 # The six mu-numbered coefficient assignments commonly quoted for n = 3,
@@ -248,8 +255,7 @@ def run_verification(config: RunConfig) -> VerificationReport:
     ranks = config.ordering_ranks()
     started = time.perf_counter()
 
-    size = max(1, _CHUNK_ENTRIES // config.n ** 2)
-    chunks = [ranks[i:i + size] for i in range(0, len(ranks), size)]
+    chunks = [ranks[part] for part in _chunks(config.n, len(ranks))]
     verify = partial(_verify_chunk, config.n, kinds=config.kinds,
                      root_tol=config.root_tol, pass_tol=config.pass_tol)
     # A fork-started pool launches all its workers at the first submit.
@@ -334,9 +340,11 @@ def to_json(obj) -> str:
     return _write_json(obj, 0) + "\n"
 
 
-def _expected(report: VerificationReport) -> list:
-    """The expected spectrum of each kind, as lists of ints."""
-    return [expected_spectrum(kind, report.config.n).tolist() for kind in report.config.kinds]
+@lru_cache(maxsize=None)
+def _expected(n: int, kinds: tuple) -> tuple:
+    """The expected spectrum of each kind, as tuples of ints.  Cached, like
+    ``_check_template``, because every render asks for them again."""
+    return tuple(tuple(expected_spectrum(kind, n).tolist()) for kind in kinds)
 
 
 def _float_tokens(values: np.ndarray) -> list:
@@ -352,75 +360,133 @@ def _inner_list(items) -> str:
     return "[\n        " + ",\n        ".join(items) + "\n      ]"
 
 
-def _render_results(report: VerificationReport) -> str:
-    """The ``results`` array as ``to_json`` renders it under the top-level
-    payload, built from one template per check.
+def _chunks(n: int, count: int) -> list:
+    """The sweep's chunks of ``count`` orderings at order n, as slices of
+    ``_CHUNK_ENTRIES // n**2`` orderings: they cut the checks and the text."""
+    size = max(1, _CHUNK_ENTRIES // n ** 2)
+    return [slice(i, i + size) for i in range(0, count, size)]
 
-    The floats are formatted together in memory order: the (re, im) of each
-    eigenvalue, then the deviations and the two separations.  Each spectrum
-    fills one format; each word and expected spectrum is rendered once.
-    Kinds and statuses are fixed names that need no escaping."""
-    n, kinds = report.config.n, report.config.kinds
-    checks, orderings = report.status.size, len(report.rank)
+
+@lru_cache(maxsize=None)
+def _check_template(n: int, kinds: tuple) -> tuple:
+    """One ordering's K checks as ``to_json`` renders them in ``results``, as
+    S = 4n + 7 slots a check: the fixed text, and None where a column goes.
+    Slot 0 is the ordering's head (rank and word), 2 + 2t its t-th
+    eigenvalue token, 4n + 2 the deviation, 4n + 4 the status and 4n + 5
+    the ordering's tail (the separations); the last slot is the separator."""
+    template = []
+    for kind, values in zip(kinds, _expected(n, kinds)):
+        template += [None, kind + '",\n      "eigenvalues": [\n        {"re": ']
+        for m in range(n):
+            template += [None, ', "im": ', None, '},\n        {"re": ']
+        template[-1] = ('}\n      ],\n      "expected": ' + _inner_list(map(str, values))
+                        + ',\n      "max_deviation": ')
+        template += [None, ',\n      "status": "', None, None, ",\n    "]
+    return tuple(template)
+
+
+def _render_checks(report: VerificationReport, part: slice, template: tuple) -> str:
+    """The checks of the orderings in ``part``, each followed by its separator,
+    filled in by columns: each column of the slice goes into its slot of
+    every check by one extended-slice assignment, and one join makes the
+    text.  The floats are formatted together, each bit pattern once."""
+    n, kinds = report.config.n, len(report.config.kinds)
+    width = 4 * n + 7
+    ranks, status = report.rank[part], report.status[part].ravel().tolist()
+    checks, end = len(status), 2 * n * len(status)
     tokens = _float_tokens(np.concatenate([
-        report.eigenvalues.view(np.float64).ravel(), report.max_deviation.ravel(),
-        report.zero_separation, report.coeff_separation]))
-    deviation = tokens[2 * n * checks:]
-    zero_sep, coeff_sep = deviation[checks:], deviation[checks + orderings:]
-    spectrum = _inner_list(['{"re": %s, "im": %s}'] * n)
-    words = [_inner_list(map(str, word)) for word in report.word.tolist()]
-    expected = [_inner_list(map(str, values)) for values in _expected(report)]
-    status = report.status.ravel().tolist()
-    pieces = []
-    # Check j takes the next 2n tokens, its spectrum's (re, im) pairs.
-    for j, values in zip(range(checks), zip(*[iter(tokens)] * (2 * n))):
-        i, k = divmod(j, len(kinds))
-        pieces.append(
-            f'{{\n      "rank": {report.rank[i]},\n      "word": {words[i]},\n'
-            f'      "kind": "{kinds[k]}",\n'
-            f'      "eigenvalues": {spectrum % values},\n'
-            f'      "expected": {expected[k]},\n'
-            f'      "max_deviation": {deviation[j]},\n'
-            f'      "status": "{status[j]}",\n'
-            f'      "zero_separation": {zero_sep[i]},\n'
-            f'      "coeff_separation": {coeff_sep[i]}\n    }}')
-    return "[\n    " + ",\n    ".join(pieces) + "\n  ]"
+        report.eigenvalues[part].view(np.float64).ravel(), report.max_deviation[part].ravel(),
+        report.zero_separation[part], report.coeff_separation[part]]))
+    separations = zip(tokens[end + checks:end + checks + len(ranks)],
+                      tokens[end + checks + len(ranks):])
+    heads = ['{\n      "rank": %d,\n      "word": %s,\n      "kind": "' % (rank, _inner_list(
+        map(str, word))) for rank, word in zip(ranks, report.word[part].tolist())]
+    tails = ['",\n      "zero_separation": %s,\n      "coeff_separation": %s\n    }' % pair
+             for pair in separations]
+    parts = list(template) * len(ranks)
+    for t in range(2 * n):
+        parts[2 + 2 * t::width] = tokens[t:end:2 * n]
+    parts[4 * n + 2::width] = tokens[end:end + checks]
+    parts[4 * n + 4::width] = status
+    for k in range(kinds):
+        parts[k * width::width * kinds] = heads
+        parts[k * width + 4 * n + 5::width * kinds] = tails
+    if part.stop >= len(report.rank):
+        parts[-1] = ""
+    return "".join(parts)
+
+
+def json_slices(report: VerificationReport):
+    """The text of ``report_to_json`` as an iterator of slices, the
+    ``results`` cut into the sweep's chunks of orderings.  Every float
+    column is checked up front, so a non-finite value raises ValueError
+    here, before any slice is made."""
+    scalars = np.concatenate([report.max_deviation.ravel(), report.zero_separation,
+                              report.coeff_separation])
+    for values in (report.eigenvalues.view(np.float64), scalars):
+        if not np.isfinite(values).all():
+            raise ValueError("cannot serialise non-finite float "
+                             f"{values[~np.isfinite(values)][0]}")
+    head = ('{\n  "version": ' + _write_json(report.version, 1)
+            + ',\n  "config": ' + _write_json(report.config.to_dict(), 1)
+            + ',\n  "results": [\n    ')
+    tail = ('\n  ],\n  "aggregate": ' + _write_json(report.aggregate, 1)
+            + ',\n  "notes": ' + _write_json(report.notes, 1))
+    return _hashed_json(report, head, tail)
+
+
+def _hashed_json(report: VerificationReport, head: str, tail: str):
+    """Yield head, the results' slices and tail, hashing the same bytes, then
+    the hash and the timing that close the object."""
+    n, kinds = report.config.n, report.config.kinds
+    template = _check_template(n, kinds)
+    digest = hashlib.sha256(head.encode())
+    yield head
+    for part in _chunks(n, len(report.rank)):
+        text = _render_checks(report, part, template)
+        digest.update(text.encode())
+        yield text
+    digest.update((tail + "\n}\n").encode())
+    yield (tail + ',\n  "determinism_sha256": ' + _write_json(digest.hexdigest(), 1)
+           + ',\n  "timing": ' + _write_json({"seconds": report.timing_seconds}, 1) + "\n}\n")
 
 
 def report_to_json(report: VerificationReport) -> str:
     """The report as ``to_json`` renders its entries: ``version``, ``config``,
     ``results``, ``aggregate``, ``notes``, ``determinism_sha256`` and
-    ``timing``.  Each entry is rendered once, ``results`` by
-    ``_render_results``.  The hash is the SHA-256 of the first five entries
-    rendered as a top-level object of their own: it covers all but itself
-    and the wall clock."""
-    entries = ['  "version": ' + _write_json(report.version, 1),
-               '  "config": ' + _write_json(report.config.to_dict(), 1),
-               '  "results": ' + _render_results(report),
-               '  "aggregate": ' + _write_json(report.aggregate, 1),
-               '  "notes": ' + _write_json(report.notes, 1)]
-    # Each object is "{\n" + joined entries + "\n}\n", built by one join so the
-    # text is not copied again; the hashed one is not kept past the hash.
-    digest = hashlib.sha256(",\n".join(entries).join(("{\n", "\n}\n")).encode()).hexdigest()
-    entries += ['  "determinism_sha256": ' + _write_json(digest, 1),
-                '  "timing": ' + _write_json({"seconds": report.timing_seconds}, 1)]
-    return ",\n".join(entries).join(("{\n", "\n}\n"))
+    ``timing``.  The hash is the SHA-256 of the first five entries rendered
+    as a top-level object of their own: it covers all but itself and the
+    wall clock.  The text is the join of ``json_slices``."""
+    return "".join(json_slices(report))
+
+
+def csv_slices(report: VerificationReport):
+    """The text of ``report_to_csv`` as an iterator of slices, the header and
+    then one slice of rows per chunk of orderings.  Each row is one format;
+    eigenvalues are joined with semicolons.  No field holds a comma, quote
+    or newline to quote."""
+    n, kinds = report.config.n, report.config.kinds
+    row = (f"{n},%s,%s,%s,%s,%.17g,%.17g,%.17g," + ";".join(["%.17g%+.17gj"] * n) + ",%s")
+    expected = [";".join(map(str, values)) for values in _expected(n, kinds)]
+    lines = ["n,rank,word,kind,status,max_deviation,zero_separation,coeff_separation,"
+             "eigenvalues,expected"]
+    for part in _chunks(n, len(report.rank)):
+        spectra = report.eigenvalues[part].view(np.float64).reshape(-1, 2 * n).tolist()
+        deviation = report.max_deviation[part].ravel().tolist()
+        status = report.status[part].ravel().tolist()
+        words = [" ".join(map(str, word)) for word in report.word[part].tolist()]
+        zero_sep = report.zero_separation[part].tolist()
+        coeff_sep = report.coeff_separation[part].tolist()
+        ranks = report.rank[part]
+        for j, values in enumerate(spectra):
+            i, k = divmod(j, len(kinds))
+            lines.append(row % (ranks[i], words[i], kinds[k], status[j], deviation[j],
+                                zero_sep[i], coeff_sep[i], *values, expected[k]))
+        lines.append("")
+        yield "\n".join(lines)
+        lines = []
 
 
 def report_to_csv(report: VerificationReport) -> str:
-    """One row per (ordering, kind), each from one format; eigenvalues joined
-    with semicolons.  No field holds a comma, quote or newline to quote."""
-    n, kinds = report.config.n, report.config.kinds
-    row = (f"{n},%s,%s,%s,%s,%.17g,%.17g,%.17g," + ";".join(["%.17g%+.17gj"] * n) + ",%s")
-    spectra = report.eigenvalues.view(np.float64).reshape(-1, 2 * n).tolist()
-    deviation, status = report.max_deviation.ravel().tolist(), report.status.ravel().tolist()
-    words = [" ".join(map(str, word)) for word in report.word.tolist()]
-    zero_sep, coeff_sep = report.zero_separation.tolist(), report.coeff_separation.tolist()
-    expected = [";".join(map(str, values)) for values in _expected(report)]
-    lines = ["n,rank,word,kind,status,max_deviation,zero_separation,coeff_separation,"
-             "eigenvalues,expected"]
-    for j, values in enumerate(spectra):
-        i, k = divmod(j, len(kinds))
-        lines.append(row % (report.rank[i], words[i], kinds[k], status[j], deviation[j],
-                            zero_sep[i], coeff_sep[i], *values, expected[k]))
-    return "\n".join(lines) + "\n"
+    """One row per (ordering, kind) under a header: the join of ``csv_slices``."""
+    return "".join(csv_slices(report))

@@ -13,7 +13,6 @@ from diospec.cli import (
     EXIT_COLLISION,
     EXIT_NUMERICAL,
     EXIT_OK,
-    EXIT_SPECTRAL_FAIL,
     EXIT_USAGE,
     main,
 )
@@ -31,6 +30,8 @@ from diospec.report import (
     RunConfig,
     _float_tokens,
     _format_float,
+    csv_slices,
+    json_slices,
     report_to_csv,
     report_to_json,
     run_verification,
@@ -42,6 +43,10 @@ _RESULT_FIELDS = ("rank", "word", "kind", "eigenvalues", "expected", "max_deviat
 
 # Full sweeps, as (n, kinds), that both renderings are held to the oracle on.
 _ORACLE_CASES = [(2, ("M1", "M2")), (3, ("M1",)), (6, ("M1", "M2")), (7, ("M1",))]
+
+# A ``_CHUNK_ENTRIES`` that cuts the 120 orderings at n = 5 into chunks of 37,
+# 37, 37 and 9, so a sweep's text comes in four slices.
+_N5_IN_FOUR = 37 * 5 ** 2
 
 
 def determinism_hash(payload: dict) -> str:
@@ -73,6 +78,30 @@ def report_to_dict(report) -> dict:
     payload["determinism_sha256"] = determinism_hash(payload)
     payload["timing"] = {"seconds": report.timing_seconds}
     return payload
+
+
+def dict_to_csv(report) -> str:
+    """The CSV oracle: each result of ``report_to_dict`` as one ``csv.writer``
+    row, floats at 17 significant digits."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["n", "rank", "word", "kind", "status", "max_deviation",
+                     "zero_separation", "coeff_separation", "eigenvalues", "expected"])
+    for result in report_to_dict(report)["results"]:
+        writer.writerow([
+            report.config.n, result["rank"], " ".join(map(str, result["word"])),
+            result["kind"], result["status"],
+            *(format(result[field], ".17g")
+              for field in ("max_deviation", "zero_separation", "coeff_separation")),
+            ";".join(format(z.real, ".17g") + format(z.imag, "+.17g") + "j"
+                     for z in result["eigenvalues"]),
+            ";".join(map(str, result["expected"]))])
+    return buffer.getvalue()
+
+
+def without_seconds(text: str) -> list:
+    """The lines of a JSON report but its wall-clock ``"seconds"`` line."""
+    return [line for line in text.splitlines(keepends=True) if '"seconds"' not in line]
 
 
 def run_cli(capsys, *args):
@@ -195,6 +224,30 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert json.loads(out)["aggregate"]["pass"] == 40
 
+
+    @pytest.mark.parametrize("entries", [None, _N5_IN_FOUR], ids=["one-slice", "four-slices"])
+    def test_streamed_report_matches_report_to_json(self, capsys, monkeypatch, tmp_path,
+                                                    entries):
+        # The file and stdout get the same bytes, slice by slice, and they
+        # are report_to_json's but for the wall clock.
+        if entries:
+            monkeypatch.setattr("diospec.report._CHUNK_ENTRIES", entries)
+        target = tmp_path / "n5.json"
+        code, out, _ = run_cli(capsys, "verify", "--n", "5", "--out", str(target))
+        assert code == EXIT_OK
+        assert target.read_bytes() == out.encode()
+        expected = report_to_json(run_verification(RunConfig(n=5)))
+        assert without_seconds(out) == without_seconds(expected)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_unwritable_out_file_leaves_stdout_empty(self, capsys, tmp_path, fmt):
+        target = tmp_path / "missing" / "n3.out"
+        code, out, err = run_cli(capsys, "verify", "--n", "3", "--format", fmt,
+                                 "--out", str(target))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not target.exists()
 
 class TestSimulateCommand:
     def test_gamma1_periodicity(self, capsys):
@@ -410,7 +463,9 @@ class TestReportSerialization:
     ])
     def test_csv_matches_the_dict(self, n, kinds, orderings):
         report = run_verification(RunConfig(n=n, kinds=kinds, orderings=orderings))
-        rows = list(csv.DictReader(io.StringIO(report_to_csv(report))))
+        text = report_to_csv(report)
+        assert text == dict_to_csv(report)
+        rows = list(csv.DictReader(io.StringIO(text)))
         results = report_to_dict(report)["results"]
         assert len(rows) == len(results) == report.status.size
         for row, result in zip(rows, results):
@@ -518,6 +573,24 @@ class TestReportSerialization:
                         f"{len(reference)}):\n  template {rendered[window]!r}\n"
                         f"  generic  {reference[window]!r}")
 
+    @pytest.mark.parametrize("config, entries, slices", [
+        (dict(n=5), _N5_IN_FOUR, 4),
+        # 24 orderings in chunks of 7, 7, 7 and 3.
+        (dict(n=4, kinds=("M2", "M1")), 7 * 4 ** 2, 4),
+        (dict(n=12, orderings=(123456789,)), None, 1),
+    ], ids=["n5", "n4-M2,M1", "n12-one"])
+    def test_slices_match_the_dict(self, monkeypatch, config, entries, slices):
+        # Each chunk of orderings is one slice of the text, and the slices
+        # join to the oracle's text byte for byte, in JSON and in CSV.
+        if entries:
+            monkeypatch.setattr("diospec.report._CHUNK_ENTRIES", entries)
+        report = run_verification(RunConfig(**config))
+        json_parts, csv_parts = list(json_slices(report)), list(csv_slices(report))
+        # The JSON has a head and a tail around its slices of results.
+        assert len(json_parts) == slices + 2 and len(csv_parts) == slices
+        assert "".join(json_parts) == to_json(report_to_dict(report))
+        assert "".join(csv_parts) == dict_to_csv(report)
+
     def test_float_tokens_match_the_scalar_writer(self):
         values = [0.0, -0.0, 2.0, 9.0, 1e16, 1e17, 5e-324, 1.5, -3.0]
         assert _float_tokens(np.array(values)) == [_format_float(v) for v in values]
@@ -533,6 +606,31 @@ class TestReportSerialization:
         getattr(report, field)[cell] = value
         with pytest.raises(ValueError, match="non-finite"):
             report_to_json(report)
+
+    @pytest.mark.parametrize("field, cell, value", [
+        ("eigenvalues", (-1, -1, -1), complex(1.0, math.nan)),
+        ("max_deviation", (-1, -1), math.inf),
+        ("zero_separation", -1, math.nan),
+        ("coeff_separation", -1, -math.inf),
+    ])
+    def test_non_finite_last_slice_raises_before_writing(self, capsys, monkeypatch, tmp_path,
+                                                         field, cell, value):
+        # The value sits in the last of four slices, but every column is
+        # checked before the file is opened or stdout gets a byte.
+        monkeypatch.setattr("diospec.report._CHUNK_ENTRIES", _N5_IN_FOUR)
+        sweep = cli.run_verification
+
+        def spoiled(config):
+            report = sweep(config)
+            getattr(report, field)[cell] = value
+            return report
+
+        monkeypatch.setattr(cli, "run_verification", spoiled)
+        target = tmp_path / "n5.json"
+        code, out, err = run_cli(capsys, "verify", "--n", "5", "--out", str(target))
+        assert code == EXIT_USAGE
+        assert out == "" and "non-finite" in err
+        assert not target.exists()
 
     def test_unconverged_ordering_aborts_the_sweep(self):
         # Rank 657 at n = 9 has zeros whose |z|^9 puts an absolute residual

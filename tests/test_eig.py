@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from diospec.eig import (
-    EigenResult,
     as_square_matrix,
     eigenvalues,
     hessenberg_reduce,
