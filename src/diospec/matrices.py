@@ -103,10 +103,12 @@ def _similarity(basis: np.ndarray, c: np.ndarray, kinds: tuple) -> np.ndarray:
     LU factorisation per row.  The coefficients of a row must be distinct."""
     cdiff = c[:, :, None] - c[:, None, :]
     _set_diagonals(cdiff, 1.0)
+    # P is 2 or 4: the square or its square, since x ** 4 would call libm pow.
+    square = cdiff * cdiff
     coupled = []
     for kind in kinds:
         factor, power, _ = _profile(kind)
-        inv_pow = 1.0 / cdiff ** power
+        inv_pow = 1.0 / (square if power == 2 else square * square)
         _set_diagonals(inv_pow, 0.0)
         # A_pi V = V + K (D - C) V, vectorised over the columns m.
         coupled.append(basis + factor * (basis * inv_pow.sum(axis=2)[:, :, None]

@@ -7,7 +7,7 @@ import pytest
 from numpy.polynomial import hermite as npherm
 
 from diospec.errors import SingularConfiguration
-from diospec.hermite import PermutationId, hermite_zeros, permuted_polynomial
+from diospec.hermite import PermutationId, hermite_zeros, permuted_polynomial, word_from_rank
 from diospec.matrices import (
     KIND_M1,
     KIND_M2,
@@ -22,7 +22,7 @@ from diospec.matrices import (
     spectrum_check,
     spectrum_stack,
 )
-from diospec.polynomials import _vieta_jacobian, roots
+from diospec.polynomials import _vieta_jacobian, roots, roots_stack
 from diospec.report import RunConfig, run_verification
 
 SQRT2 = math.sqrt(2.0)
@@ -506,3 +506,55 @@ class TestMatrixRelations:
         m1 = build_m1(z, c).entries
         m2 = build_m2(z, c).entries
         assert np.abs(m2 - m1 @ m1).max() < 1e-12
+
+
+def pow_similarity(basis, c, kinds):
+    """``_similarity`` with each coupling taken as 1 / (c_j - c_s) ** P, numpy's
+    power (libm ``pow`` for P = 4), and every other operation in the
+    library's order: the reference for the squared coupling."""
+    cdiff = c[:, :, None] - c[:, None, :]
+    diagonal = np.arange(c.shape[1])
+    cdiff[:, diagonal, diagonal] = 1.0
+    coupled = []
+    for kind in kinds:
+        factor, power = {KIND_M1: (1.0, 2), KIND_M2: (6.0, 4)}[kind]
+        inv_pow = 1.0 / cdiff ** power
+        inv_pow[:, diagonal, diagonal] = 0.0
+        coupled.append(basis + factor * (basis * inv_pow.sum(axis=2)[:, :, None]
+                                         - inv_pow @ basis))
+    solved = np.linalg.solve(basis, np.concatenate(coupled, axis=2))
+    return solved.reshape(basis.shape[:2] + (len(kinds), -1)).transpose(0, 2, 1, 3)
+
+
+class TestCouplingPowers:
+    """The build takes the coupling powers as products of the square of the
+    coefficient differences.  M1's square is numpy's ``** 2`` bit for bit;
+    M2's fourth power differs from ``** 4`` by rounding only."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_products_match_the_power_reference(self, n):
+        # Sweep rows at up to 60 ranks spread over the n! orderings, and 60
+        # random real coefficient rows.  M2 is held within 8 N eps of the
+        # largest reference entry, eps = 2^-52 (measured: at most 1.7 N eps);
+        # M1 equals the reference exactly, in the stack and one row at a time.
+        rng = np.random.default_rng(n)
+        ranks = np.unique(np.linspace(1, math.factorial(n), 60).astype(int)).tolist()
+        words = np.array([word_from_rank(n, rank) for rank in ranks])
+        for c in (hermite_zeros(n).zeros[words - 1], rng.standard_normal((60, n))):
+            z, failed = roots_stack(c)
+            z, c = z[~failed], c[~failed]
+            entries, _, _ = build_stack(z, c, (KIND_M1, KIND_M2))
+            w = _vieta_jacobian(z)
+            reference = pow_similarity(np.where(z.imag[:, None, :] > 0, w.imag, w.real),
+                                       c, (KIND_M1, KIND_M2))
+            np.testing.assert_array_equal(entries[:, 0], reference[:, 0])
+            bound = 8 * n * 2.0 ** -52 * np.abs(reference[:, 1]).max(axis=(1, 2))
+            assert (np.abs(entries[:, 1] - reference[:, 1]).max(axis=(1, 2)) <= bound).all()
+            for row in range(0, len(c), 6):
+                complex_w, complex_c = w[row:row + 1], c[row:row + 1].astype(complex)
+                np.testing.assert_array_equal(
+                    build_m1(z[row], c[row]).entries,
+                    pow_similarity(complex_w, complex_c, (KIND_M1,))[0, 0])
+                one_row = pow_similarity(complex_w, complex_c, (KIND_M2,))[0, 0]
+                assert (np.abs(build_m2(z[row], c[row]).entries - one_row).max()
+                        <= 8 * n * 2.0 ** -52 * np.abs(one_row).max())
