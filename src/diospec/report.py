@@ -219,6 +219,13 @@ class VerificationReport:
     timing_seconds: float = 0.0
 
 
+def _chunks(n: int, count: int) -> list:
+    """The sweep's chunks of ``count`` orderings at order n, as slices of
+    ``_CHUNK_ENTRIES // n**2`` orderings: they cut the checks and the text."""
+    size = max(1, _CHUNK_ENTRIES // n ** 2)
+    return [slice(i, i + size) for i in range(0, count, size)]
+
+
 def _verify_chunk(n: int, ranks: list, kinds: tuple, root_tol: float,
                   pass_tol: float) -> tuple:
     """The batched pipeline on one chunk of orderings: permute the Hermite
@@ -360,13 +367,6 @@ def _inner_list(items) -> str:
     return "[\n        " + ",\n        ".join(items) + "\n      ]"
 
 
-def _chunks(n: int, count: int) -> list:
-    """The sweep's chunks of ``count`` orderings at order n, as slices of
-    ``_CHUNK_ENTRIES // n**2`` orderings: they cut the checks and the text."""
-    size = max(1, _CHUNK_ENTRIES // n ** 2)
-    return [slice(i, i + size) for i in range(0, count, size)]
-
-
 @lru_cache(maxsize=None)
 def _check_template(n: int, kinds: tuple) -> tuple:
     """One ordering's K checks as ``to_json`` renders them in ``results``, as
@@ -385,11 +385,12 @@ def _check_template(n: int, kinds: tuple) -> tuple:
     return tuple(template)
 
 
-def _render_checks(report: VerificationReport, part: slice, template: tuple) -> str:
-    """The checks of the orderings in ``part``, each followed by its separator,
-    filled in by columns: each column of the slice goes into its slot of
-    every check by one extended-slice assignment, and one join makes the
-    text.  The floats are formatted together, each bit pattern once."""
+def _render_checks(report: VerificationReport, part: slice) -> str:
+    """The checks of the orderings in ``part``, each followed by its separator
+    but the report's last, filled in by columns: each column of the slice
+    goes into its slot of every check by one extended-slice assignment, and
+    one join makes the text.  The floats are formatted together, each bit
+    pattern once."""
     n, kinds = report.config.n, len(report.config.kinds)
     width = 4 * n + 7
     ranks, status = report.rank[part], report.status[part].ravel().tolist()
@@ -403,7 +404,7 @@ def _render_checks(report: VerificationReport, part: slice, template: tuple) -> 
         map(str, word))) for rank, word in zip(ranks, report.word[part].tolist())]
     tails = ['",\n      "zero_separation": %s,\n      "coeff_separation": %s\n    }' % pair
              for pair in separations]
-    parts = list(template) * len(ranks)
+    parts = list(_check_template(n, report.config.kinds)) * len(ranks)
     for t in range(2 * n):
         parts[2 + 2 * t::width] = tokens[t:end:2 * n]
     parts[4 * n + 2::width] = tokens[end:end + checks]
@@ -438,12 +439,10 @@ def json_slices(report: VerificationReport):
 def _hashed_json(report: VerificationReport, head: str, tail: str):
     """Yield head, the results' slices and tail, hashing the same bytes, then
     the hash and the timing that close the object."""
-    n, kinds = report.config.n, report.config.kinds
-    template = _check_template(n, kinds)
     digest = hashlib.sha256(head.encode())
     yield head
-    for part in _chunks(n, len(report.rank)):
-        text = _render_checks(report, part, template)
+    for part in _chunks(report.config.n, len(report.rank)):
+        text = _render_checks(report, part)
         digest.update(text.encode())
         yield text
     digest.update((tail + "\n}\n").encode())
@@ -461,10 +460,10 @@ def report_to_json(report: VerificationReport) -> str:
 
 
 def csv_slices(report: VerificationReport):
-    """The text of ``report_to_csv`` as an iterator of slices, the header and
-    then one slice of rows per chunk of orderings.  Each row is one format;
-    eigenvalues are joined with semicolons.  No field holds a comma, quote
-    or newline to quote."""
+    """The text of ``report_to_csv`` as an iterator of slices: the rows of one
+    chunk of orderings each, the first led by the header.  Each row is one
+    format; eigenvalues are joined with semicolons.  No field holds a comma,
+    quote or newline to quote."""
     n, kinds = report.config.n, report.config.kinds
     row = (f"{n},%s,%s,%s,%s,%.17g,%.17g,%.17g," + ";".join(["%.17g%+.17gj"] * n) + ",%s")
     expected = [";".join(map(str, values)) for values in _expected(n, kinds)]
