@@ -377,7 +377,7 @@ def _check_template(n: int, kinds: tuple) -> tuple:
     template = []
     for kind, values in zip(kinds, _expected(n, kinds)):
         template += [None, kind + '",\n      "eigenvalues": [\n        {"re": ']
-        for m in range(n):
+        for _ in range(n):
             template += [None, ', "im": ', None, '},\n        {"re": ']
         template[-1] = ('}\n      ],\n      "expected": ' + _inner_list(map(str, values))
                         + ',\n      "max_deviation": ')

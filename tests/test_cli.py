@@ -224,7 +224,6 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert json.loads(out)["aggregate"]["pass"] == 40
 
-
     @pytest.mark.parametrize("entries", [None, _N5_IN_FOUR], ids=["one-slice", "four-slices"])
     def test_streamed_report_matches_report_to_json(self, capsys, monkeypatch, tmp_path,
                                                     entries):
@@ -248,6 +247,7 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not target.exists()
+
 
 class TestSimulateCommand:
     def test_gamma1_periodicity(self, capsys):
