@@ -1,27 +1,31 @@
 """The two closed-form matrices with integer and squared-integer spectra.
 
-Both are built from the ordered zeros z of a monic polynomial and its
+Both are built from the ordered zeros z of a monic polynomial p and its
 coefficients c as the similarity
 
     M = W^(-1) A_pi W,   A_pi = I + K (D - C),
 
 where W is the Jacobian d c_j / d z_m of the zeros-to-coefficients map,
 C_js = 1 / (c_j - c_s)^P off the diagonal, D = diag(C 1), and (K, P) = (1, 2)
-for kind M1 and (6, 4) for kind M2; writing out W^(-1) row by row gives the
-paper's entry formula.  When c orders the zeros of a Hermite polynomial,
-A_pi = P A P^T for the permutation P of that ordering and one real symmetric
-matrix A, the coefficient flows' Jacobian at equilibrium up to a factor i
-(M1) or -1 (M2).  So every ordering's matrix is similar to A, and the
-eigenvalues are exactly 1..N (M1) and 1, 4, ..., N^2 (M2).
+for kind M1 and (6, 4) for kind M2.  When c orders the zeros of a Hermite
+polynomial, A_pi = P A P^T for the permutation P of that ordering and one
+real symmetric matrix A, the coefficient flows' Jacobian at equilibrium up
+to a factor i (M1) or -1 (M2).  So every ordering's matrix is similar to A,
+and the eigenvalues are exactly 1..N (M1) and 1, 4, ..., N^2 (M2).
 
-The sweep's coefficients are real, so A_pi is real and the zeros come in
-conjugate pairs whose columns of W are conjugate.  ``build_stack`` keeps
-the column of each real zero and replaces the columns of a pair z_a, z_b =
-conj(z_a) (Im z_b > 0) by Re W_a and Im W_b, which span the same plane.
-That basis V = W R is real, for a fixed block matrix R with entries 1/2
-and +-i/2, so T = V^(-1) A_pi V = R^(-1) M R is real and similar to M, and
-its product, solve and eigenvalues run in real arithmetic.  The one-row
-``build_m1`` and ``build_m2`` take W itself and return M's entries.
+No W is formed.  Its inverse is the paper's entry formula d z_m / d c_j =
+-z_m^(N-j) / p'(z_m), that is -D'^(-1) V for V_mj = z_m^(N-j) and
+D' = diag(p'(z)), so M = D'^(-1) X D' with X^T = V^(-T) A_pi V^T: one solve
+against V^T, as A_pi is symmetric.  ``build_m1`` and ``build_m2`` return M.
+
+The sweep's coefficients are real, so the zeros come in conjugate pairs
+whose columns of V^T are conjugate.  ``build_stack`` keeps the column of
+each real zero and replaces those of a pair z_a, z_b = conj(z_a)
+(Im z_b > 0) by Re V_a and Im V_b, which span the same plane.  That basis
+U = V^T R is real, for a fixed block matrix R with entries 1/2 and +-i/2, so
+U^(-1) A_pi U = R^(-1) X^T R is real and similar to M, and its solve and
+eigenvalues run in real arithmetic.  The sweep drops D': partial-pivoting
+LU picks the same pivots whatever the scale of each column of U.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergence, SingularConfiguration
-from .polynomials import (_differences, _frozen, _set_diagonals, _vieta_jacobian,
-                          _zeros_of, as_complex_vector, check_positive)
+from .polynomials import (_differences, _frozen, _set_diagonals, _zeros_of,
+                          as_complex_vector, check_positive)
 
 __all__ = [
     "KIND_M1",
@@ -117,13 +121,25 @@ def _similarity(basis: np.ndarray, c: np.ndarray, kinds: tuple) -> np.ndarray:
     return solved.reshape(basis.shape[:2] + (len(kinds), -1)).transpose(0, 2, 1, 3)
 
 
+def _powers(z: np.ndarray) -> np.ndarray:
+    """V^T of every row of a (B, N) zero stack, [b, j-1, m] = z_m^(N-j), by one
+    cumulative product up from the row of ones, as a C-contiguous stack."""
+    b, n = z.shape
+    powers = np.empty((b, n, n), dtype=z.dtype)
+    powers[:, -1] = 1.0
+    powers[:, :-1] = z[:, None, :]
+    rising = powers[:, ::-1]
+    np.multiply.accumulate(rising, axis=1, out=rising)
+    return powers
+
+
 def build_stack(zeros: np.ndarray, coefficients: np.ndarray, kinds: tuple):
     """Build the requested kinds of matrix for every row of (B, N) stacks of
     ordered zeros and their polynomial's real coefficients, in the real basis
     of the module docstring, so each is similar to its row's M, not equal to
     it.  Complex coefficients whose imaginary parts are all exactly 0 are
-    taken as real.  Both kinds share one Vieta Jacobian stack and one solve;
-    rows are computed independently.
+    taken as real.  Both kinds share one basis stack and one solve; rows are
+    computed independently.
 
     Returns (entries, zero_separation, coeff_separation): the (B, K, N, N)
     real entries, kind k of ``kinds`` at [:, k], and two (B,) arrays.
@@ -146,8 +162,8 @@ def build_stack(zeros: np.ndarray, coefficients: np.ndarray, kinds: tuple):
 
     # Each column picks by the sign of its own zero, not by the position of
     # its partner, so pairs sharing a real part need no matching.
-    w = _vieta_jacobian(z)
-    basis = np.where(z.imag[:, None, :] > 0, w.imag, w.real)
+    powers = _powers(z)
+    basis = np.where(z.imag[:, None, :] > 0, powers.imag, powers.real)
     return _similarity(basis, c, kinds), zero_sep, coeff_sep
 
 
@@ -163,8 +179,10 @@ def _build(z, c, kind: str) -> DiophantineMatrix:
     for values, what in ((zz, "zeros"), (cc, "coefficients")):
         if not _differences(values)[1]:
             raise SingularConfiguration(f"coincident {what}")
-    entries = _similarity(_vieta_jacobian(zz[None, :]), cc[None, :], (kind,))
-    return DiophantineMatrix(kind, n, entries[0, 0])
+    x = _similarity(_powers(zz[None, :]), cc[None, :], (kind,))[0, 0].T
+    # M = D'^(-1) X D', D' = diag(p'(z)), p'(z_m) the product of z_m - z_l.
+    derivative = _set_diagonals(zz[:, None] - zz[None, :], 1.0).prod(axis=1)
+    return DiophantineMatrix(kind, n, x * derivative / derivative[:, None])
 
 
 def build_m1(z, c, source_perm=None) -> DiophantineMatrix:

@@ -1,4 +1,4 @@
-"""Monic complex polynomials: evaluation, Vieta maps, zeros, symmetric functions.
+"""Monic complex polynomials: evaluation, the Vieta map and zeros.
 
 A monic polynomial of degree N is stored as its N trailing coefficients
 (c_1, ..., c_N) of
@@ -23,7 +23,6 @@ __all__ = [
     "MonicPolynomial",
     "ZeroVector",
     "check_positive",
-    "esp_table",
     "evaluate",
     "roots",
     "roots_stack",
@@ -126,8 +125,8 @@ def evaluate(p: MonicPolynomial, x):
 
 
 def _vieta(zeros: np.ndarray) -> list:
-    """Trailing coefficients of prod_n (x - z_n) for one zero vector: the
-    recurrence of ``esp_table`` on Python scalars, faster than it up to N = 30."""
+    """Trailing coefficients of prod_n (x - z_n) for one zero vector, by the
+    triangular recurrence on Python scalars."""
     e = [1.0] + [0.0] * zeros.size
     for i, z in enumerate(zeros.tolist(), start=1):
         for k in range(i, 0, -1):
@@ -136,23 +135,16 @@ def _vieta(zeros: np.ndarray) -> list:
 
 
 def _polish(c: np.ndarray, z: np.ndarray):
-    """Two guarded Newton steps per zero, each kept only where it does not
-    increase the residual.  Returns the zeros and their residuals |p(z)|.
-    No step follows the last, so its Horner pass computes the value only."""
+    """One guarded Newton step per zero, kept only where it does not increase
+    the residual.  Returns the zeros and their residuals |p(z)|.  No step
+    follows it, so its second Horner pass computes the value only."""
     tiny = np.finfo(float).tiny
     columns = [c[:, k, None] for k in range(c.shape[1])]
     val, der = _horner(columns, z, derivative=True)
+    candidate = z - val / np.where(np.abs(der) < tiny, tiny, der)
+    resid = np.abs(_horner(columns, candidate, derivative=False)[0])
     best = np.abs(val)
-    for last in (False, True):
-        candidate = z - val / np.where(np.abs(der) < tiny, tiny, der)
-        cval, cder = _horner(columns, candidate, derivative=not last)
-        resid = np.abs(cval)
-        improved = resid <= best
-        z = np.where(improved, candidate, z)
-        best = np.minimum(resid, best)
-        if not last:
-            val, der = np.where(improved, cval, val), np.where(improved, cder, der)
-    return z, best
+    return np.where(resid <= best, candidate, z), np.minimum(resid, best)
 
 
 def roots_stack(coefficients, tol: float = 1e-12):
@@ -212,30 +204,7 @@ def roots(p: MonicPolynomial, tol: float = 1e-12) -> ZeroVector:
     return ZeroVector(zeros[0])
 
 
-def esp_table(values: np.ndarray) -> np.ndarray:
-    """Elementary symmetric functions e_0..e_n of the entries along the last
-    axis, by the stable triangular recurrence (one linear-factor
-    multiplication per entry)."""
-    n = values.shape[-1]
-    e = np.zeros(values.shape[:-1] + (n + 1,), dtype=complex)
-    e[..., 0] = 1.0
-    for i in range(n):
-        head = e[..., 1:i + 2]  # a view, updated in place
-        head += values[..., i, None] * e[..., :i + 1]
-    return e
-
-
 @functools.lru_cache(maxsize=None)
 def _off_diagonal(n: int) -> np.ndarray:
     """Row m holds the flat indices of the (n, n) entries (m, k), k != m; modulo n, the k."""
     return np.flatnonzero(~np.eye(n, dtype=bool)).reshape(n, n - 1)
-
-
-def _vieta_jacobian(z: np.ndarray) -> np.ndarray:
-    """Jacobian d c_j / d z_m of the zeros-to-coefficients map for every row
-    of a (B, N) zero stack, as (B, N, N) indexed [b, j-1, m-1]: entry (j, m)
-    is (-1)^j e_{j-1} of the row's zeros without z_m."""
-    n = z.shape[1]
-    reduced = esp_table(z[:, _off_diagonal(n) % n])
-    signs = (-1.0) ** np.arange(1, n + 1)
-    return signs[:, None] * reduced.transpose(0, 2, 1)

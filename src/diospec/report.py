@@ -417,17 +417,23 @@ def _render_checks(report: VerificationReport, part: slice) -> str:
     return "".join(parts)
 
 
-def json_slices(report: VerificationReport):
-    """The text of ``report_to_json`` as an iterator of slices, the
-    ``results`` cut into the sweep's chunks of orderings.  Every float
-    column is checked up front, so a non-finite value raises ValueError
-    here, before any slice is made."""
+def _check_finite(report: VerificationReport) -> None:
+    """Raise ValueError for a non-finite value in any float column.  Both
+    renderers call it when called, before they make a slice, so neither
+    writes a byte of a report it cannot finish."""
     scalars = np.concatenate([report.max_deviation.ravel(), report.zero_separation,
                               report.coeff_separation])
     for values in (report.eigenvalues.view(np.float64), scalars):
         if not np.isfinite(values).all():
             raise ValueError("cannot serialise non-finite float "
                              f"{values[~np.isfinite(values)][0]}")
+
+
+def json_slices(report: VerificationReport):
+    """The text of ``report_to_json`` as an iterator of slices, the
+    ``results`` cut into the sweep's chunks of orderings, after
+    ``_check_finite``."""
+    _check_finite(report)
     head = ('{\n  "version": ' + _write_json(report.version, 1)
             + ',\n  "config": ' + _write_json(report.config.to_dict(), 1)
             + ',\n  "results": [\n    ')
@@ -460,10 +466,16 @@ def report_to_json(report: VerificationReport) -> str:
 
 
 def csv_slices(report: VerificationReport):
-    """The text of ``report_to_csv`` as an iterator of slices: the rows of one
-    chunk of orderings each, the first led by the header.  Each row is one
-    format; eigenvalues are joined with semicolons.  No field holds a comma,
-    quote or newline to quote."""
+    """The text of ``report_to_csv`` as slices of one chunk of orderings each,
+    the first led by the header, after ``_check_finite``."""
+    _check_finite(report)
+    return _csv_rows(report)
+
+
+def _csv_rows(report: VerificationReport):
+    """The slices of ``csv_slices``.  Each row is one format; eigenvalues are
+    joined with semicolons.  No field holds a comma, quote or newline to
+    quote."""
     n, kinds = report.config.n, report.config.kinds
     row = (f"{n},%s,%s,%s,%s,%.17g,%.17g,%.17g," + ";".join(["%.17g%+.17gj"] * n) + ",%s")
     expected = [";".join(map(str, values)) for values in _expected(n, kinds)]

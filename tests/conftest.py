@@ -1,4 +1,6 @@
-"""Shared fixtures: the per-order sweep cache used by several test modules."""
+"""Shared fixtures and references: the per-order sweep cache used by several
+test modules, and the stacked elementary symmetric functions and Vieta
+Jacobian that the tests hold the library's closed forms to."""
 
 import math
 from collections import namedtuple
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from diospec.hermite import PermutationId, hermite_zeros, permuted_polynomial
-from diospec.polynomials import ZeroVector, roots_stack
+from diospec.polynomials import ZeroVector, _off_diagonal, roots_stack
 
 SweepRecord = namedtuple("SweepRecord", ["perm", "poly", "zeros"])
 
@@ -34,3 +36,26 @@ def sweep_records(n):
 @pytest.fixture(scope="session")
 def ordering_sweep():
     return sweep_records
+
+
+def esp_table(values):
+    """Elementary symmetric functions e_0..e_n of the entries along the last
+    axis, by the stable triangular recurrence (one linear-factor
+    multiplication per entry)."""
+    n = values.shape[-1]
+    e = np.zeros(values.shape[:-1] + (n + 1,), dtype=complex)
+    e[..., 0] = 1.0
+    for i in range(n):
+        head = e[..., 1:i + 2]  # a view, updated in place
+        head += values[..., i, None] * e[..., :i + 1]
+    return e
+
+
+def vieta_jacobian_stack(z):
+    """Jacobian d c_j / d z_m of the zeros-to-coefficients map for every row
+    of a (B, N) zero stack, as (B, N, N) indexed [b, j-1, m-1]: entry (j, m)
+    is (-1)^j e_{j-1} of the row's zeros without z_m."""
+    n = z.shape[1]
+    reduced = esp_table(z[:, _off_diagonal(n) % n])
+    signs = (-1.0) ** np.arange(1, n + 1)
+    return signs[:, None] * reduced.transpose(0, 2, 1)

@@ -600,12 +600,14 @@ class TestReportSerialization:
         ("eigenvalues", complex(1.0, math.inf)),
     ])
     def test_non_finite_result_is_not_serialised(self, field, value):
+        # Neither format renders it: the CSV would otherwise write nan.
         report = run_verification(RunConfig(n=3))
         # Ordering 2, kind 0; eigenvalues also index the eigenvalue.
         cell = (2, 0, 1) if field == "eigenvalues" else (2, 0)
         getattr(report, field)[cell] = value
-        with pytest.raises(ValueError, match="non-finite"):
-            report_to_json(report)
+        for render in (report_to_json, report_to_csv):
+            with pytest.raises(ValueError, match="non-finite"):
+                render(report)
 
     @pytest.mark.parametrize("field, cell, value", [
         ("eigenvalues", (-1, -1, -1), complex(1.0, math.nan)),
@@ -616,7 +618,8 @@ class TestReportSerialization:
     def test_non_finite_last_slice_raises_before_writing(self, capsys, monkeypatch, tmp_path,
                                                          field, cell, value):
         # The value sits in the last of four slices, but every column is
-        # checked before the file is opened or stdout gets a byte.
+        # checked before the file is opened or stdout gets a byte, in either
+        # format.
         monkeypatch.setattr("diospec.report._CHUNK_ENTRIES", _N5_IN_FOUR)
         sweep = cli.run_verification
 
@@ -626,11 +629,13 @@ class TestReportSerialization:
             return report
 
         monkeypatch.setattr(cli, "run_verification", spoiled)
-        target = tmp_path / "n5.json"
-        code, out, err = run_cli(capsys, "verify", "--n", "5", "--out", str(target))
-        assert code == EXIT_USAGE
-        assert out == "" and "non-finite" in err
-        assert not target.exists()
+        for fmt in ("json", "csv"):
+            target = tmp_path / f"n5.{fmt}"
+            code, out, err = run_cli(capsys, "verify", "--n", "5", "--format", fmt,
+                                     "--out", str(target))
+            assert code == EXIT_USAGE, fmt
+            assert out == "" and "non-finite" in err, fmt
+            assert not target.exists(), fmt
 
     def test_unconverged_ordering_aborts_the_sweep(self):
         # Rank 657 at n = 9 has zeros whose |z|^9 puts an absolute residual

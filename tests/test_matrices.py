@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from numpy.polynomial import hermite as npherm
 
+from conftest import vieta_jacobian_stack
+
 from diospec.errors import SingularConfiguration
 from diospec.hermite import PermutationId, hermite_zeros, permuted_polynomial, word_from_rank
 from diospec.matrices import (
     KIND_M1,
     KIND_M2,
+    _powers,
     _similarity,
     build_m1,
     build_m2,
@@ -22,7 +25,7 @@ from diospec.matrices import (
     spectrum_check,
     spectrum_stack,
 )
-from diospec.polynomials import _vieta_jacobian, roots, roots_stack
+from diospec.polynomials import _set_diagonals, roots, roots_stack
 from diospec.report import RunConfig, run_verification
 
 SQRT2 = math.sqrt(2.0)
@@ -50,8 +53,8 @@ def closed_form_m2_n2(z1, z2):
 
 
 def vieta_jacobian(z):
-    """The library's Vieta Jacobian of one zero vector, as an (N, N) array."""
-    return _vieta_jacobian(np.asarray(z, dtype=complex)[None])[0]
+    """The reference Vieta Jacobian of one zero vector, as an (N, N) array."""
+    return vieta_jacobian_stack(np.asarray(z, dtype=complex)[None])[0]
 
 
 def vieta_jacobian_reference(z):
@@ -135,6 +138,27 @@ class TestWTable:
             reference = vieta_jacobian_reference(z)
             bound = 4 * n * 2.0 ** -53 * np.abs(reference).max()
             assert np.abs(vieta_jacobian(z) - reference).max() <= bound
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_closed_form_is_the_inverse(self, n):
+        # W^(-1) = -V / p'(z) row by row, V_mj = z_m^(N-j) from the
+        # library's powers: W (-V / p') = I for sweep rows at up to 20 ranks
+        # spread over the n! orderings and for 20 random complex rows.  Each
+        # entry is held within 4 N u of |W| |V / p'|, u = 2^-53, with |W|
+        # taken as the Jacobian of the moduli, which bounds the recurrence's
+        # rounding (measured: at most 1.0 N u).
+        u = 2.0 ** -53
+        ranks = np.unique(np.linspace(1, math.factorial(n), 20).astype(int)).tolist()
+        words = np.array([word_from_rank(n, rank) for rank in ranks])
+        hermite_rows, failed = roots_stack(hermite_zeros(n).zeros[words - 1])
+        assert not failed.any()
+        rng = np.random.default_rng(n)
+        for z in (hermite_rows, rng.standard_normal((20, n)) + 1j * rng.standard_normal((20, n))):
+            derivative = _set_diagonals(z[:, :, None] - z[:, None, :], 1.0).prod(axis=2)
+            inverse = -_powers(z).transpose(0, 2, 1) / derivative[:, :, None]
+            error = np.abs(vieta_jacobian_stack(z) @ inverse - np.eye(n))
+            scale = np.abs(vieta_jacobian_stack(np.abs(z).astype(complex))) @ np.abs(inverse)
+            assert (error <= 4 * n * u * scale).all()
 
 
 class TestBuildM1:
@@ -358,6 +382,20 @@ def _matched_deviation(a, b):
     return min(np.abs(a - b[list(p)]).max() for p in itertools.permutations(range(b.size)))
 
 
+def complex_stack(z, c, kind, similarity=_similarity):
+    """The complex M of one kind for every row of (B, N) zero and coefficient
+    stacks, as the one-row builders form it: X^T = V^(-T) A_pi V^T by one
+    stacked ``similarity`` against the library's powers V^T, then
+    M = D'^(-1) X D', D' = diag(p'(z)), with p'(z) and the scaling taken a
+    row at a time."""
+    x = similarity(_powers(z), c.astype(complex), (kind,))[:, 0]
+    out = np.empty_like(x)
+    for row, (zeros, transposed) in enumerate(zip(z, x)):
+        derivative = _set_diagonals(zeros[:, None] - zeros[None, :], 1.0).prod(axis=1)
+        out[row] = transposed.T * derivative / derivative[:, None]
+    return out
+
+
 class TestRealBasis:
     """The sweep builds each matrix in the real basis of its conjugate zero
     pairs, so its spectra must be those of the complex M that the one-row
@@ -369,11 +407,11 @@ class TestRealBasis:
         # which equals the one-row builders bit for bit on a spread of ranks.
         report = run_verification(RunConfig(n=n))
         records = ordering_sweep(n)
-        w = _vieta_jacobian(np.array([record.zeros.zeros for record in records]))
+        z = np.array([record.zeros.zeros for record in records])
         c = np.array([record.poly.coefficients for record in records])
         spread = range(0, len(records), max(1, len(records) // 40))
         for k, (kind, builder) in enumerate(((KIND_M1, build_m1), (KIND_M2, build_m2))):
-            complex_m = _similarity(w, c, (kind,))[:, 0]
+            complex_m = complex_stack(z, c, kind)
             for row in spread:
                 one_row = builder(records[row].zeros, records[row].poly.coefficients)
                 np.testing.assert_array_equal(complex_m[row], one_row.entries)
@@ -508,6 +546,58 @@ class TestMatrixRelations:
         assert np.abs(m2 - m1 @ m1).max() < 1e-12
 
 
+def square_residual(t1, t2):
+    """max |T2 - T1 T1| of each matrix pair of two stacks, and the bound
+    16 N eps max(|T1| |T1| + |T2|) it is held to, eps = 2^-52: N eps
+    |T1| |T1| bounds the product's rounding, and the factor 16 the entries'
+    own (measured: at most 4.3 N eps at N <= 7, in both bases)."""
+    scale = (np.abs(t1) @ np.abs(t1) + np.abs(t2)).max(axis=(-2, -1))
+    residual = np.abs(t2 - t1 @ t1).max(axis=(-2, -1))
+    return residual, 16 * t1.shape[-1] * 2.0 ** -52 * scale
+
+
+class TestSquareRelation:
+    """For Hermite-seeded coefficients A2 = A1 A1, and both kinds share the
+    basis, so M2 = M1 M1 for every ordering, and T2 = T1 T1 in the sweep's
+    real basis: a relation between the two kinds that the sweep checks
+    independently."""
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_every_ordering(self, ordering_sweep, n):
+        records = ordering_sweep(n)
+        z = np.array([record.zeros.zeros for record in records])
+        c = np.array([record.poly.coefficients for record in records]).real
+        entries, _, _ = build_stack(z, c, (KIND_M1, KIND_M2))
+        residual, bound = square_residual(entries[:, 0], entries[:, 1])
+        assert (residual <= bound).all(), f"real basis, rank {int(residual.argmax()) + 1}"
+        m1 = np.array([build_m1(r.zeros, r.poly.coefficients).entries for r in records])
+        m2 = np.array([build_m2(r.zeros, r.poly.coefficients).entries for r in records])
+        residual, bound = square_residual(m1, m2)
+        assert (residual <= bound).all(), f"complex M, rank {int(residual.argmax()) + 1}"
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_sorted_random_coefficients_break_it(self, n):
+        # Negative control: sorted normal coefficients in place of the
+        # Hermite zeros miss the bound by far (measured: by at least 5e12).
+        c = np.sort(np.random.default_rng(n).standard_normal((20, n)), axis=1)
+        z, failed = roots_stack(c)
+        assert not failed.any()
+        entries, _, _ = build_stack(z, c, (KIND_M1, KIND_M2))
+        residual, bound = square_residual(entries[:, 0], entries[:, 1])
+        assert (residual > 1e6 * bound).all()
+
+
+class TestLargeOrder:
+    def test_sample_at_n100_passes(self, monkeypatch):
+        # Past the order cap the sweep still holds every check: the closed
+        # form of W^(-1) needs no elementary symmetric functions, whose
+        # recurrence failed every check here.
+        for module in ("hermite", "report"):
+            monkeypatch.setattr(f"diospec.{module}.MAX_ORDER", 100)
+        report = run_verification(RunConfig(n=100, orderings=("sample", 10), seed=1))
+        assert report.aggregate["pass"] == report.aggregate["checks"] == 20
+
+
 def pow_similarity(basis, c, kinds):
     """``_similarity`` with each coupling taken as 1 / (c_j - c_s) ** P, numpy's
     power (libm ``pow`` for P = 4), and every other operation in the
@@ -544,17 +634,17 @@ class TestCouplingPowers:
             z, failed = roots_stack(c)
             assert not failed.any()
             entries, _, _ = build_stack(z, c, (KIND_M1, KIND_M2))
-            w = _vieta_jacobian(z)
-            reference = pow_similarity(np.where(z.imag[:, None, :] > 0, w.imag, w.real),
+            powers = _powers(z)
+            reference = pow_similarity(np.where(z.imag[:, None, :] > 0, powers.imag, powers.real),
                                        c, (KIND_M1, KIND_M2))
             np.testing.assert_array_equal(entries[:, 0], reference[:, 0])
             bound = 8 * n * 2.0 ** -52 * np.abs(reference[:, 1]).max(axis=(1, 2))
             assert (np.abs(entries[:, 1] - reference[:, 1]).max(axis=(1, 2)) <= bound).all()
             for row in range(0, len(c), 6):
-                complex_w, complex_c = w[row:row + 1], c[row:row + 1].astype(complex)
+                one = slice(row, row + 1)
                 np.testing.assert_array_equal(
                     build_m1(z[row], c[row]).entries,
-                    pow_similarity(complex_w, complex_c, (KIND_M1,))[0, 0])
-                one_row = pow_similarity(complex_w, complex_c, (KIND_M2,))[0, 0]
+                    complex_stack(z[one], c[one], KIND_M1, pow_similarity)[0])
+                one_row = complex_stack(z[one], c[one], KIND_M2, pow_similarity)[0]
                 assert (np.abs(build_m2(z[row], c[row]).entries - one_row).max()
                         <= 8 * n * 2.0 ** -52 * np.abs(one_row).max())

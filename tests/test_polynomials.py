@@ -16,13 +16,13 @@ from diospec.polynomials import (
     _differences,
     _polish,
     _vieta,
-    _vieta_jacobian,
     as_complex_vector,
-    esp_table,
     evaluate,
     roots,
     roots_stack,
 )
+
+from conftest import esp_table, vieta_jacobian_stack
 
 SQRT2 = math.sqrt(2.0)
 SQRT32 = math.sqrt(1.5)
@@ -51,8 +51,8 @@ def vieta(z):
 
 
 def vieta_jacobian(z):
-    """The library's Vieta Jacobian of one zero vector, as an (N, N) array."""
-    return _vieta_jacobian(np.asarray(z, dtype=complex)[None])[0]
+    """The reference Vieta Jacobian of one zero vector, as an (N, N) array."""
+    return vieta_jacobian_stack(np.asarray(z, dtype=complex)[None])[0]
 
 
 def sigmas(z):
@@ -255,22 +255,17 @@ def _horner_reference(c, x):
 
 
 def polish_reference(c, z):
-    """The guarded two-step Newton polish with a full value-and-derivative
-    pass and both merges after each step, the last step's included."""
+    """The guarded one-step Newton polish with a full value-and-derivative
+    pass at the candidate too, where the library computes the value only."""
     tiny = np.finfo(float).tiny
     val, der = _horner_reference(c, z)
     best = np.abs(val)
-    for _ in range(2):
-        der = np.where(np.abs(der) < tiny, tiny, der)
-        candidate = z - val / der
-        cval, cder = _horner_reference(c, candidate)
-        resid = np.abs(cval)
-        improved = resid <= best
-        z = np.where(improved, candidate, z)
-        val = np.where(improved, cval, val)
-        der = np.where(improved, cder, der)
-        best = np.minimum(resid, best)
-    return z, best
+    der = np.where(np.abs(der) < tiny, tiny, der)
+    candidate = z - val / der
+    cval, _ = _horner_reference(c, candidate)
+    resid = np.abs(cval)
+    improved = resid <= best
+    return np.where(improved, candidate, z), np.minimum(resid, best)
 
 
 class TestPolish:
