@@ -48,7 +48,8 @@ from .errors import (
 )
 from .hermite import _coefficient_rate
 from .matrices import KIND_M1, KIND_M2, DiophantineMatrix
-from .polynomials import _differences, _off_diagonal, _vieta, as_complex_vector, check_positive
+from .polynomials import (_derivative_at_zeros, _differences, _vieta, as_complex_vector,
+                          check_positive)
 
 __all__ = [
     "SYSTEMS",
@@ -130,7 +131,7 @@ def _zeta_rate(zeta: np.ndarray, order: int, zeta_dot=None):
     for c in rate.tolist():
         transport *= zeta
         transport += c
-    field = -transport / np.multiply.reduce(diff[0].take(_off_diagonal(zeta.size)), axis=1)
+    field = -transport / _derivative_at_zeros(diff[0])
     if zeta_dot is None:
         return field, gap
     return 2.0 * zeta_dot * np.add.reduce(zeta_dot / diff[0], axis=1) + field, gap

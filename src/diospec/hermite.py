@@ -121,15 +121,20 @@ class PermutationId:
         return cls(n, word_from_rank(n, ordinal), ordinal)
 
 
+@lru_cache(maxsize=None)
+def _radices(n: int) -> tuple:
+    """The place values (n-1)!, ..., 1!, 0! of an n-digit factorial number."""
+    return tuple(math.factorial(k) for k in range(n - 1, -1, -1))
+
+
 def lexicographic_rank(word) -> int:
     """1-based rank of a permutation word among all orderings of its length."""
     word = list(word)
-    n = len(word)
     rank = 0
     remaining = sorted(word)
-    for i, w in enumerate(word):
+    for w, radix in zip(word, _radices(len(word))):
         pos = remaining.index(w)
-        rank += pos * math.factorial(n - 1 - i)
+        rank += pos * radix
         remaining.pop(pos)
     return rank + 1
 
@@ -141,9 +146,8 @@ def word_from_rank(n: int, ordinal: int) -> tuple:
     rank = ordinal - 1
     remaining = list(range(1, n + 1))
     word = []
-    for i in range(n):
-        f = math.factorial(n - 1 - i)
-        pos, rank = divmod(rank, f)
+    for radix in _radices(n):
+        pos, rank = divmod(rank, radix)
         word.append(remaining.pop(pos))
     return tuple(word)
 

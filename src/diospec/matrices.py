@@ -31,12 +31,13 @@ LU picks the same pivots whatever the scale of each column of U.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import NonConvergence, SingularConfiguration
-from .polynomials import (_differences, _frozen, _set_diagonals, _zeros_of,
-                          as_complex_vector, check_positive)
+from .polynomials import (_derivative_at_zeros, _differences, _frozen, _set_diagonals,
+                          _zeros_of, as_complex_vector, check_positive)
 
 __all__ = [
     "KIND_M1",
@@ -176,12 +177,13 @@ def _build(z, c, kind: str) -> DiophantineMatrix:
             f"zeros ({n}) and coefficients ({cc.size}) must have equal length")
     if n < 2:
         raise SingularConfiguration("need at least two zeros")
-    for values, what in ((zz, "zeros"), (cc, "coefficients")):
-        if not _differences(values)[1]:
+    zdiff, zero_sep = _differences(zz)
+    for separation, what in ((zero_sep, "zeros"), (_differences(cc)[1], "coefficients")):
+        if not separation:
             raise SingularConfiguration(f"coincident {what}")
     x = _similarity(_powers(zz[None, :]), cc[None, :], (kind,))[0, 0].T
-    # M = D'^(-1) X D', D' = diag(p'(z)), p'(z_m) the product of z_m - z_l.
-    derivative = _set_diagonals(zz[:, None] - zz[None, :], 1.0).prod(axis=1)
+    # M = D'^(-1) X D', D' = diag(p'(z)).
+    derivative = _derivative_at_zeros(zdiff)
     return DiophantineMatrix(kind, n, x * derivative / derivative[:, None])
 
 
@@ -199,6 +201,13 @@ def build_m2(z, c, source_perm=None) -> DiophantineMatrix:
 
 def expected_spectrum(kind: str, n: int) -> np.ndarray:
     return np.arange(1, n + 1) ** _profile(kind)[2]
+
+
+@lru_cache(maxsize=None)
+def _expected_stack(n: int, kinds: tuple) -> np.ndarray:
+    """The (K, N) expected integers of each kind, read-only: every sweep
+    chunk and every render asks for them again."""
+    return _frozen([expected_spectrum(kind, n) for kind in kinds], int)
 
 
 def expected_trace(kind: str, n: int) -> float:
@@ -219,7 +228,7 @@ def spectrum_stack(entries: np.ndarray, kinds: tuple):
     Eigenvalues are compared positionally; any imaginary parts feed straight
     into the deviation, so a complex eigenvalue cannot sneak past the check.
     """
-    expected = np.array([expected_spectrum(kind, entries.shape[-1]) for kind in kinds])
+    expected = _expected_stack(entries.shape[-1], tuple(kinds))
     try:
         # numpy returns a float array when every eigenvalue of the stack is real.
         lam = np.linalg.eigvals(entries).astype(complex, copy=False)

@@ -208,3 +208,8 @@ def roots(p: MonicPolynomial, tol: float = 1e-12) -> ZeroVector:
 def _off_diagonal(n: int) -> np.ndarray:
     """Row m holds the flat indices of the (n, n) entries (m, k), k != m; modulo n, the k."""
     return np.flatnonzero(~np.eye(n, dtype=bool)).reshape(n, n - 1)
+
+
+def _derivative_at_zeros(diff: np.ndarray) -> np.ndarray:
+    """p'(z_m) = prod_{l != m} (z_m - z_l), from the (N, N) ``_differences`` of z."""
+    return np.multiply.reduce(diff.take(_off_diagonal(diff.shape[-1])), axis=1)

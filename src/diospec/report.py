@@ -46,9 +46,9 @@ from .matrices import (
     CONDITIONING_FLOOR,
     KIND_M1,
     KIND_M2,
+    _expected_stack,
     _profile,
     build_stack,
-    expected_spectrum,
     spectrum_stack,
 )
 from .polynomials import check_positive, roots_stack
@@ -347,13 +347,6 @@ def to_json(obj) -> str:
     return _write_json(obj, 0) + "\n"
 
 
-@lru_cache(maxsize=None)
-def _expected(n: int, kinds: tuple) -> tuple:
-    """The expected spectrum of each kind, as tuples of ints.  Cached, like
-    ``_check_template``, because every render asks for them again."""
-    return tuple(tuple(expected_spectrum(kind, n).tolist()) for kind in kinds)
-
-
 def _float_tokens(values: np.ndarray) -> list:
     """``_format_float`` of every element of a float64 array, called once per
     distinct bit pattern: equal bits give equal tokens, -0.0 and 0.0 differ."""
@@ -375,7 +368,7 @@ def _check_template(n: int, kinds: tuple) -> tuple:
     eigenvalue token, 4n + 2 the deviation, 4n + 4 the status and 4n + 5
     the ordering's tail (the separations); the last slot is the separator."""
     template = []
-    for kind, values in zip(kinds, _expected(n, kinds)):
+    for kind, values in zip(kinds, _expected_stack(n, kinds).tolist()):
         template += [None, kind + '",\n      "eigenvalues": [\n        {"re": ']
         for _ in range(n):
             template += [None, ', "im": ', None, '},\n        {"re": ']
@@ -400,8 +393,8 @@ def _render_checks(report: VerificationReport, part: slice) -> str:
         report.zero_separation[part], report.coeff_separation[part]]))
     separations = zip(tokens[end + checks:end + checks + len(ranks)],
                       tokens[end + checks + len(ranks):])
-    heads = ['{\n      "rank": %d,\n      "word": %s,\n      "kind": "' % (rank, _inner_list(
-        map(str, word))) for rank, word in zip(ranks, report.word[part].tolist())]
+    head = '{\n      "rank": %d,\n      "word": ' + _inner_list(["%d"] * n) + ',\n      "kind": "'
+    heads = [head % (rank, *word) for rank, word in zip(ranks, report.word[part].tolist())]
     tails = ['",\n      "zero_separation": %s,\n      "coeff_separation": %s\n    }' % pair
              for pair in separations]
     parts = list(_check_template(n, report.config.kinds)) * len(ranks)
@@ -478,7 +471,7 @@ def _csv_rows(report: VerificationReport):
     quote."""
     n, kinds = report.config.n, report.config.kinds
     row = (f"{n},%s,%s,%s,%s,%.17g,%.17g,%.17g," + ";".join(["%.17g%+.17gj"] * n) + ",%s")
-    expected = [";".join(map(str, values)) for values in _expected(n, kinds)]
+    expected = [";".join(map(str, values)) for values in _expected_stack(n, kinds).tolist()]
     lines = ["n,rank,word,kind,status,max_deviation,zero_separation,coeff_separation,"
              "eigenvalues,expected"]
     for part in _chunks(n, len(report.rank)):

@@ -3,16 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from diospec.eig import (
-    as_square_matrix,
-    eigenvalues,
-    hessenberg_reduce,
-)
 from diospec.errors import NonConvergence
 from diospec.hermite import PermutationId, hermite_zeros, permuted_polynomial
 from diospec.matrices import KIND_M1, build_m1, build_m2
 from diospec.polynomials import MonicPolynomial, roots
 from diospec.report import RunConfig, run_verification
+from qr_reference import as_square_matrix, eigenvalues, hessenberg_reduce
 
 SQRT2 = math.sqrt(2.0)
 

@@ -184,6 +184,19 @@ class TestOrderings:
                 assert lexicographic_rank(word) == rank
                 PermutationId(n, word, rank)  # validates internally
 
+    @pytest.mark.parametrize("n", [21, 30])
+    def test_rank_round_trip_beyond_int64(self, n):
+        # Ranks from 21 on exceed int64; the place values are Python ints.
+        total = math.factorial(n)
+        for rank in (1, 2, 2 ** 63 - 1, 2 ** 63, 2 ** 63 + 1, total - 1, total):
+            word = word_from_rank(n, rank)
+            assert sorted(word) == list(range(1, n + 1))
+            assert lexicographic_rank(word) == rank
+        assert word_from_rank(n, total) == tuple(range(n, 0, -1))
+        for rank in (0, total + 1):
+            with pytest.raises(ValueError, match="outside"):
+                word_from_rank(n, rank)
+
     def test_invalid_words_rejected(self):
         with pytest.raises(ValueError):
             by_word((1, 1, 2))

@@ -13,6 +13,7 @@ from diospec.hermite import PermutationId, hermite_zeros, permuted_polynomial, w
 from diospec.matrices import (
     KIND_M1,
     KIND_M2,
+    _expected_stack,
     _powers,
     _similarity,
     build_m1,
@@ -475,6 +476,14 @@ class TestExpectedValues:
         assert expected_determinant(KIND_M2, n) == math.factorial(n) ** 2
         np.testing.assert_array_equal(expected_spectrum(KIND_M2, n),
                                       expected_spectrum(KIND_M1, n) ** 2)
+
+    def test_cached_stack_is_read_only(self):
+        # Every spectrum check and render shares one cached array per (n, kinds).
+        stack = _expected_stack(4, (KIND_M2, KIND_M1))
+        np.testing.assert_array_equal(stack, [[1, 4, 9, 16], [1, 2, 3, 4]])
+        assert stack is _expected_stack(4, (KIND_M2, KIND_M1))
+        with pytest.raises(ValueError, match="read-only"):
+            stack[0, 0] = 0
 
 
 class TestUnknownKind:

@@ -27,6 +27,14 @@ def test_every_exported_name_resolves(name):
     assert not missing, f"diospec.{name}.__all__ names {missing}, which do not exist"
 
 
+def test_eig_stub_defines_nothing():
+    # diospec.eig is kept, empty, only for an import outside the package;
+    # the shifted QR lives in tests/qr_reference.py.
+    module = importlib.import_module("diospec.eig")
+    names = [name for name in vars(module) if not (name.startswith("__") and name.endswith("__"))]
+    assert names == [], f"diospec.eig defines {names}"
+
+
 def test_top_level_exports_the_readme_example():
     # The package top level exports __version__ and exactly the names the
     # README example imports from it, and the example runs.
