@@ -29,7 +29,7 @@ __all__ = [
 
 # Full-pipeline cap on N, also the one RunConfig enforces.  It bounds what is
 # accepted, not what succeeds: sampled sweeps pass up to N = 30, where the
-# worst deviation of a 20-ordering sample is 2.2e-11, far inside the 1e-6
+# worst deviation of a 20-ordering sample is 2.3e-11, far inside the 1e-6
 # pass tolerance.
 MAX_ORDER = 30
 

@@ -12,6 +12,9 @@ polynomial, A_pi = P A P^T for the permutation P of that ordering and one
 real symmetric matrix A, the coefficient flows' Jacobian at equilibrium up
 to a factor i (M1) or -1 (M2).  So every ordering's matrix is similar to A,
 and the eigenvalues are exactly 1..N (M1) and 1, 4, ..., N^2 (M2).
+``coupling_stack`` builds A_pi from any coefficients.  The sweep builds A
+once per order, on the ascending zeros, and permutes it into each ordering
+by one gather (``report._ordering_coupling``).
 
 No W is formed.  Its inverse is the paper's entry formula d z_m / d c_j =
 -z_m^(N-j) / p'(z_m), that is -D'^(-1) V for V_mj = z_m^(N-j) and
@@ -46,6 +49,7 @@ __all__ = [
     "DiophantineMatrix",
     "SpectrumReport",
     "build_stack",
+    "coupling_stack",
     "build_m1",
     "build_m2",
     "expected_spectrum",
@@ -101,25 +105,41 @@ class SpectrumReport:
         object.__setattr__(self, "expected", tuple(int(e) for e in self.expected))
 
 
-def _similarity(basis: np.ndarray, c: np.ndarray, kinds: tuple) -> np.ndarray:
-    """basis^(-1) A_pi basis of each requested kind, for a (B, N, N) stack of
-    bases and the (B, N) coefficients that set A_pi, as a (B, K, N, N) view
-    of the solve's output, kind k at [:, k].  The kinds share one solve: one
-    LU factorisation per row.  The coefficients of a row must be distinct."""
-    cdiff = c[:, :, None] - c[:, None, :]
+def coupling_stack(coefficients, kinds: tuple):
+    """A = I + K (D - C) of each requested kind for every row of a (B, N)
+    stack of coefficients, real or complex, as (B, K, N, N) with kind k at
+    [:, k], and each row's separation min |c_j - c_s|.  Complex coefficients
+    whose imaginary parts are all exactly 0 are taken as real.  Raises
+    SingularConfiguration for a row with coincident coefficients."""
+    c = np.asarray(coefficients)
+    if np.iscomplexobj(c) and not c.imag.any():
+        c = c.real
+    cdiff, separation = _differences(c)
+    if not separation.all():
+        raise SingularConfiguration("coincident coefficients")
     _set_diagonals(cdiff, 1.0)
     # P is 2 or 4: the square or its square, since x ** 4 would call libm pow.
     square = cdiff * cdiff
-    coupled = []
-    for kind in kinds:
-        factor, power, _ = _profile(kind)
-        inv_pow = 1.0 / (square if power == 2 else square * square)
-        _set_diagonals(inv_pow, 0.0)
-        # A_pi V = V + K (D - C) V, vectorised over the columns m.
-        coupled.append(basis + factor * (basis * inv_pow.sum(axis=2)[:, :, None]
-                                         - inv_pow @ basis))
-    solved = np.linalg.solve(basis, np.concatenate(coupled, axis=2))
-    return solved.reshape(basis.shape[:2] + (len(kinds), -1)).transpose(0, 2, 1, 3)
+    inverse = np.stack([1.0 / (square if _profile(kind)[1] == 2 else square * square)
+                        for kind in kinds], axis=1)
+    _set_diagonals(inverse, 0.0)
+    weights = np.array([_profile(kind)[0] for kind in kinds])[:, None, None]
+    # D = diag(C 1), so the diagonal of A is 1 + K D.
+    coupling = _set_diagonals(inverse * -weights, 1.0 + weights[..., 0] * inverse.sum(axis=-1))
+    return coupling, separation
+
+
+def _similarity(basis: np.ndarray, coupling: np.ndarray) -> np.ndarray:
+    """basis^(-1) A basis for a (B, N, N) stack of bases and a (B, K, N, N)
+    stack of couplings A, as a (B, K, N, N) view of the solve's output, kind
+    k at [:, k].  The kinds share one stacked product, written straight into
+    the solve's right-hand side, and one solve: one LU factorisation per
+    row."""
+    b, kinds, n = coupling.shape[:3]
+    product = np.empty((b, n, kinds, n), dtype=np.result_type(basis, coupling))
+    np.matmul(coupling, basis[:, None], out=product.transpose(0, 2, 1, 3))
+    solved = np.linalg.solve(basis, product.reshape(b, n, kinds * n))
+    return solved.reshape(b, n, kinds, n).transpose(0, 2, 1, 3)
 
 
 def _powers(z: np.ndarray) -> np.ndarray:
@@ -134,29 +154,25 @@ def _powers(z: np.ndarray) -> np.ndarray:
     return powers
 
 
-def build_stack(zeros: np.ndarray, coefficients: np.ndarray, kinds: tuple):
-    """Build the requested kinds of matrix for every row of (B, N) stacks of
-    ordered zeros and their polynomial's real coefficients, in the real basis
-    of the module docstring, so each is similar to its row's M, not equal to
-    it.  Complex coefficients whose imaginary parts are all exactly 0 are
-    taken as real.  Both kinds share one basis stack and one solve; rows are
+def build_stack(zeros: np.ndarray, coupling: np.ndarray):
+    """Build the matrices of a (B, K, N, N) stack of couplings from
+    ``coupling_stack``, kind k at [:, k], for every row of a (B, N) stack of
+    the ordered zeros of a polynomial with real coefficients, in the real
+    basis of the module docstring, so each is similar to its row's M, not
+    equal to it.  All kinds share one basis stack and one solve; rows are
     computed independently.
 
-    Returns (entries, zero_separation, coeff_separation): the (B, K, N, N)
-    real entries, kind k of ``kinds`` at [:, k], and two (B,) arrays.
-    Raises ValueError for coefficients that are not real or zeros not
-    exactly closed under conjugation, and SingularConfiguration for
-    coincident zeros or coefficients.
+    Returns (entries, zero_separation): the (B, K, N, N) real entries and a
+    (B,) array.  Raises ValueError for a complex coupling, which real
+    coefficients never give, or zeros not exactly closed under conjugation,
+    and SingularConfiguration for coincident zeros.
     """
+    if np.iscomplexobj(coupling):
+        raise ValueError("build_stack needs the real coupling of real coefficients")
     z = np.asarray(zeros, dtype=complex)
-    c = np.asarray(coefficients)
-    if np.iscomplexobj(c) and c.imag.any():
-        raise ValueError("build_stack needs real coefficients")
-    c = c.real
-    zero_sep, coeff_sep = _differences(z)[1], _differences(c)[1]
-    for separation, what in ((zero_sep, "zeros"), (coeff_sep, "coefficients")):
-        if not separation.all():
-            raise SingularConfiguration(f"coincident {what}")
+    zero_sep = _differences(z)[1]
+    if not zero_sep.all():
+        raise SingularConfiguration("coincident zeros")
     # Each row must equal its conjugate as a multiset: sorted, they match.
     if not (np.sort(z, axis=1) == np.sort(z.conj(), axis=1)).all():
         raise ValueError("zeros of real coefficients must be closed under conjugation")
@@ -165,7 +181,7 @@ def build_stack(zeros: np.ndarray, coefficients: np.ndarray, kinds: tuple):
     # its partner, so pairs sharing a real part need no matching.
     powers = _powers(z)
     basis = np.where(z.imag[:, None, :] > 0, powers.imag, powers.real)
-    return _similarity(basis, c, kinds), zero_sep, coeff_sep
+    return _similarity(basis, coupling), zero_sep
 
 
 def _build(z, c, kind: str) -> DiophantineMatrix:
@@ -178,10 +194,10 @@ def _build(z, c, kind: str) -> DiophantineMatrix:
     if n < 2:
         raise SingularConfiguration("need at least two zeros")
     zdiff, zero_sep = _differences(zz)
-    for separation, what in ((zero_sep, "zeros"), (_differences(cc)[1], "coefficients")):
-        if not separation:
-            raise SingularConfiguration(f"coincident {what}")
-    x = _similarity(_powers(zz[None, :]), cc[None, :], (kind,))[0, 0].T
+    if not zero_sep:
+        raise SingularConfiguration("coincident zeros")
+    coupling = coupling_stack(cc[None, :], (kind,))[0]
+    x = _similarity(_powers(zz[None, :]), coupling)[0, 0].T
     # M = D'^(-1) X D', D' = diag(p'(z)).
     derivative = _derivative_at_zeros(zdiff)
     return DiophantineMatrix(kind, n, x * derivative / derivative[:, None])

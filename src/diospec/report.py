@@ -49,9 +49,10 @@ from .matrices import (
     _expected_stack,
     _profile,
     build_stack,
+    coupling_stack,
     spectrum_stack,
 )
-from .polynomials import check_positive, roots_stack
+from .polynomials import _frozen, check_positive, roots_stack
 
 __all__ = [
     "MU_WORDS_N3",
@@ -226,16 +227,38 @@ def _chunks(n: int, count: int) -> list:
     return [slice(i, i + size) for i in range(0, count, size)]
 
 
+@lru_cache(maxsize=None)
+def _sorted_coupling(n: int, kinds: tuple) -> tuple:
+    """``coupling_stack`` of the ascending Hermite zeros, as one read-only
+    (K, N * N) array, and their separation: every sweep chunk asks again."""
+    coupling, separation = coupling_stack(hermite_zeros(n).zeros[None], kinds)
+    return _frozen(coupling[0].reshape(len(kinds), n * n), float), float(separation[0])
+
+
+def _ordering_coupling(n: int, word: np.ndarray, kinds: tuple) -> tuple:
+    """Each ordering's coupling A_pi = P A P^T as a (B, K, N, N) stack, by
+    one gather from the sorted zeros' A for the (B, N) words, and the (B,)
+    separations of the orderings' coefficients.  Off the diagonal an entry
+    depends on one coefficient difference, so it has the bits of A_pi built
+    from the ordering's coefficients; the diagonal sums a row in another
+    order.  The separation is the minimum over the same set of differences
+    for every ordering, so it has the sorted zeros' bits."""
+    coupling, separation = _sorted_coupling(n, kinds)
+    index = (word - 1)[:, :, None] * n + (word - 1)[:, None, :]
+    return (coupling.take(index, axis=1).transpose(1, 0, 2, 3),
+            np.full(len(word), separation))
+
+
 def _verify_chunk(n: int, ranks: list, kinds: tuple, root_tol: float,
                   pass_tol: float) -> tuple:
     """The batched pipeline on one chunk of orderings: permute the Hermite
     zeros into coefficient rows, solve for all zeros at once, build each
-    requested matrix stack and check its spectra.  Returns the columns
-    (word, eigenvalues, max_deviation, status, zero_separation,
-    coeff_separation) laid out as ``VerificationReport`` holds them."""
+    requested matrix stack from the permuted couplings and check its
+    spectra.  Returns the columns (word, eigenvalues, max_deviation, status,
+    zero_separation, coeff_separation) laid out as ``VerificationReport``
+    holds them."""
     word = np.array([word_from_rank(n, rank) for rank in ranks])
-    coeffs = hermite_zeros(n).zeros[word - 1]
-    zeros, failed = roots_stack(coeffs, tol=root_tol)
+    zeros, failed = roots_stack(hermite_zeros(n).zeros[word - 1], tol=root_tol)
     if failed.any():
         bad = [rank for rank, f in zip(ranks, failed) if f]
         more = f" (and {len(bad) - 1} more in its chunk)" if len(bad) > 1 else ""
@@ -243,7 +266,8 @@ def _verify_chunk(n: int, ranks: list, kinds: tuple, root_tol: float,
             f"polynomial zeros missed their backward-error bound at n={n} "
             f"rank={bad[0]}{more}")
 
-    entries, zero_sep, coeff_sep = build_stack(zeros, coeffs, kinds)
+    coupling, coeff_sep = _ordering_coupling(n, word, kinds)
+    entries, zero_sep = build_stack(zeros, coupling)
     eigenvalues, deviation = spectrum_stack(entries, kinds)
     warned = np.minimum(zero_sep, coeff_sep) < CONDITIONING_FLOOR
     status = np.where(deviation <= pass_tol, "pass",
@@ -465,13 +489,20 @@ def csv_slices(report: VerificationReport):
     return _csv_rows(report)
 
 
+@lru_cache(maxsize=None)
+def _csv_template(n: int, kinds: tuple) -> tuple:
+    """The ``%`` format of one CSV row at order n, and the expected column
+    of each kind: every CSV report of the same order and kinds asks again."""
+    row = (f"{n},%s,%s,%s,%s,%.17g,%.17g,%.17g," + ";".join(["%.17g%+.17gj"] * n) + ",%s")
+    return row, tuple(";".join(map(str, values)) for values in _expected_stack(n, kinds).tolist())
+
+
 def _csv_rows(report: VerificationReport):
     """The slices of ``csv_slices``.  Each row is one format; eigenvalues are
     joined with semicolons.  No field holds a comma, quote or newline to
     quote."""
     n, kinds = report.config.n, report.config.kinds
-    row = (f"{n},%s,%s,%s,%s,%.17g,%.17g,%.17g," + ";".join(["%.17g%+.17gj"] * n) + ",%s")
-    expected = [";".join(map(str, values)) for values in _expected_stack(n, kinds).tolist()]
+    row, expected = _csv_template(n, kinds)
     lines = ["n,rank,word,kind,status,max_deviation,zero_separation,coeff_separation,"
              "eigenvalues,expected"]
     for part in _chunks(n, len(report.rank)):

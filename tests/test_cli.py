@@ -479,6 +479,35 @@ class TestReportSerialization:
                 assert float(row[field]) == result[field], field
             assert [complex(v) for v in row["eigenvalues"].split(";")] == result["eigenvalues"]
 
+    def test_caches_are_keyed_by_the_order_of_kinds(self):
+        # The couplings, expected integers and row templates are cached per
+        # (n, kinds).  In one process, a report for M2,M1 after one for
+        # M1,M2, and M2 alone after both kinds, each keep their own column
+        # order: eigenvalues, statuses and the expected column in both
+        # renderings.
+        ranks = (1, 777, 479001600)
+        for n, first_kinds, second_kinds, orderings in (
+                (4, ("M1", "M2"), ("M2", "M1"), "all"),
+                (12, ("M1", "M2"), ("M2",), ranks)):
+            first, second = (run_verification(RunConfig(n=n, kinds=kinds, orderings=orderings))
+                             for kinds in (first_kinds, second_kinds))
+            for k, kind in enumerate(second_kinds):
+                j = first_kinds.index(kind)
+                np.testing.assert_array_equal(second.eigenvalues[:, k], first.eigenvalues[:, j])
+                np.testing.assert_array_equal(second.status[:, k], first.status[:, j])
+            for report in (first, second):
+                assert (report.status == "pass").all()
+                expected = {kind: expected_spectrum(kind, n).tolist() for kind in report.config.kinds}
+                for row in csv.DictReader(io.StringIO(report_to_csv(report))):
+                    assert [int(e) for e in row["expected"].split(";")] == expected[row["kind"]]
+                results = json.loads(report_to_json(report))["results"]
+                assert [result["kind"] for result in results] == \
+                    list(report.config.kinds) * len(report.rank)
+                for result in results:
+                    assert result["expected"] == expected[result["kind"]]
+                    assert np.abs(np.array([v["re"] for v in result["eigenvalues"]])
+                                  - expected[result["kind"]]).max() <= 1e-9
+
     def test_aggregate_counts_sum(self):
         report = run_verification(RunConfig(n=4, orderings=(1, 2, 3, 20)))
         agg = report.aggregate

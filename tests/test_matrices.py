@@ -19,6 +19,7 @@ from diospec.matrices import (
     build_m1,
     build_m2,
     build_stack,
+    coupling_stack,
     expected_determinant,
     expected_spectrum,
     expected_trace,
@@ -26,8 +27,8 @@ from diospec.matrices import (
     spectrum_check,
     spectrum_stack,
 )
-from diospec.polynomials import _set_diagonals, roots, roots_stack
-from diospec.report import RunConfig, run_verification
+from diospec.polynomials import _differences, _set_diagonals, roots, roots_stack
+from diospec.report import RunConfig, _ordering_coupling, _sorted_coupling, run_verification
 
 SQRT2 = math.sqrt(2.0)
 SQRT32 = math.sqrt(1.5)
@@ -346,7 +347,7 @@ class TestSpectrumStack:
         z = np.array([record.zeros.zeros for record in records])
         c = np.array([record.poly.coefficients for record in records])
         kinds = (KIND_M1, KIND_M2)
-        entries, _, _ = build_stack(z, c, kinds)
+        entries, _ = build_stack(z, coupling_stack(c, kinds)[0])
         eigenvalues, deviation = spectrum_stack(entries, kinds)
         assert eigenvalues.shape == (len(records), 2, n) and deviation.shape == (len(records), 2)
         for k, kind in enumerate(kinds):
@@ -383,13 +384,19 @@ def _matched_deviation(a, b):
     return min(np.abs(a - b[list(p)]).max() for p in itertools.permutations(range(b.size)))
 
 
-def complex_stack(z, c, kind, similarity=_similarity):
+def library_similarity(basis, c, kinds):
+    """The library's ``_similarity`` of a stack of bases under the coupling
+    ``coupling_stack`` builds from the coefficients."""
+    return _similarity(basis, coupling_stack(c, kinds)[0])
+
+
+def complex_stack(z, c, kind, similarity=library_similarity):
     """The complex M of one kind for every row of (B, N) zero and coefficient
     stacks, as the one-row builders form it: X^T = V^(-T) A_pi V^T by one
     stacked ``similarity`` against the library's powers V^T, then
     M = D'^(-1) X D', D' = diag(p'(z)), with p'(z) and the scaling taken a
     row at a time."""
-    x = similarity(_powers(z), c.astype(complex), (kind,))[:, 0]
+    x = similarity(_powers(z), c, (kind,))[:, 0]
     out = np.empty_like(x)
     for row, (zeros, transposed) in enumerate(zip(z, x)):
         derivative = _set_diagonals(zeros[:, None] - zeros[None, :], 1.0).prod(axis=1)
@@ -427,7 +434,7 @@ class TestRealBasis:
         z = np.array([1 - 2j, 1 - 1j, 1 + 1j, 1 + 2j])
         c = np.array([-4.0, 11.0, -14.0, 10.0])
         np.testing.assert_array_equal(np.poly(z)[1:], c)
-        entries, _, _ = build_stack(z[None], c[None], (KIND_M1, KIND_M2))
+        entries, _ = build_stack(z[None], coupling_stack(c[None], (KIND_M1, KIND_M2))[0])
         for k, (kind, builder) in enumerate(((KIND_M1, build_m1), (KIND_M2, build_m2))):
             assert entries.dtype == np.float64
             real_form = np.linalg.eigvals(entries[0, k])
@@ -437,12 +444,14 @@ class TestRealBasis:
 
     def test_complex_coefficients_rejected(self):
         z = np.array([[1 - 1j, 1 + 1j]])
+        coupling, _ = coupling_stack(np.array([[-2.0 + 1e-3j, 2.0]]), (KIND_M1,))
         with pytest.raises(ValueError, match="real coefficients"):
-            build_stack(z, np.array([[-2.0 + 1e-3j, 2.0]]), (KIND_M1,))
+            build_stack(z, coupling)
         # Imaginary parts that are all exactly 0 are taken as real.
-        real, _, _ = build_stack(z, np.array([[-2.0, 2.0]]), (KIND_M1,))
-        taken, _, _ = build_stack(z, np.array([[-2.0 + 0j, 2.0]]), (KIND_M1,))
-        np.testing.assert_array_equal(taken, real)
+        real, _ = coupling_stack(np.array([[-2.0, 2.0]]), (KIND_M1,))
+        taken, _ = coupling_stack(np.array([[-2.0 + 0j, 2.0]]), (KIND_M1,))
+        assert taken.dtype == np.float64
+        np.testing.assert_array_equal(build_stack(z, taken)[0], build_stack(z, real)[0])
 
     @pytest.mark.parametrize("what, row", [
         ("zeros", ([2.0, 2.0], [-4.0, 4.0])),
@@ -451,10 +460,10 @@ class TestRealBasis:
     def test_coincident_row_rejected(self, what, row):
         # One row with coincident zeros or coefficients refuses the whole stack.
         z, c = np.array([[1 - 1j, 1 + 1j], [-1.0, 2.0]]), np.array([[-2.0, 2.0], [-1.0, -2.0]])
-        build_stack(z, c, (KIND_M1,))
+        build_stack(z, coupling_stack(c, (KIND_M1,))[0])
         z[1], c[1] = row
         with pytest.raises(SingularConfiguration, match=f"coincident {what}"):
-            build_stack(z, c, (KIND_M1,))
+            build_stack(z, coupling_stack(c, (KIND_M1,))[0])
 
     @pytest.mark.parametrize("zeros", [
         [1 - 1j, 1 + 1j, 2 + 1j],
@@ -464,7 +473,7 @@ class TestRealBasis:
     def test_zeros_not_closed_under_conjugation_rejected(self, zeros):
         c = np.arange(1.0, len(zeros) + 1)
         with pytest.raises(ValueError, match="closed under conjugation"):
-            build_stack(np.array([zeros]), c[None], (KIND_M1,))
+            build_stack(np.array([zeros]), coupling_stack(c[None], (KIND_M1,))[0])
 
 
 class TestExpectedValues:
@@ -492,7 +501,7 @@ class TestUnknownKind:
         lambda: expected_trace("m1", 3),
         lambda: permutation_similarity_check([1.0, 2.0, 3.0], [1.0, 2.0, 4.0], "M3", (1, 2)),
         lambda: spectrum_stack(np.eye(3)[None, None], ("m1",)),
-        lambda: build_stack(np.array([[1.0, 2.0, 3.0]]), np.array([[1.0, 2.0, 4.0]]), ("M3",)),
+        lambda: coupling_stack(np.array([[1.0, 2.0, 4.0]]), ("M3",)),
     ])
     def test_unknown_kind_rejected(self, call):
         with pytest.raises(ValueError, match="unknown kind"):
@@ -559,7 +568,7 @@ def square_residual(t1, t2):
     """max |T2 - T1 T1| of each matrix pair of two stacks, and the bound
     16 N eps max(|T1| |T1| + |T2|) it is held to, eps = 2^-52: N eps
     |T1| |T1| bounds the product's rounding, and the factor 16 the entries'
-    own (measured: at most 4.3 N eps at N <= 7, in both bases)."""
+    own (measured: at most 3.4 N eps at N <= 7, in both bases)."""
     scale = (np.abs(t1) @ np.abs(t1) + np.abs(t2)).max(axis=(-2, -1))
     residual = np.abs(t2 - t1 @ t1).max(axis=(-2, -1))
     return residual, 16 * t1.shape[-1] * 2.0 ** -52 * scale
@@ -576,7 +585,7 @@ class TestSquareRelation:
         records = ordering_sweep(n)
         z = np.array([record.zeros.zeros for record in records])
         c = np.array([record.poly.coefficients for record in records]).real
-        entries, _, _ = build_stack(z, c, (KIND_M1, KIND_M2))
+        entries, _ = build_stack(z, coupling_stack(c, (KIND_M1, KIND_M2))[0])
         residual, bound = square_residual(entries[:, 0], entries[:, 1])
         assert (residual <= bound).all(), f"real basis, rank {int(residual.argmax()) + 1}"
         m1 = np.array([build_m1(r.zeros, r.poly.coefficients).entries for r in records])
@@ -591,9 +600,45 @@ class TestSquareRelation:
         c = np.sort(np.random.default_rng(n).standard_normal((20, n)), axis=1)
         z, failed = roots_stack(c)
         assert not failed.any()
-        entries, _, _ = build_stack(z, c, (KIND_M1, KIND_M2))
+        entries, _ = build_stack(z, coupling_stack(c, (KIND_M1, KIND_M2))[0])
         residual, bound = square_residual(entries[:, 0], entries[:, 1])
         assert (residual > 1e6 * bound).all()
+
+
+class TestPermutedCoupling:
+    """The sweep gathers each ordering's A_pi = P A P^T from the A that
+    ``coupling_stack`` builds once on the ascending Hermite zeros, and takes
+    the coefficient separation from them too."""
+
+    @pytest.mark.parametrize("n, orderings", [
+        *((n, "all") for n in range(2, 8)), (12, ("sample", 200)), (30, ("sample", 200))])
+    def test_gather_matches_the_direct_build(self, n, orderings):
+        # Against A_pi built from the ordering's own coefficients: off the
+        # diagonal bit for bit; on it within 2 N ulp of |1 + K D|, since the
+        # row sum runs in another order (measured: at most 3 ulp at N <= 12,
+        # 6 at N = 30).  The separation is the minimum over the same
+        # differences: bit for bit.
+        word = np.array([word_from_rank(n, rank)
+                         for rank in RunConfig(n=n, orderings=orderings).ordering_ranks()])
+        coefficients = hermite_zeros(n).zeros[word - 1]
+        kinds = (KIND_M1, KIND_M2)
+        gathered, separation = _ordering_coupling(n, word, kinds)
+        direct, _ = coupling_stack(coefficients, kinds)
+        assert gathered.shape == direct.shape == (len(word), 2, n, n)
+        off = ~np.eye(n, dtype=bool)
+        assert np.array_equal(_bits(gathered[..., off]), _bits(direct[..., off]))
+        diagonal = np.arange(n)
+        got, want = gathered[..., diagonal, diagonal], direct[..., diagonal, diagonal]
+        assert (np.abs(got - want) <= 2 * n * np.spacing(np.abs(want))).all()
+        assert np.array_equal(_bits(separation), _bits(_differences(coefficients)[1]))
+
+    def test_cached_coupling_is_read_only(self):
+        # One cached A per (n, kinds), shared by every chunk of every sweep.
+        coupling, separation = _sorted_coupling(4, (KIND_M2, KIND_M1))
+        assert coupling is _sorted_coupling(4, (KIND_M2, KIND_M1))[0]
+        assert isinstance(separation, float)
+        with pytest.raises(ValueError, match="read-only"):
+            coupling[0, 0] = 0.0
 
 
 class TestLargeOrder:
@@ -608,20 +653,22 @@ class TestLargeOrder:
 
 
 def pow_similarity(basis, c, kinds):
-    """``_similarity`` with each coupling taken as 1 / (c_j - c_s) ** P, numpy's
-    power (libm ``pow`` for P = 4), and every other operation in the
-    library's order: the reference for the squared coupling."""
+    """The build of ``_similarity`` under ``coupling_stack``'s A = I + K (D - C),
+    with each coupling taken as 1 / (c_j - c_s) ** P, numpy's power (libm
+    ``pow`` for P = 4), and every other operation in the library's order: the
+    reference for the squared coupling."""
     cdiff = c[:, :, None] - c[:, None, :]
     diagonal = np.arange(c.shape[1])
     cdiff[:, diagonal, diagonal] = 1.0
-    coupled = []
+    products = []
     for kind in kinds:
         factor, power = {KIND_M1: (1.0, 2), KIND_M2: (6.0, 4)}[kind]
         inv_pow = 1.0 / cdiff ** power
         inv_pow[:, diagonal, diagonal] = 0.0
-        coupled.append(basis + factor * (basis * inv_pow.sum(axis=2)[:, :, None]
-                                         - inv_pow @ basis))
-    solved = np.linalg.solve(basis, np.concatenate(coupled, axis=2))
+        coupling = inv_pow * -factor
+        coupling[:, diagonal, diagonal] = 1.0 + factor * inv_pow.sum(axis=2)
+        products.append(coupling @ basis)
+    solved = np.linalg.solve(basis, np.concatenate(products, axis=2))
     return solved.reshape(basis.shape[:2] + (len(kinds), -1)).transpose(0, 2, 1, 3)
 
 
@@ -634,7 +681,7 @@ class TestCouplingPowers:
     def test_products_match_the_power_reference(self, n):
         # Sweep rows at up to 60 ranks spread over the n! orderings, and 60
         # random real coefficient rows.  M2 is held within 8 N eps of the
-        # largest reference entry, eps = 2^-52 (measured: at most 1.7 N eps);
+        # largest reference entry, eps = 2^-52 (measured: at most 1.4 N eps);
         # M1 equals the reference exactly, in the stack and one row at a time.
         rng = np.random.default_rng(n)
         ranks = np.unique(np.linspace(1, math.factorial(n), 60).astype(int)).tolist()
@@ -642,7 +689,7 @@ class TestCouplingPowers:
         for c in (hermite_zeros(n).zeros[words - 1], rng.standard_normal((60, n))):
             z, failed = roots_stack(c)
             assert not failed.any()
-            entries, _, _ = build_stack(z, c, (KIND_M1, KIND_M2))
+            entries, _ = build_stack(z, coupling_stack(c, (KIND_M1, KIND_M2))[0])
             powers = _powers(z)
             reference = pow_similarity(np.where(z.imag[:, None, :] > 0, powers.imag, powers.real),
                                        c, (KIND_M1, KIND_M2))
