@@ -39,8 +39,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonConvergence, SingularConfiguration
-from .polynomials import (_derivative_at_zeros, _differences, _frozen, _set_diagonals,
-                          _zeros_of, as_complex_vector, check_positive)
+from .polynomials import (_derivative_at_zeros, _differences, _exactly_real, _frozen,
+                          _set_diagonals, _zeros_of, as_complex_vector, check_positive)
 
 __all__ = [
     "KIND_M1",
@@ -108,13 +108,10 @@ class SpectrumReport:
 def coupling_stack(coefficients, kinds: tuple):
     """A = I + K (D - C) of each requested kind for every row of a (B, N)
     stack of coefficients, real or complex, as (B, K, N, N) with kind k at
-    [:, k], and each row's separation min |c_j - c_s|.  Complex coefficients
-    whose imaginary parts are all exactly 0 are taken as real.  Raises
-    SingularConfiguration for a row with coincident coefficients."""
-    c = np.asarray(coefficients)
-    if np.iscomplexobj(c) and not c.imag.any():
-        c = c.real
-    cdiff, separation = _differences(c)
+    [:, k], and each row's separation min |c_j - c_s|.  The coefficients
+    pass through ``_exactly_real``.  Raises SingularConfiguration for a row
+    with coincident coefficients."""
+    cdiff, separation = _differences(_exactly_real(coefficients))
     if not separation.all():
         raise SingularConfiguration("coincident coefficients")
     _set_diagonals(cdiff, 1.0)

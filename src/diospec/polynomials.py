@@ -96,6 +96,13 @@ def _differences(values: np.ndarray):
     return diff, np.minimum.reduce(np.abs(diff), axis=(-2, -1))
 
 
+def _exactly_real(values) -> np.ndarray:
+    """values as an array; complex values whose imaginary parts are all
+    exactly 0 are taken as real."""
+    arr = np.asarray(values)
+    return arr.real if np.iscomplexobj(arr) and not arr.imag.any() else arr
+
+
 def _zeros_of(z) -> np.ndarray:
     return z.zeros if isinstance(z, ZeroVector) else as_complex_vector(z, "zeros")
 
@@ -151,13 +158,12 @@ def roots_stack(coefficients, tol: float = 1e-12):
     """Zeros of every monic polynomial in a (B, N) stack of trailing
     coefficients, as the LAPACK eigenvalues of their companion matrices.
 
-    Complex coefficients whose imaginary parts are all exactly 0 are taken
-    as real, and the companion stack is built in the coefficients' own
-    dtype, so real coefficients go through the real LAPACK routine, whether
-    they come from a sweep or a one-row ``roots`` call.  The eigenvalues get
-    a guarded Newton polish and each row is sorted by (re, im) ascending.
-    Each matrix is solved on its own, so a row's zeros have the same bits in
-    any stack.
+    The companion stack is built in the dtype of ``_exactly_real``'s
+    coefficients, so real coefficients go through the real LAPACK routine,
+    whether they come from a sweep or a one-row ``roots`` call.  The
+    eigenvalues get a guarded Newton polish and each row is sorted by
+    (re, im) ascending.  Each matrix is solved on its own, so a row's zeros
+    have the same bits in any stack.
 
     Returns (zeros, failed): a row fails, and its zeros are NaN, when any of
     its zeros misses the backward-error bound
@@ -167,9 +173,7 @@ def roots_stack(coefficients, tol: float = 1e-12):
     N * (1 + max|c_m|) (Bini & Fiorentino 2000).
     """
     check_positive("tol", tol)
-    c = np.asarray(coefficients)
-    if np.iscomplexobj(c) and not c.imag.any():
-        c = c.real
+    c = _exactly_real(coefficients)
     if not np.isfinite(c).all():
         raise ValueError("coefficients must be finite")
     b, n = c.shape

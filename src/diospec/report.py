@@ -35,6 +35,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import chain
 from typing import Sequence, Union
 
 import numpy as np
@@ -230,23 +231,20 @@ def _chunks(n: int, count: int) -> list:
 @lru_cache(maxsize=None)
 def _sorted_coupling(n: int, kinds: tuple) -> tuple:
     """``coupling_stack`` of the ascending Hermite zeros, as one read-only
-    (K, N * N) array, and their separation: every sweep chunk asks again."""
+    (K, N * N) array, and their separation, which is every ordering's: the
+    minimum over the same set of differences.  Every sweep chunk asks again."""
     coupling, separation = coupling_stack(hermite_zeros(n).zeros[None], kinds)
     return _frozen(coupling[0].reshape(len(kinds), n * n), float), float(separation[0])
 
 
-def _ordering_coupling(n: int, word: np.ndarray, kinds: tuple) -> tuple:
+def _ordering_coupling(n: int, word: np.ndarray, kinds: tuple) -> np.ndarray:
     """Each ordering's coupling A_pi = P A P^T as a (B, K, N, N) stack, by
-    one gather from the sorted zeros' A for the (B, N) words, and the (B,)
-    separations of the orderings' coefficients.  Off the diagonal an entry
-    depends on one coefficient difference, so it has the bits of A_pi built
-    from the ordering's coefficients; the diagonal sums a row in another
-    order.  The separation is the minimum over the same set of differences
-    for every ordering, so it has the sorted zeros' bits."""
-    coupling, separation = _sorted_coupling(n, kinds)
+    one gather from the sorted zeros' A for the (B, N) words.  Off the
+    diagonal an entry depends on one coefficient difference, so it has the
+    bits of A_pi built from the ordering's coefficients; the diagonal sums a
+    row in another order."""
     index = (word - 1)[:, :, None] * n + (word - 1)[:, None, :]
-    return (coupling.take(index, axis=1).transpose(1, 0, 2, 3),
-            np.full(len(word), separation))
+    return _sorted_coupling(n, kinds)[0].take(index, axis=1).transpose(1, 0, 2, 3)
 
 
 def _verify_chunk(n: int, ranks: list, kinds: tuple, root_tol: float,
@@ -255,8 +253,7 @@ def _verify_chunk(n: int, ranks: list, kinds: tuple, root_tol: float,
     zeros into coefficient rows, solve for all zeros at once, build each
     requested matrix stack from the permuted couplings and check its
     spectra.  Returns the columns (word, eigenvalues, max_deviation, status,
-    zero_separation, coeff_separation) laid out as ``VerificationReport``
-    holds them."""
+    zero_separation) laid out as ``VerificationReport`` holds them."""
     word = np.array([word_from_rank(n, rank) for rank in ranks])
     zeros, failed = roots_stack(hermite_zeros(n).zeros[word - 1], tol=root_tol)
     if failed.any():
@@ -266,13 +263,12 @@ def _verify_chunk(n: int, ranks: list, kinds: tuple, root_tol: float,
             f"polynomial zeros missed their backward-error bound at n={n} "
             f"rank={bad[0]}{more}")
 
-    coupling, coeff_sep = _ordering_coupling(n, word, kinds)
-    entries, zero_sep = build_stack(zeros, coupling)
+    entries, zero_sep = build_stack(zeros, _ordering_coupling(n, word, kinds))
     eigenvalues, deviation = spectrum_stack(entries, kinds)
-    warned = np.minimum(zero_sep, coeff_sep) < CONDITIONING_FLOOR
+    warned = np.minimum(zero_sep, _sorted_coupling(n, kinds)[1]) < CONDITIONING_FLOOR
     status = np.where(deviation <= pass_tol, "pass",
                       np.where(warned[:, None], "inconclusive", "fail"))
-    return word, eigenvalues, deviation, status, zero_sep, coeff_sep
+    return word, eigenvalues, deviation, status, zero_sep
 
 
 def run_verification(config: RunConfig) -> VerificationReport:
@@ -314,8 +310,9 @@ def run_verification(config: RunConfig) -> VerificationReport:
     if KIND_M2 in config.kinds:
         notes.append(_FREQUENCY_NOTE)
 
-    return VerificationReport(config, ranks, *columns, aggregate=aggregate, notes=notes,
-                              timing_seconds=time.perf_counter() - started)
+    coeff_sep = np.full(len(ranks), _sorted_coupling(config.n, config.kinds)[1])
+    return VerificationReport(config, ranks, *columns, coeff_sep, aggregate=aggregate,
+                              notes=notes, timing_seconds=time.perf_counter() - started)
 
 
 def mu_assignment_table() -> dict:
@@ -385,21 +382,25 @@ def _inner_list(items) -> str:
 
 
 @lru_cache(maxsize=None)
-def _check_template(n: int, kinds: tuple) -> tuple:
-    """One ordering's K checks as ``to_json`` renders them in ``results``, as
-    S = 4n + 7 slots a check: the fixed text, and None where a column goes.
-    Slot 0 is the ordering's head (rank and word), 2 + 2t its t-th
-    eigenvalue token, 4n + 2 the deviation, 4n + 4 the status and 4n + 5
-    the ordering's tail (the separations); the last slot is the separator."""
-    template = []
-    for kind, values in zip(kinds, _expected_stack(n, kinds).tolist()):
+def _layout(n: int, kinds: tuple) -> tuple:
+    """What every report of order n and these kinds shares: the JSON check
+    template, the ``%`` format of one CSV row and each kind's CSV expected
+    column.  The template is one ordering's K checks as ``to_json`` renders
+    them in ``results``, as S = 4n + 7 slots a check: the fixed text, and
+    None where a column goes.  Slot 0 is the ordering's head (rank and
+    word), 2 + 2t its t-th eigenvalue token, 4n + 2 the deviation, 4n + 4
+    the status and 4n + 5 the ordering's tail (the separations); the last
+    slot is the separator."""
+    expected, template = _expected_stack(n, kinds).tolist(), []
+    for kind, values in zip(kinds, expected):
         template += [None, kind + '",\n      "eigenvalues": [\n        {"re": ']
         for _ in range(n):
             template += [None, ', "im": ', None, '},\n        {"re": ']
         template[-1] = ('}\n      ],\n      "expected": ' + _inner_list(map(str, values))
                         + ',\n      "max_deviation": ')
         template += [None, ',\n      "status": "', None, None, ",\n    "]
-    return tuple(template)
+    row = (f"{n},%s,%s,%s,%s,%.17g,%.17g,%.17g," + ";".join(["%.17g%+.17gj"] * n) + ",%s")
+    return tuple(template), row, tuple(";".join(map(str, values)) for values in expected)
 
 
 def _render_checks(report: VerificationReport, part: slice) -> str:
@@ -421,7 +422,7 @@ def _render_checks(report: VerificationReport, part: slice) -> str:
     heads = [head % (rank, *word) for rank, word in zip(ranks, report.word[part].tolist())]
     tails = ['",\n      "zero_separation": %s,\n      "coeff_separation": %s\n    }' % pair
              for pair in separations]
-    parts = list(_check_template(n, report.config.kinds)) * len(ranks)
+    parts = list(_layout(n, report.config.kinds)[0]) * len(ranks)
     for t in range(2 * n):
         parts[2 + 2 * t::width] = tokens[t:end:2 * n]
     parts[4 * n + 2::width] = tokens[end:end + checks]
@@ -435,37 +436,39 @@ def _render_checks(report: VerificationReport, part: slice) -> str:
 
 
 def _check_finite(report: VerificationReport) -> None:
-    """Raise ValueError for a non-finite value in any float column.  Both
-    renderers call it when called, before they make a slice, so neither
-    writes a byte of a report it cannot finish."""
-    scalars = np.concatenate([report.max_deviation.ravel(), report.zero_separation,
-                              report.coeff_separation])
-    for values in (report.eigenvalues.view(np.float64), scalars):
+    """Raise ValueError for a non-finite value in any float column."""
+    for values in (report.eigenvalues.view(np.float64), report.max_deviation,
+                   report.zero_separation, report.coeff_separation):
         if not np.isfinite(values).all():
             raise ValueError("cannot serialise non-finite float "
                              f"{values[~np.isfinite(values)][0]}")
 
 
-def json_slices(report: VerificationReport):
-    """The text of ``report_to_json`` as an iterator of slices, the
-    ``results`` cut into the sweep's chunks of orderings, after
-    ``_check_finite``."""
+def _rendered_chunks(report: VerificationReport, render):
+    """``render(report, part)`` lazily over the sweep's chunks of orderings,
+    after ``_check_finite`` has run, when called: so neither format writes a
+    byte of a report it cannot finish."""
     _check_finite(report)
+    return map(partial(render, report), _chunks(report.config.n, len(report.rank)))
+
+
+def json_slices(report: VerificationReport):
+    """The text of ``report_to_json`` as an iterator of slices: the head, the
+    ``results`` cut into the sweep's chunks of orderings, and the tail."""
+    results = _rendered_chunks(report, _render_checks)
     head = ('{\n  "version": ' + _write_json(report.version, 1)
             + ',\n  "config": ' + _write_json(report.config.to_dict(), 1)
             + ',\n  "results": [\n    ')
     tail = ('\n  ],\n  "aggregate": ' + _write_json(report.aggregate, 1)
             + ',\n  "notes": ' + _write_json(report.notes, 1))
-    return _hashed_json(report, head, tail)
+    return _hashed_json(report, chain([head], results), tail)
 
 
-def _hashed_json(report: VerificationReport, head: str, tail: str):
-    """Yield head, the results' slices and tail, hashing the same bytes, then
-    the hash and the timing that close the object."""
-    digest = hashlib.sha256(head.encode())
-    yield head
-    for part in _chunks(report.config.n, len(report.rank)):
-        text = _render_checks(report, part)
+def _hashed_json(report: VerificationReport, texts, tail: str):
+    """Yield the texts and tail, hashing the same bytes, then the hash and
+    the timing that close the object."""
+    digest = hashlib.sha256()
+    for text in texts:
         digest.update(text.encode())
         yield text
     digest.update((tail + "\n}\n").encode())
@@ -484,42 +487,32 @@ def report_to_json(report: VerificationReport) -> str:
 
 def csv_slices(report: VerificationReport):
     """The text of ``report_to_csv`` as slices of one chunk of orderings each,
-    the first led by the header, after ``_check_finite``."""
-    _check_finite(report)
-    return _csv_rows(report)
+    the first led by the header."""
+    return _rendered_chunks(report, _csv_rows)
 
 
-@lru_cache(maxsize=None)
-def _csv_template(n: int, kinds: tuple) -> tuple:
-    """The ``%`` format of one CSV row at order n, and the expected column
-    of each kind: every CSV report of the same order and kinds asks again."""
-    row = (f"{n},%s,%s,%s,%s,%.17g,%.17g,%.17g," + ";".join(["%.17g%+.17gj"] * n) + ",%s")
-    return row, tuple(";".join(map(str, values)) for values in _expected_stack(n, kinds).tolist())
-
-
-def _csv_rows(report: VerificationReport):
-    """The slices of ``csv_slices``.  Each row is one format; eigenvalues are
-    joined with semicolons.  No field holds a comma, quote or newline to
-    quote."""
+def _csv_rows(report: VerificationReport, part: slice) -> str:
+    """The rows of the orderings in ``part``, under the header if they are
+    the first.  Each row is one format; eigenvalues are joined with
+    semicolons.  No field holds a comma, quote or newline to quote."""
     n, kinds = report.config.n, report.config.kinds
-    row, expected = _csv_template(n, kinds)
-    lines = ["n,rank,word,kind,status,max_deviation,zero_separation,coeff_separation,"
-             "eigenvalues,expected"]
-    for part in _chunks(n, len(report.rank)):
-        spectra = report.eigenvalues[part].view(np.float64).reshape(-1, 2 * n).tolist()
-        deviation = report.max_deviation[part].ravel().tolist()
-        status = report.status[part].ravel().tolist()
-        words = [" ".join(map(str, word)) for word in report.word[part].tolist()]
-        zero_sep = report.zero_separation[part].tolist()
-        coeff_sep = report.coeff_separation[part].tolist()
-        ranks = report.rank[part]
-        for j, values in enumerate(spectra):
-            i, k = divmod(j, len(kinds))
-            lines.append(row % (ranks[i], words[i], kinds[k], status[j], deviation[j],
-                                zero_sep[i], coeff_sep[i], *values, expected[k]))
-        lines.append("")
-        yield "\n".join(lines)
-        lines = []
+    _, row, expected = _layout(n, kinds)
+    lines = [] if part.start else [
+        "n,rank,word,kind,status,max_deviation,zero_separation,coeff_separation,"
+        "eigenvalues,expected"]
+    spectra = report.eigenvalues[part].view(np.float64).reshape(-1, 2 * n).tolist()
+    deviation = report.max_deviation[part].ravel().tolist()
+    status = report.status[part].ravel().tolist()
+    words = [" ".join(map(str, word)) for word in report.word[part].tolist()]
+    zero_sep = report.zero_separation[part].tolist()
+    coeff_sep = report.coeff_separation[part].tolist()
+    ranks = report.rank[part]
+    for j, values in enumerate(spectra):
+        i, k = divmod(j, len(kinds))
+        lines.append(row % (ranks[i], words[i], kinds[k], status[j], deviation[j],
+                            zero_sep[i], coeff_sep[i], *values, expected[k]))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def report_to_csv(report: VerificationReport) -> str:

@@ -412,6 +412,14 @@ class TestReportSerialization:
         with pytest.raises(TypeError, match="cannot serialise"):
             to_json({"value": object()})
 
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(math.inf, 0.0)])
+    @pytest.mark.parametrize("nest", [lambda v: {"outer": {"value": v}},
+                                      lambda v: [1.0, [2, v]]], ids=["dict", "list"])
+    def test_non_finite_float_is_not_serialised(self, value, nest):
+        with pytest.raises(ValueError, match="non-finite"):
+            to_json(nest(value))
+
     def test_json_round_trip(self):
         report = run_verification(RunConfig(n=3, kinds=("M1",)))
         text = report_to_json(report)

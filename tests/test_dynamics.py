@@ -11,6 +11,7 @@ from diospec.dynamics import (
     _B,
     _E3,
     _E5,
+    SYSTEMS,
     central_difference_jacobian,
     fd_jacobian,
     integrate,
@@ -288,6 +289,15 @@ class TestIntegrate:
         monkeypatch.setattr("diospec.dynamics._MAX_STEPS", 3)
         with pytest.raises(StepFloorReached):
             integrate("gamma1", start, TWO_PI)
+
+    @pytest.mark.parametrize("system", SYSTEMS)
+    def test_error_control_step_floor(self, system):
+        # No step can meet a tolerance of 1e-100, so error control shrinks
+        # the first step past the floor before t moves.  At 1e-200 the
+        # error norm itself would overflow.
+        with pytest.raises(StepFloorReached, match="error control .* at t=0.000000"):
+            integrate(system, seeded_start(system, 4, 1), TWO_PI, rel_tol=1e-100,
+                      abs_tol=1e-100)
 
     def test_argument_validation(self):
         zeros = hermite_zeros(2).zeros

@@ -6,7 +6,7 @@ import pytest
 from numpy.polynomial import hermite as npherm
 
 from diospec.dynamics import vector_field
-from diospec.errors import DimensionMismatch
+from diospec.errors import DimensionMismatch, NonConvergence
 from diospec.hermite import (
     PermutationId,
     _coefficient_rate,
@@ -120,6 +120,18 @@ class TestZeros:
             hermite_zeros(1)
         with pytest.raises(ValueError):
             hermite_zeros(31)
+
+    def test_overflowed_recurrence_raises(self, monkeypatch):
+        # Past the order cap the unnormalised recurrence overflows at
+        # N = 206: two zeros and both residuals come back NaN, which a
+        # ``max(r1, r2) > bound`` test lets through.  N = 204 is still fine.
+        monkeypatch.setattr("diospec.hermite.MAX_ORDER", 206)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonConvergence, match="n=206"):
+                hermite_zeros(206)
+            h = hermite_zeros(204)
+        assert np.isfinite(h.zeros).all()
+        assert h.residual_first <= 1e-10 and h.residual_second <= 1e-10
 
 
 class TestResiduals:

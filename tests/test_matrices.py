@@ -622,7 +622,7 @@ class TestPermutedCoupling:
                          for rank in RunConfig(n=n, orderings=orderings).ordering_ranks()])
         coefficients = hermite_zeros(n).zeros[word - 1]
         kinds = (KIND_M1, KIND_M2)
-        gathered, separation = _ordering_coupling(n, word, kinds)
+        gathered, separation = _ordering_coupling(n, word, kinds), _sorted_coupling(n, kinds)[1]
         direct, _ = coupling_stack(coefficients, kinds)
         assert gathered.shape == direct.shape == (len(word), 2, n, n)
         off = ~np.eye(n, dtype=bool)
@@ -630,7 +630,8 @@ class TestPermutedCoupling:
         diagonal = np.arange(n)
         got, want = gathered[..., diagonal, diagonal], direct[..., diagonal, diagonal]
         assert (np.abs(got - want) <= 2 * n * np.spacing(np.abs(want))).all()
-        assert np.array_equal(_bits(separation), _bits(_differences(coefficients)[1]))
+        assert np.array_equal(_bits(np.full(len(word), separation)),
+                              _bits(_differences(coefficients)[1]))
 
     def test_cached_coupling_is_read_only(self):
         # One cached A per (n, kinds), shared by every chunk of every sweep.
