@@ -26,13 +26,11 @@ byte.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import operator
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain
@@ -288,6 +286,8 @@ def run_verification(config: RunConfig) -> VerificationReport:
     # A fork-started pool launches all its workers at the first submit.
     workers = min(config.jobs, len(chunks))
     if workers > 1:
+        # Imported here: only a pooled sweep loads multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             grouped = list(pool.map(verify, chunks))
     else:
@@ -467,6 +467,7 @@ def json_slices(report: VerificationReport):
 def _hashed_json(report: VerificationReport, texts, tail: str):
     """Yield the texts and tail, hashing the same bytes, then the hash and
     the timing that close the object."""
+    import hashlib  # here, so only a JSON report maps OpenSSL's libcrypto
     digest = hashlib.sha256()
     for text in texts:
         digest.update(text.encode())

@@ -4,6 +4,10 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from diospec.cli import (
     EXIT_COLLISION,
     EXIT_NUMERICAL,
     EXIT_OK,
+    EXIT_SPECTRAL_FAIL,
     EXIT_USAGE,
     main,
 )
@@ -397,6 +402,13 @@ class TestExitCodeTable:
         assert code == expected
         assert out == "" and err == "error: stubbed failure\n"
 
+    def test_console_entry_exits_with_the_code_of_main(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["diospec", "verify", "--n", "3", "--tol-pass", "1e-300"])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.console_entry()
+        assert exit_info.value.code == EXIT_SPECTRAL_FAIL
+        assert json.loads(capsys.readouterr().out)["aggregate"]["fail"] > 0
+
     def test_other_exceptions_propagate(self, monkeypatch):
         # A bug must surface as a traceback, never as a usage error.
         def failing(args):
@@ -405,6 +417,54 @@ class TestExitCodeTable:
         monkeypatch.setitem(cli._COMMANDS, "hermite-zeros", failing)
         with pytest.raises(RuntimeError, match="bug"):
             main(["hermite-zeros", "--n", "3"])
+
+
+# Run cli.main in a fresh interpreter and print, as JSON, its exit code and
+# the modules the run added to those loaded once numpy is.  numpy 1.x loads
+# hashlib with numpy.random on import, so only the run's own imports count.
+_LOADED_BY_RUN = """
+import contextlib, io, json, sys
+import numpy
+before = set(sys.modules)
+from diospec import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
+
+# hashlib maps OpenSSL's libcrypto through _hashlib.
+_OPENSSL = {"hashlib", "_hashlib"}
+_POOL = {"multiprocessing", "concurrent.futures.process"}
+
+# (arguments, modules the run must load, modules it must not load)
+_RUN_IMPORTS = [
+    pytest.param("verify --n 12 --orderings 5 --format csv", set(), _OPENSSL | _POOL,
+                 id="csv"),
+    pytest.param("verify --n 6 --jobs 2 --format csv", set(), _OPENSSL | _POOL,
+                 id="one-chunk-jobs-2"),
+    pytest.param("hermite-zeros --n 5", set(), _OPENSSL | _POOL, id="hermite-zeros"),
+    pytest.param("oracle --n 4 --kind M1", set(), _OPENSSL | _POOL, id="oracle"),
+    pytest.param("verify --n 4", {"hashlib"}, _POOL, id="json"),
+    pytest.param("verify --n 7 --kinds M1 --jobs 2 --format csv",
+                 {"concurrent.futures.process"}, set(), id="four-chunks-jobs-2"),
+]
+
+
+class TestModulesLoaded:
+    """A run loads OpenSSL only to hash a JSON report, and multiprocessing
+    only to map two or more chunks over a pool."""
+
+    @pytest.mark.parametrize("args, loaded, absent", _RUN_IMPORTS)
+    def test_run_loads_only_what_it_uses(self, args, loaded, absent):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-c", _LOADED_BY_RUN, *args.split()],
+                              env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, check=True)
+        code, added = json.loads(done.stdout)
+        assert code == EXIT_OK
+        assert sorted(loaded - set(added)) == []
+        assert sorted(absent.intersection(added)) == []
 
 
 class TestReportSerialization:
@@ -575,7 +635,7 @@ class TestReportSerialization:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr("diospec.report.ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
         pooled = run_verification(RunConfig(n=7, kinds=("M1",), jobs=10 ** 6))
         assert sizes == [4]
         serial = run_verification(RunConfig(n=7, kinds=("M1",)))
@@ -729,7 +789,7 @@ class TestReportSerialization:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr("diospec.report.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             run_verification(RunConfig(**config))
 

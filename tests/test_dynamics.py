@@ -11,7 +11,9 @@ from diospec.dynamics import (
     _B,
     _E3,
     _E5,
+    _FIELDS,
     SYSTEMS,
+    _error_norm,
     central_difference_jacobian,
     fd_jacobian,
     integrate,
@@ -24,6 +26,7 @@ from diospec.errors import (
     DegenerateSpectrum,
     DimensionMismatch,
     NearCollision,
+    NonConvergence,
     StepFloorReached,
 )
 from diospec.hermite import PermutationId, hermite_zeros, permuted_polynomial
@@ -284,6 +287,33 @@ class TestIntegrate:
         assert record.samples[-1][0] == 0.5
         assert record.step_stats == (116, 35)
 
+    def test_collision_pressure_aborts_at_the_step_floor(self, monkeypatch):
+        # A field that collides at every evaluation after the start rejects
+        # each step and halves it: from h = 1e-2, the 34th halving takes it
+        # below the 1e-12 floor, before t moves.
+        calls = []
+
+        def colliding(y, n):
+            calls.append(y)
+            if len(calls) > 1:
+                raise NearCollision("stubbed collision")
+            return np.zeros_like(y), 1.0
+
+        monkeypatch.setitem(_FIELDS, "gamma1", colliding)
+        with pytest.raises(CollisionAbort, match="collision pressure .* at t=0.000000"):
+            integrate("gamma1", np.array([1.0, -1.0]), 1.0)
+        assert len(calls) == 1 + 34
+
+    def test_non_finite_stage_state_is_refused(self, monkeypatch):
+        monkeypatch.setitem(_FIELDS, "gamma1", lambda y, n: (np.full(n, complex(np.inf)), 1.0))
+        # Scaling an infinite rate into the stage state makes inf * 0 = nan.
+        with np.errstate(invalid="ignore", over="ignore"), \
+                pytest.raises(ValueError, match="state must have finite components"):
+            integrate("gamma1", np.array([1.0, -1.0]), 1.0)
+
+    def test_error_norm_of_zero_stages_is_zero(self):
+        assert _error_norm(np.zeros((12, 3), dtype=complex), np.ones(3), 1e-2) == 0.0
+
     def test_step_budget_exhaustion(self, monkeypatch):
         start = hermite_zeros(3).zeros + 0.01 * unit_direction(3, 17)
         monkeypatch.setattr("diospec.dynamics._MAX_STEPS", 3)
@@ -500,6 +530,17 @@ class TestLinearEvolution:
             linear_evolution_first(m1, np.ones(3), 1.0)
         with pytest.raises(DimensionMismatch):
             linear_evolution_second(m2, np.ones(3), v0, 1.0)
+
+    def test_eigen_decomposition_failure_is_non_convergence(self, monkeypatch):
+        poly, zeros = pipeline(3, 1)
+        matrix = build_m1(zeros, poly.coefficients)
+
+        def unconverged(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eig", unconverged)
+        with pytest.raises(NonConvergence, match="eigen-decomposition failed"):
+            linear_evolution_first(matrix, unit_direction(3, 19), 1.0)
 
     def test_degenerate_spectrum_detected(self):
         block = np.array([[1.0, 1.0], [0.0, 1.0]])

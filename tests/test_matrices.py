@@ -8,7 +8,7 @@ from numpy.polynomial import hermite as npherm
 
 from conftest import vieta_jacobian_stack
 
-from diospec.errors import SingularConfiguration
+from diospec.errors import NonConvergence, SingularConfiguration
 from diospec.hermite import PermutationId, hermite_zeros, permuted_polynomial, word_from_rank
 from diospec.matrices import (
     KIND_M1,
@@ -354,6 +354,14 @@ class TestSpectrumStack:
             alone, alone_deviation = spectrum_stack(entries[:, k:k + 1], (kind,))
             assert np.array_equal(_bits(eigenvalues[:, k]), _bits(alone[:, 0])), kind
             assert np.array_equal(_bits(deviation[:, k]), _bits(alone_deviation[:, 0])), kind
+
+    def test_lapack_failure_is_non_convergence(self, monkeypatch):
+        def unconverged(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", unconverged)
+        with pytest.raises(NonConvergence, match="eigenvalue computation failed"):
+            spectrum_stack(np.eye(2)[None, None], (KIND_M1,))
 
     def test_all_real_kind_beside_a_complex_pair(self):
         # numpy returns real eigenvalues only when every eigenvalue of the

@@ -232,6 +232,14 @@ class TestRoots:
         with pytest.raises(ValueError):
             roots(MonicPolynomial([0.0, -1.0]), tol=0.0)
 
+    def test_lapack_failure_is_non_convergence(self, monkeypatch):
+        def unconverged(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", unconverged)
+        with pytest.raises(NonConvergence, match="companion eigenvalues failed"):
+            roots_stack(np.array([[0.0, -1.0]]))
+
     def test_round_trip_random(self):
         rng = np.random.default_rng(12)
         for _ in range(60):
