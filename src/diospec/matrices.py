@@ -27,8 +27,12 @@ each real zero and replaces those of a pair z_a, z_b = conj(z_a)
 (Im z_b > 0) by Re V_a and Im V_b, which span the same plane.  That basis
 U = V^T R is real, for a fixed block matrix R with entries 1/2 and +-i/2, so
 U^(-1) A_pi U = R^(-1) X^T R is real and similar to M, and its solve and
-eigenvalues run in real arithmetic.  The sweep drops D': partial-pivoting
-LU picks the same pivots whatever the scale of each column of U.
+eigenvalues run in real arithmetic.  The sweep drops D'.  Column m of V^T
+runs from 1 to z_m^(N-1), and T would inherit these scales, up to 10^228
+apart at N = 200, as a diagonal similarity that LAPACK's balancing does not
+undo: spectra missed 1e-6 there and ran slower at N = 6.  So ``_powers``
+divides each column by the power of two at or above its largest entry,
+exactly; the one-row builders fold that scale into D'.
 """
 
 from __future__ import annotations
@@ -140,11 +144,13 @@ def _similarity(basis: np.ndarray, coupling: np.ndarray) -> np.ndarray:
 
 
 def _powers(z: np.ndarray) -> np.ndarray:
-    """V^T of every row of a (B, N) zero stack, [b, j-1, m] = z_m^(N-j), by one
-    cumulative product up from the row of ones, as a C-contiguous stack."""
+    """V^T S of every row of a (B, N) zero stack, [b, j-1, m] = z_m^(N-j) s_m,
+    by one cumulative product up from the row s, as a C-contiguous stack.
+    1/s_m is the power of two at or above column m's largest |entry|,
+    max(1, |z_m|)^(N-1), which ``frexp`` reads off its reciprocal."""
     b, n = z.shape
     powers = np.empty((b, n, n), dtype=z.dtype)
-    powers[:, -1] = 1.0
+    powers[:, -1] = np.ldexp(0.5, np.frexp(np.maximum(np.abs(z), 1.0) ** (1 - n))[1])
     powers[:, :-1] = z[:, None, :]
     rising = powers[:, ::-1]
     np.multiply.accumulate(rising, axis=1, out=rising)
@@ -194,9 +200,10 @@ def _build(z, c, kind: str) -> DiophantineMatrix:
     if not zero_sep:
         raise SingularConfiguration("coincident zeros")
     coupling = coupling_stack(cc[None, :], (kind,))[0]
-    x = _similarity(_powers(zz[None, :]), coupling)[0, 0].T
-    # M = D'^(-1) X D', D' = diag(p'(z)).
-    derivative = _derivative_at_zeros(zdiff)
+    powers = _powers(zz[None, :])
+    x = _similarity(powers, coupling)[0, 0].T
+    # M = (S D')^(-1) X (S D'), D' = diag(p'(z)), S the exact basis scale.
+    derivative = _derivative_at_zeros(zdiff) * powers[0, -1].real
     return DiophantineMatrix(kind, n, x * derivative / derivative[:, None])
 
 

@@ -144,11 +144,12 @@ class TestWTable:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_closed_form_is_the_inverse(self, n):
         # W^(-1) = -V / p'(z) row by row, V_mj = z_m^(N-j) from the
-        # library's powers: W (-V / p') = I for sweep rows at up to 20 ranks
-        # spread over the n! orderings and for 20 random complex rows.  Each
-        # entry is held within 4 N u of |W| |V / p'|, u = 2^-53, with |W|
-        # taken as the Jacobian of the moduli, which bounds the recurrence's
-        # rounding (measured: at most 1.0 N u).
+        # library's powers, each column divided by the power of two in its
+        # last row, which is exact: W (-V / p') = I for sweep rows at up to
+        # 20 ranks spread over the n! orderings and for 20 random complex
+        # rows.  Each entry is held within 4 N u of |W| |V / p'|, u = 2^-53,
+        # with |W| taken as the Jacobian of the moduli, which bounds the
+        # recurrence's rounding (measured: at most 1.0 N u).
         u = 2.0 ** -53
         ranks = np.unique(np.linspace(1, math.factorial(n), 20).astype(int)).tolist()
         words = np.array([word_from_rank(n, rank) for rank in ranks])
@@ -157,7 +158,8 @@ class TestWTable:
         rng = np.random.default_rng(n)
         for z in (hermite_rows, rng.standard_normal((20, n)) + 1j * rng.standard_normal((20, n))):
             derivative = _set_diagonals(z[:, :, None] - z[:, None, :], 1.0).prod(axis=2)
-            inverse = -_powers(z).transpose(0, 2, 1) / derivative[:, :, None]
+            powers = _powers(z)
+            inverse = -(powers / powers[:, -1:]).transpose(0, 2, 1) / derivative[:, :, None]
             error = np.abs(vieta_jacobian_stack(z) @ inverse - np.eye(n))
             scale = np.abs(vieta_jacobian_stack(np.abs(z).astype(complex))) @ np.abs(inverse)
             assert (error <= 4 * n * u * scale).all()
@@ -400,16 +402,67 @@ def library_similarity(basis, c, kinds):
 
 def complex_stack(z, c, kind, similarity=library_similarity):
     """The complex M of one kind for every row of (B, N) zero and coefficient
-    stacks, as the one-row builders form it: X^T = V^(-T) A_pi V^T by one
-    stacked ``similarity`` against the library's powers V^T, then
-    M = D'^(-1) X D', D' = diag(p'(z)), with p'(z) and the scaling taken a
-    row at a time."""
-    x = similarity(_powers(z), c, (kind,))[:, 0]
+    stacks, as the one-row builders form it: X^T = U^(-1) A_pi U by one
+    stacked ``similarity`` against the library's powers U = V^T S, with S
+    the powers of two in U's last row, then M = (S D')^(-1) X (S D'),
+    D' = diag(p'(z)), with p'(z) and the scaling taken a row at a time."""
+    powers = _powers(z)
+    x = similarity(powers, c, (kind,))[:, 0]
     out = np.empty_like(x)
-    for row, (zeros, transposed) in enumerate(zip(z, x)):
-        derivative = _set_diagonals(zeros[:, None] - zeros[None, :], 1.0).prod(axis=1)
+    for row, (zeros, scale, transposed) in enumerate(zip(z, powers[:, -1].real, x)):
+        derivative = _set_diagonals(zeros[:, None] - zeros[None, :], 1.0).prod(axis=1) * scale
         out[row] = transposed.T * derivative / derivative[:, None]
     return out
+
+
+def unscaled_powers(z):
+    """V^T of every row of a (B, N) zero stack, [b, j-1, m] = z_m^(N-j), by
+    the library's cumulative product, but up from the row of ones: the
+    basis without its power-of-two column scale."""
+    b, n = z.shape
+    powers = np.empty((b, n, n), dtype=z.dtype)
+    powers[:, -1] = 1.0
+    powers[:, :-1] = z[:, None, :]
+    rising = powers[:, ::-1]
+    np.multiply.accumulate(rising, axis=1, out=rising)
+    return powers
+
+
+def real_basis(z, powers):
+    """The sweep's real basis: Im of the column of each zero with Im z > 0,
+    Re of every other column."""
+    return np.where(z.imag[:, None, :] > 0, powers.imag, powers.real)
+
+
+class TestScaledBasis:
+    """``_powers`` divides each column of V^T by a power of two, so each
+    column is V^T's times that power to the bit, and a row's basis does not
+    depend on the rest of its stack."""
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_scale_is_exact_and_row_local(self, n):
+        # Sweep rows at up to 60 ranks spread over the n! orderings, and 60
+        # random real coefficient rows whose scales run from 1e-3 to 1e3.
+        rng = np.random.default_rng(n)
+        ranks = np.unique(np.linspace(1, math.factorial(n), 60).astype(int)).tolist()
+        words = np.array([word_from_rank(n, rank) for rank in ranks])
+        random_rows = rng.standard_normal((60, n)) * 10.0 ** rng.uniform(-3, 3, (60, 1))
+        for c in (hermite_zeros(n).zeros[words - 1], random_rows):
+            z, failed = roots_stack(c)
+            assert not failed.any()
+            scaled, plain = _powers(z), unscaled_powers(z)
+            # The last row holds the scale 2^e, each e its own column's.
+            mantissa, exponent = np.frexp(scaled[:, -1].real)
+            assert (mantissa == 0.5).all() and not scaled[:, -1].imag.any()
+            e = (exponent - 1)[:, None, :]
+            assert np.array_equal(_bits(scaled.real), _bits(np.ldexp(plain.real, e)))
+            assert np.array_equal(_bits(scaled.imag), _bits(np.ldexp(plain.imag, e)))
+            for basis in (scaled, real_basis(z, scaled)):
+                largest = np.abs(basis).max(axis=1)
+                assert (largest > 0).all() and (largest <= 1).all()
+            for row in range(0, len(z), 7):
+                alone = _powers(z[row:row + 1])[0]
+                assert np.array_equal(_bits(alone), _bits(scaled[row]))
 
 
 class TestRealBasis:
@@ -660,6 +713,23 @@ class TestLargeOrder:
         report = run_verification(RunConfig(n=100, orderings=("sample", 10), seed=1))
         assert report.aggregate["pass"] == report.aggregate["checks"] == 20
 
+    def test_sample_at_n200_needs_the_scaled_basis(self, monkeypatch):
+        # The columns of V^T span 10^228 at N = 200.  Scaled by powers of
+        # two, every check of a sample passes (measured: worst 3.7e-10);
+        # the same rows' T on the unscaled basis miss the tolerance
+        # (measured: 4 of the 12 checks, worst 3.0e2).
+        for module in ("hermite", "report"):
+            monkeypatch.setattr(f"diospec.{module}.MAX_ORDER", 200)
+        kinds = (KIND_M1, KIND_M2)
+        report = run_verification(RunConfig(n=200, orderings=("sample", 6), seed=7))
+        assert report.aggregate["pass"] == report.aggregate["checks"] == 12
+        z, failed = roots_stack(hermite_zeros(200).zeros[report.word - 1])
+        assert not failed.any()
+        unscaled = _similarity(real_basis(z, unscaled_powers(z)),
+                               _ordering_coupling(200, report.word, kinds))
+        _, deviation = spectrum_stack(unscaled, kinds)
+        assert (deviation > 1e-6).any()
+
 
 def pow_similarity(basis, c, kinds):
     """The build of ``_similarity`` under ``coupling_stack``'s A = I + K (D - C),
@@ -699,9 +769,7 @@ class TestCouplingPowers:
             z, failed = roots_stack(c)
             assert not failed.any()
             entries, _ = build_stack(z, coupling_stack(c, (KIND_M1, KIND_M2))[0])
-            powers = _powers(z)
-            reference = pow_similarity(np.where(z.imag[:, None, :] > 0, powers.imag, powers.real),
-                                       c, (KIND_M1, KIND_M2))
+            reference = pow_similarity(real_basis(z, _powers(z)), c, (KIND_M1, KIND_M2))
             np.testing.assert_array_equal(entries[:, 0], reference[:, 0])
             bound = 8 * n * 2.0 ** -52 * np.abs(reference[:, 1]).max(axis=(1, 2))
             assert (np.abs(entries[:, 1] - reference[:, 1]).max(axis=(1, 2)) <= bound).all()
