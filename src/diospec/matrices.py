@@ -241,9 +241,10 @@ def expected_determinant(kind: str, n: int) -> float:
 def spectrum_stack(entries: np.ndarray, kinds: tuple):
     """LAPACK eigenvalues of a (B, K, N, N) stack of matrices, kind k of
     ``kinds`` at [:, k], by one call for all kinds: (B, K, N) complex
-    eigenvalues, each row sorted by real part, and each row's (B, K) maximum
-    deviation from its kind's expected integers.  A real stack runs the real
-    routine, and its real eigenvalues carry an imaginary part of exactly 0.
+    eigenvalues, each row sorted by (re, im) as ``roots_stack`` sorts zeros,
+    and each row's (B, K) maximum deviation from its kind's expected
+    integers.  A real stack runs the real routine, and its real eigenvalues
+    carry an imaginary part of exactly 0; a conjugate pair lists -im first.
 
     Eigenvalues are compared positionally; any imaginary parts feed straight
     into the deviation, so a complex eigenvalue cannot sneak past the check.
@@ -254,7 +255,7 @@ def spectrum_stack(entries: np.ndarray, kinds: tuple):
         lam = np.linalg.eigvals(entries).astype(complex, copy=False)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigenvalue computation failed: {exc}") from exc
-    lam = np.take_along_axis(lam, np.argsort(lam.real, axis=-1, kind="stable"), axis=-1)
+    lam = np.sort(lam, axis=-1, kind="stable")
     return lam, np.abs(lam - expected).max(axis=-1)
 
 

@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 
+_TINY = np.finfo(float).tiny  # ``_polish``'s floor for a vanishing derivative
+
+
 def check_positive(name: str, value: float) -> None:
     """Raise ValueError unless ``value`` is positive and finite."""
     if not 0 < value < math.inf:
@@ -107,11 +110,11 @@ def _zeros_of(z) -> np.ndarray:
     return z.zeros if isinstance(z, ZeroVector) else as_complex_vector(z, "zeros")
 
 
-def _horner(columns: list, x: np.ndarray, derivative: bool):
+def _horner(columns, x: np.ndarray, derivative: bool):
     """Value of each row's monic polynomial at the matching row of x, and
     its derivative if asked for (else None), by one in-place Horner pass;
-    ``columns`` holds the trailing coefficients as (B, 1) column slices, or
-    as scalars for one polynomial."""
+    ``columns`` holds the trailing coefficients as slabs of x's dtype and
+    shape, or as scalars for one polynomial."""
     # The first step, 1 * x + c_1 and 0 * x + 1, is x + c_1 and 1 exactly
     # for finite x, up to the sign of a zero.
     val = x + columns[0]
@@ -144,12 +147,15 @@ def _vieta(zeros: np.ndarray) -> list:
 def _polish(c: np.ndarray, z: np.ndarray):
     """One guarded Newton step per zero, kept only where it does not increase
     the residual.  Returns the zeros and their residuals |p(z)|.  No step
-    follows it, so its second Horner pass computes the value only."""
-    tiny = np.finfo(float).tiny
-    columns = [c[:, k, None] for k in range(c.shape[1])]
-    val, der = _horner(columns, z, derivative=True)
-    candidate = z - val / np.where(np.abs(der) < tiny, tiny, der)
-    resid = np.abs(_horner(columns, candidate, derivative=False)[0])
+    follows it, so its second Horner pass computes the value only.  Both
+    passes take slab k of one complex (N, B, N) stack, column k of c spread
+    over the zeros: an add of same-dtype, same-shape operands costs numpy no
+    cast and no broadcast, and a real c_k becomes c_k + 0i either way."""
+    stack = np.empty((c.shape[1],) + z.shape, dtype=complex)
+    stack[...] = c.T[:, :, None]
+    val, der = _horner(stack, z, derivative=True)
+    candidate = z - val / np.where(np.abs(der) < _TINY, _TINY, der)
+    resid = np.abs(_horner(stack, candidate, derivative=False)[0])
     best = np.abs(val)
     return np.where(resid <= best, candidate, z), np.minimum(resid, best)
 

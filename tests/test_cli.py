@@ -30,9 +30,10 @@ from diospec.errors import (
     SingularConfiguration,
     StepFloorReached,
 )
-from diospec.matrices import expected_spectrum
+from diospec.matrices import expected_spectrum, spectrum_stack
 from diospec.report import (
     RunConfig,
+    _chunks,
     _float_tokens,
     _format_float,
     csv_slices,
@@ -656,6 +657,18 @@ class TestReportSerialization:
             np.testing.assert_array_equal(alone.max_deviation[0],
                                           sweep.max_deviation[rank - 1])
 
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    def test_ordering_alone_matches_its_sampled_row(self, n):
+        # At the orders the single-ordering benchmark calls, a sample of 64
+        # orderings is one chunk, and each of them checked alone keeps its
+        # row's bits.
+        sweep = run_verification(RunConfig(n=n, orderings=("sample", 64), seed=n))
+        assert len(_chunks(n, len(sweep.rank))) == 1
+        for row, rank in enumerate(sweep.rank):
+            alone = run_verification(RunConfig(n=n, orderings=(rank,)))
+            np.testing.assert_array_equal(alone.eigenvalues[0], sweep.eigenvalues[row])
+            np.testing.assert_array_equal(alone.max_deviation[0], sweep.max_deviation[row])
+
     @pytest.mark.parametrize("n, kinds", _ORACLE_CASES)
     def test_json_matches_rendered_dict(self, n, kinds):
         report = run_verification(RunConfig(n=n, kinds=kinds))
@@ -703,6 +716,38 @@ class TestReportSerialization:
         cell = (2, 0, 1) if field == "eigenvalues" else (2, 0)
         getattr(report, field)[cell] = value
         for render in (report_to_json, report_to_csv):
+            with pytest.raises(ValueError, match="non-finite"):
+                render(report)
+
+    def test_nan_eigenvalue_never_passes(self, monkeypatch):
+        # LAPACK returns a NaN eigenvalue for one ordering of an n = 5 sweep,
+        # inside the library's sort and deviation: its check is not a pass,
+        # the aggregate counts it as a failure, and neither format yields
+        # any text of the report.
+        lapack = np.linalg.eigvals
+
+        def with_nan(a):
+            lam = lapack(a).astype(complex)
+            lam[17, 1, 2] = math.nan
+            return lam
+
+        def nan_spectrum(entries, kinds):
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "eigvals", with_nan)
+                return spectrum_stack(entries, kinds)
+
+        monkeypatch.setattr("diospec.report.spectrum_stack", nan_spectrum)
+        report = run_verification(RunConfig(n=5))
+        assert math.isnan(report.max_deviation[17, 1])
+        assert report.status[17, 1] in ("fail", "inconclusive")
+        assert np.count_nonzero(report.status == "pass") == 239
+        aggregate = report.aggregate
+        assert aggregate["pass"] == 239 and aggregate["fail"] + aggregate["inconclusive"] == 1
+        for slices, render in ((json_slices, report_to_json), (csv_slices, report_to_csv)):
+            written = []
+            with pytest.raises(ValueError, match="non-finite"):
+                written.extend(slices(report))
+            assert written == []
             with pytest.raises(ValueError, match="non-finite"):
                 render(report)
 

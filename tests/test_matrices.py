@@ -339,6 +339,11 @@ def _bits(values):
     return np.ascontiguousarray(values).view(np.uint64)
 
 
+def sorted_by_real_part(lam):
+    """Each row of eigenvalues in the order of a stable argsort of its real parts."""
+    return np.take_along_axis(lam, np.argsort(lam.real, axis=-1, kind="stable"), axis=-1)
+
+
 class TestSpectrumStack:
     """One ``spectrum_stack`` call over all kinds gives each kind the bits
     of a call of its own."""
@@ -386,6 +391,42 @@ class TestSpectrumStack:
             alone, alone_deviation = spectrum_stack(entries[:, k:k + 1], (kind,))
             assert np.array_equal(_bits(eigenvalues[:, k]), _bits(alone[:, 0])), kind
             assert np.array_equal(_bits(deviation[:, k]), _bits(alone_deviation[:, 0])), kind
+
+    def test_conjugate_pair_lists_minus_im_first(self):
+        # A real matrix with eigenvalues 2 -+ i and 3: LAPACK lists the +i
+        # member of the pair first, and the sort by (re, im) swaps the pair.
+        # The deviation is the argsort order's, bit for bit: conjugates lie
+        # equally far from a real integer.
+        rng = np.random.default_rng(23)
+        basis = rng.standard_normal((3, 3))
+        block = np.array([[2.0, -1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 3.0]])
+        entries = (basis @ block @ np.linalg.inv(basis))[None, None]
+        by_real = sorted_by_real_part(np.linalg.eigvals(entries))
+        assert by_real[0, 0, 0].real == by_real[0, 0, 1].real and by_real[0, 0, 0].imag > 0
+        eigenvalues, deviation = spectrum_stack(entries, (KIND_M1,))
+        assert np.array_equal(_bits(eigenvalues), _bits(by_real[..., [1, 0, 2]]))
+        assert eigenvalues[0, 0, 0] == np.conj(eigenvalues[0, 0, 1])
+        assert eigenvalues[0, 0, 0].imag < 0
+        by_real_deviation = np.abs(by_real - _expected_stack(3, (KIND_M1,))).max(axis=-1)
+        assert np.array_equal(_bits(deviation), _bits(by_real_deviation))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_sort_matches_a_stable_argsort_by_real_part_on_sweep_rows(self, monkeypatch, n):
+        # Every ordering's spectra are real, so sorting by (re, im) keeps
+        # the order of a stable sort by real part, and the bits.  Both sort
+        # one LAPACK output.
+        words = np.array(list(itertools.permutations(range(1, n + 1))))
+        kinds = (KIND_M1, KIND_M2)
+        z, failed = roots_stack(hermite_zeros(n).zeros[words - 1])
+        assert not failed.any()
+        entries, _ = build_stack(z, _ordering_coupling(n, words, kinds))
+        lapack = np.linalg.eigvals(entries).astype(complex)
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: lapack.copy())
+        eigenvalues, deviation = spectrum_stack(entries, kinds)
+        by_real = sorted_by_real_part(lapack)
+        assert np.array_equal(_bits(eigenvalues), _bits(by_real))
+        by_real_deviation = np.abs(by_real - _expected_stack(n, kinds)).max(axis=-1)
+        assert np.array_equal(_bits(deviation), _bits(by_real_deviation))
 
 
 def _matched_deviation(a, b):

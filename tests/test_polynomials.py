@@ -8,8 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import diospec.polynomials as polynomials
+from diospec import report
 from diospec.errors import NonConvergence
-from diospec.hermite import hermite_zeros
+from diospec.hermite import hermite_zeros, word_from_rank
 from diospec.polynomials import (
     MonicPolynomial,
     ZeroVector,
@@ -264,7 +265,9 @@ def _horner_reference(c, x):
 
 def polish_reference(c, z):
     """The guarded one-step Newton polish with a full value-and-derivative
-    pass at the candidate too, where the library computes the value only."""
+    pass at the candidate too, where the library computes the value only,
+    and each coefficient added as a (B, 1) column of c's own dtype, where
+    the library adds complex slabs of the zeros' shape."""
     tiny = np.finfo(float).tiny
     val, der = _horner_reference(c, z)
     best = np.abs(val)
@@ -274,6 +277,21 @@ def polish_reference(c, z):
     resid = np.abs(cval)
     improved = resid <= best
     return np.where(improved, candidate, z), np.minimum(resid, best)
+
+
+def companion_eigenvalues(c):
+    """LAPACK eigenvalues of each row's companion matrix, as ``roots_stack``
+    computes them before the polish."""
+    b, n = c.shape
+    companion = np.zeros((b, n, n), dtype=c.dtype)
+    companion[:, 0, :] = -c
+    companion.reshape(b, n * n)[:, n::n + 1] = 1.0
+    return np.linalg.eigvals(companion).astype(complex)
+
+
+def assert_polish_matches_the_reference(c, z):
+    for got, expected in zip(_polish(c, z), polish_reference(c, z)):
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestPolish:
@@ -288,15 +306,41 @@ class TestPolish:
         starts = true + np.array([0.0, 1e-14, 1e-10, 1e-6, 1e-4, 1e-3, 1e-2, 0.1])[:, None] * offset
         words = np.array([rng.permutation(n) for _ in range(8)])
         real = hermite_zeros(n).zeros.real[words]
-        companion = np.zeros((8, n, n))
-        companion[:, 0, :] = -real
-        companion.reshape(8, n * n)[:, n::n + 1] = 1.0
-        cases = ((esp_table(-true)[:, 1:], starts),
-                 (real, np.linalg.eigvals(companion).astype(complex)))
+        cases = ((esp_table(-true)[:, 1:], starts), (real, companion_eigenvalues(real)))
         for c, z in cases:
-            got, expected = _polish(c, z), polish_reference(c, z)
-            for a, b in zip(got, expected):
-                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+            assert_polish_matches_the_reference(c, z)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_operand_stack_moves_no_bit_on_sweep_stacks(self, n):
+        # Every ordering's real coefficients and companion eigenvalues, in
+        # the sweep's chunks, and a few of its rows one at a time.
+        words = np.array(list(permutations(range(n))))
+        real = hermite_zeros(n).zeros.real[words]
+        size = report._CHUNK_ENTRIES // n ** 2
+        for start in range(0, len(real), size):
+            c = real[start:start + size]
+            assert_polish_matches_the_reference(c, companion_eigenvalues(c))
+        for c in real[::len(real) // 5 + 1]:
+            assert_polish_matches_the_reference(c[None], companion_eigenvalues(c[None]))
+
+    @pytest.mark.parametrize("n, seed", [(12, 1), (20, 1), (30, 7)])
+    def test_operand_stack_moves_no_bit_on_samples(self, n, seed):
+        # A ``sample:200`` stack as the sweep draws it, whole and row by row.
+        ranks = report.RunConfig(n=n, orderings=("sample", 200), seed=seed).ordering_ranks()
+        words = np.array([word_from_rank(n, rank) for rank in ranks])
+        real = hermite_zeros(n).zeros.real[words - 1]
+        assert_polish_matches_the_reference(real, companion_eigenvalues(real))
+        for c in real[::20]:
+            assert_polish_matches_the_reference(c[None], companion_eigenvalues(c[None]))
+
+    def test_operand_stack_moves_no_bit_on_complex_rows(self):
+        # One-row stacks of complex coefficients, as ``roots`` of a
+        # MonicPolynomial with complex zeros polishes them.
+        rng = np.random.default_rng(29)
+        for n in (2, 5, 12):
+            true = rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))
+            c = esp_table(-true)[:, 1:]
+            assert_polish_matches_the_reference(c, companion_eigenvalues(c) + 1e-9)
 
 
 class TestSigma:
