@@ -43,7 +43,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NonConvergence, SingularConfiguration
-from .polynomials import (_derivative_at_zeros, _differences, _exactly_real, _frozen,
+from .polynomials import (_derivative_at_zeros, _differences, _exactly_real, _frozen, _lapack,
                           _set_diagonals, _zeros_of, as_complex_vector, check_positive)
 
 __all__ = [
@@ -135,11 +135,11 @@ def _similarity(basis: np.ndarray, coupling: np.ndarray) -> np.ndarray:
     stack of couplings A, as a (B, K, N, N) view of the solve's output, kind
     k at [:, k].  The kinds share one stacked product, written straight into
     the solve's right-hand side, and one solve: one LU factorisation per
-    row."""
+    row.  Raises numpy's LinAlgError when a basis is exactly singular."""
     b, kinds, n = coupling.shape[:3]
     product = np.empty((b, n, kinds, n), dtype=np.result_type(basis, coupling))
     np.matmul(coupling, basis[:, None], out=product.transpose(0, 2, 1, 3))
-    solved = np.linalg.solve(basis, product.reshape(b, n, kinds * n))
+    solved = _lapack("solve", basis, product.reshape(b, n, kinds * n))
     return solved.reshape(b, n, kinds, n).transpose(0, 2, 1, 3)
 
 
@@ -248,14 +248,16 @@ def spectrum_stack(entries: np.ndarray, kinds: tuple):
 
     Eigenvalues are compared positionally; any imaginary parts feed straight
     into the deviation, so a complex eigenvalue cannot sneak past the check.
+    Raises NonConvergence for a non-finite entry, or when LAPACK fails.
     """
     expected = _expected_stack(entries.shape[-1], tuple(kinds))
+    if not np.isfinite(entries).all():
+        raise NonConvergence("eigenvalue computation failed: Array must not contain infs or NaNs")
     try:
-        # numpy returns a float array when every eigenvalue of the stack is real.
-        lam = np.linalg.eigvals(entries).astype(complex, copy=False)
+        lam = _lapack("eigvals", entries)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigenvalue computation failed: {exc}") from exc
-    lam = np.sort(lam, axis=-1, kind="stable")
+    lam.sort(axis=-1, kind="stable")
     return lam, np.abs(lam - expected).max(axis=-1)
 
 

@@ -16,6 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy.linalg's LAPACK gufuncs, private numpy API, called by ``_lapack``;
+# tests/test_lapack.py pins their results to numpy.linalg's.
+from numpy.linalg import _umath_linalg
 
 from .errors import NonConvergence
 
@@ -106,6 +109,25 @@ def _exactly_real(values) -> np.ndarray:
     return arr.real if np.iscomplexobj(arr) and not arr.imag.any() else arr
 
 
+def _lapack(name: str, *operands) -> np.ndarray:
+    """numpy.linalg's LAPACK gufunc ``eigvals`` or ``solve`` on a stack, with
+    the bits of ``np.linalg.eigvals(a).astype(complex)`` or
+    ``np.linalg.solve(a, b)`` but without their wrappers, which re-check
+    shapes and finiteness and re-cast the output on every call: real operands
+    run the real routine, and a real eigenvalue has an imaginary part of
+    +0.0.  numpy reports a failed matrix by its invalid flag, raised here as
+    numpy.linalg's LinAlgError with its message; no other flag warns.  The
+    caller checks that eigvals' operand is finite."""
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(
+            "Eigenvalues did not converge" if name == "eigvals" else "Singular matrix")
+
+    code = "D" if any(map(np.iscomplexobj, operands)) else "d"
+    signature = code * len(operands) + "->" + ("D" if name == "eigvals" else code)
+    with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return getattr(_umath_linalg, name)(*operands, signature=signature)
+
+
 def _zeros_of(z) -> np.ndarray:
     return z.zeros if isinstance(z, ZeroVector) else as_complex_vector(z, "zeros")
 
@@ -187,15 +209,15 @@ def roots_stack(coefficients, tol: float = 1e-12):
     companion[:, 0, :] = -c
     companion.reshape(b, n * n)[:, n::n + 1] = 1.0  # the subdiagonal
     try:
-        eigenvalues = np.linalg.eigvals(companion)
+        eigenvalues = _lapack("eigvals", companion)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"companion eigenvalues failed: {exc}") from exc
 
-    zeros, resid = _polish(c, eigenvalues.astype(complex))
+    zeros, resid = _polish(c, eigenvalues)
     scale = 1.0 + np.abs(c).max(axis=1, keepdims=True)
     bound = tol * scale * np.maximum(1.0, np.abs(zeros)) ** n
     failed = ~((resid <= bound) & np.isfinite(resid)).all(axis=1)
-    zeros = np.sort(zeros, axis=1, kind="stable")  # complex values sort by (re, im)
+    zeros.sort(axis=1, kind="stable")  # complex values sort by (re, im)
     zeros[failed] = np.nan
     return zeros, failed
 

@@ -38,6 +38,13 @@ def ordering_sweep():
     return sweep_records
 
 
+def unconverged_eigvals(a, signature):
+    """Stands in for numpy's LAPACK eigvals gufunc on a stack whose every
+    matrix fails to converge: NaN eigenvalues and numpy's invalid flag
+    raised, as numpy's loop reports a failed LAPACK call."""
+    return np.zeros(a.shape[:-1], dtype=complex) / 0.0
+
+
 def esp_table(values):
     """Elementary symmetric functions e_0..e_n of the entries along the last
     axis, by the stable triangular recurrence (one linear-factor

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import hermite as npherm
 
-from conftest import vieta_jacobian_stack
+from conftest import unconverged_eigvals, vieta_jacobian_stack
 
+import diospec.polynomials as polynomials
 from diospec.errors import NonConvergence, SingularConfiguration
 from diospec.hermite import PermutationId, hermite_zeros, permuted_polynomial, word_from_rank
 from diospec.matrices import (
@@ -363,12 +364,19 @@ class TestSpectrumStack:
             assert np.array_equal(_bits(deviation[:, k]), _bits(alone_deviation[:, 0])), kind
 
     def test_lapack_failure_is_non_convergence(self, monkeypatch):
-        def unconverged(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigvals", unconverged)
-        with pytest.raises(NonConvergence, match="eigenvalue computation failed"):
+        # The gufunc raises numpy's invalid flag, as LAPACK's failure does.
+        monkeypatch.setattr(polynomials._umath_linalg, "eigvals", unconverged_eigvals)
+        with pytest.raises(NonConvergence,
+                           match="^eigenvalue computation failed: Eigenvalues did not converge$"):
             spectrum_stack(np.eye(2)[None, None], (KIND_M1,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_entry_is_non_convergence(self, bad):
+        entries = np.tile(np.eye(3, dtype=type(bad)), (2, 2, 1, 1))
+        entries[1, 0, 2, 1] = bad
+        with pytest.raises(NonConvergence, match="^eigenvalue computation failed: "
+                                                 "Array must not contain infs or NaNs$"):
+            spectrum_stack(entries, (KIND_M1, KIND_M2))
 
     def test_all_real_kind_beside_a_complex_pair(self):
         # numpy returns real eigenvalues only when every eigenvalue of the
@@ -421,7 +429,8 @@ class TestSpectrumStack:
         assert not failed.any()
         entries, _ = build_stack(z, _ordering_coupling(n, words, kinds))
         lapack = np.linalg.eigvals(entries).astype(complex)
-        monkeypatch.setattr(np.linalg, "eigvals", lambda a: lapack.copy())
+        monkeypatch.setattr(polynomials._umath_linalg, "eigvals",
+                            lambda a, signature: lapack.copy())
         eigenvalues, deviation = spectrum_stack(entries, kinds)
         by_real = sorted_by_real_part(lapack)
         assert np.array_equal(_bits(eigenvalues), _bits(by_real))
@@ -473,6 +482,18 @@ def real_basis(z, powers):
     """The sweep's real basis: Im of the column of each zero with Im z > 0,
     Re of every other column."""
     return np.where(z.imag[:, None, :] > 0, powers.imag, powers.real)
+
+
+class TestSimilarity:
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_exactly_singular_basis_is_linalg_error(self, dtype):
+        # The second row's basis has equal columns, so LU meets an exact
+        # zero pivot: the solve's invalid flag raises numpy's error.
+        basis = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 1.0], [2.0, 2.0]]], dtype=dtype)
+        coupling = coupling_stack(np.array([[0.3, -1.2], [0.5, 2.0]], dtype=dtype),
+                                  (KIND_M1, KIND_M2))[0]
+        with pytest.raises(np.linalg.LinAlgError, match="^Singular matrix$"):
+            _similarity(basis, coupling)
 
 
 class TestScaledBasis:
