@@ -32,6 +32,7 @@ Second-order pair (goldfish velocity coupling in the zero picture):
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -100,11 +101,13 @@ class TrajectoryRecord:
 
 
 def _diff_gap(values: np.ndarray, *names: str):
-    """``_differences``; NearCollision names the first row closer than COLLISION_FLOOR."""
+    """``_differences``, with the gaps as Python floats: one for a row, a list
+    for a stack.  NearCollision names the first row closer than COLLISION_FLOOR."""
     if values.shape[-1] < 2:
         raise ValueError(f"{names[0]} needs at least two components")
     diff, gaps = _differences(values)
-    for name, gap in zip(names, gaps.flat):
+    gaps = gaps.tolist()
+    for name, gap in zip(names, gaps if values.ndim > 1 else [gaps]):
         if gap < COLLISION_FLOOR:
             raise NearCollision(f"{name} separation {gap:.3e} below {COLLISION_FLOOR}")
     return diff, gaps
@@ -121,17 +124,21 @@ def _zeta_rate(zeta: np.ndarray, order: int, zeta_dot=None):
     (zeta_n - zeta_l).  ``zeta_dot`` adds the goldfish coupling
     2 zdot_n zdot_l / (zeta_n - zeta_l) from the same difference matrix.
     Coefficients are checked finite before their shared difference pass."""
-    stack = np.array([zeta, _vieta(zeta)])
-    if not np.logical_and.reduce(np.isfinite(stack[1])):
+    coefficients = _vieta(zeta)
+    if not all(map(cmath.isfinite, coefficients)):
         raise ValueError("coefficients must have finite components")
+    stack = np.empty((2, zeta.size), dtype=complex)
+    stack[0] = zeta
+    stack[1] = coefficients
     diff, (gap, _) = _diff_gap(stack, "zeta", "gamma")
-    rate = _coefficient_rate(stack[1], diff[1], order)
-    # Horner's rule in place, with np.polyval's arithmetic.
-    transport = np.zeros(zeta.size, dtype=complex)
-    for c in rate.tolist():
+    rate = _coefficient_rate(stack[1], diff[1], order).tolist()
+    # Horner's rule in place on the negated rate, which negates every
+    # rounding of np.polyval's arithmetic exactly.
+    transport = np.full(zeta.size, -rate[0])
+    for c in rate[1:]:
         transport *= zeta
-        transport += c
-    field = -transport / _derivative_at_zeros(diff[0])
+        transport -= c
+    field = transport / _derivative_at_zeros(diff[0])
     if zeta_dot is None:
         return field, gap
     return 2.0 * zeta_dot * np.add.reduce(zeta_dot / diff[0], axis=1) + field, gap
@@ -233,18 +240,19 @@ _E3 = _B - np.array([
     0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
     0.733846688281611857341361741547, 0.0, 0.0, 0.220588235294117647058823529412e-1])
 _STAGE_WEIGHTS = np.vstack((_A[1:], _B))
+_ERROR_WEIGHTS = np.stack((_E5, _E3))[:, :, None]
 
 
 def _error_norm(stages: np.ndarray, scale: np.ndarray, h: float) -> float:
     """Hairer's DOP853 error norm of a step of size h: with err5 and err3 the
     2-norms of the fifth- and third-order estimates divided by ``scale``
-    componentwise, h err5^2 / sqrt(n (err5^2 + 0.01 err3^2))."""
-    e5 = np.abs(np.add.reduce(_E5[:, None] * stages, axis=0)) / scale
-    e3 = np.abs(np.add.reduce(_E3[:, None] * stages, axis=0)) / scale
-    e5_sq = np.add.reduce(e5 * e5)
+    componentwise, h err5^2 / sqrt(n (err5^2 + 0.01 err3^2)).  Both estimates
+    come from one stacked product, reduced row by row as each alone would be."""
+    e = np.abs(np.add.reduce(_ERROR_WEIGHTS * stages, axis=1)) / scale
+    e5_sq, e3_sq = np.add.reduce(e * e, axis=1).tolist()
     if e5_sq == 0.0:
         return 0.0
-    return h * e5_sq / math.sqrt((e5_sq + 0.01 * np.add.reduce(e3 * e3)) * scale.size)
+    return h * e5_sq / math.sqrt((e5_sq + 0.01 * e3_sq) * scale.size)
 
 
 def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
@@ -283,11 +291,13 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
     samples = [(0.0, y)]
     accepted = rejected = 0
 
-    # Row 0 of ``table`` is y, weighted 1 in every stage sum; rows 1..12 are the stages.
+    # Row 0 of ``table`` is y, weighted 1 in every stage sum; rows 1..12 are
+    # the stages.  Complex weights of the table's shape spare each product a
+    # cast and a broadcast; numpy casts a real weight w to w + 0i anyway.
     table = np.empty((13, y.size), dtype=complex)
     table[0] = y
     stages = table[1:]
-    weights = np.ones((12, 13, 1))
+    weights = np.ones((12, 13, y.size), dtype=complex)
     prefixes = [(weights[i, :i + 2], table[:i + 2]) for i in range(12)]
     try:
         stages[0], min_sep = field(y, n_pos)
@@ -302,7 +312,7 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
         if final_step:
             h = t_end - t
 
-        weights[:, 1:, 0] = h * _STAGE_WEIGHTS
+        weights[:, 1:] = (h * _STAGE_WEIGHTS)[:, :, None]
         try:
             for i, (w, rows) in enumerate(prefixes, start=1):
                 y_stage = np.add.reduce(w * rows, axis=0)

@@ -123,6 +123,31 @@ MUTANTS = [
            "    for values in (report.eigenvalues.view(np.float64), report.max_deviation,\n",
            "    for values in (report.eigenvalues.view(np.float64),\n",
            ("tests/test_cli.py::TestReportSerialization::test_non_finite_result_is_not_serialised",)),
+    Mutant("the JSON results keep the separator after their last check",
+           "report.py",
+           '        parts[-1] = ""\n',
+           "        pass\n",
+           ("tests/test_cli.py::TestReportSerialization::test_json_round_trip",)),
+    Mutant("each CSV slice drops its last newline",
+           "report.py",
+           '    lines.append("")\n',
+           "",
+           ("tests/test_cli.py::TestReportSerialization::test_slices_match_the_dict[n12-one]",)),
+    Mutant("the zeta transport's Horner adds the negated rate",
+           "dynamics.py",
+           "        transport -= c\n",
+           "        transport += c\n",
+           ("tests/test_dynamics_bits.py::test_field_keeps_the_reference_bits[zeta1-5]",)),
+    Mutant("the zeta field's finiteness check of the Vieta coefficients skipped",
+           "dynamics.py",
+           "    if not all(map(cmath.isfinite, coefficients)):\n",
+           "    if False:\n",
+           ("tests/test_dynamics_bits.py::test_field_raises_as_the_reference_does[zeta1-overflow]",)),
+    Mutant("the stage weights filled into the wrong columns",
+           "dynamics.py",
+           "        weights[:, 1:] = (h * _STAGE_WEIGHTS)[:, :, None]\n",
+           "        weights[:, :-1] = (h * _STAGE_WEIGHTS)[:, :, None]\n",
+           ("tests/test_dynamics_bits.py::test_stage_sums_keep_the_reference_bits[gamma1-3]",)),
 ]
 
 
