@@ -389,11 +389,18 @@ def fd_jacobian(system: str, z, h: float = 1e-6) -> np.ndarray:
     return central_difference_jacobian(lambda y: _zeta_rate(y, order)[0], z, h)
 
 
-def _modal_basis(entries: np.ndarray):
-    """LAPACK eigenvalues and unit-norm eigenvector columns; raises
-    DegenerateSpectrum when two eigenvalues lie within the gap floor."""
+def _modal(matrix: DiophantineMatrix, kind: str, **vectors):
+    """LAPACK eigenvalues, unit-norm eigenvector columns and the amplitudes of
+    each initial vector in them; raises DegenerateSpectrum when two eigenvalues
+    lie within the gap floor."""
+    if matrix.kind != kind:
+        order = "first" if kind == KIND_M1 else "second"
+        raise ValueError(f"{order}-order evolution needs kind {kind}, got {matrix.kind}")
+    vectors = [as_complex_vector(v, name) for name, v in vectors.items()]
+    if any(v.size != matrix.n for v in vectors):
+        raise DimensionMismatch("initial vectors do not match the matrix")
     try:
-        values, basis = np.linalg.eig(entries)
+        values, basis = np.linalg.eig(matrix.entries)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"eigen-decomposition failed: {exc}") from exc
     gap = float(_differences(values)[1])
@@ -401,7 +408,7 @@ def _modal_basis(entries: np.ndarray):
     if gap <= _GAP_FLOOR * scale:
         raise DegenerateSpectrum(
             f"minimum eigenvalue gap {gap:.3e} below {_GAP_FLOOR} * {scale:.3e}")
-    return values, basis
+    return values, basis, [np.linalg.solve(basis, v) for v in vectors]
 
 
 def linear_evolution_first(matrix: DiophantineMatrix, v0, t: float) -> np.ndarray:
@@ -410,14 +417,8 @@ def linear_evolution_first(matrix: DiophantineMatrix, v0, t: float) -> np.ndarra
 
     Integer eigenvalues make every mode 2*pi-periodic, so v(2*pi) = v(0).
     """
-    if matrix.kind != KIND_M1:
-        raise ValueError(f"first-order evolution needs kind {KIND_M1}, got {matrix.kind}")
-    v = as_complex_vector(v0, "v0")
-    if v.size != matrix.n:
-        raise DimensionMismatch("v0 length does not match the matrix")
-    values, basis = _modal_basis(matrix.entries)
-    amplitudes = np.linalg.solve(basis, v)
-    return basis @ (amplitudes * np.exp(1j * values * t))
+    values, basis, (a,) = _modal(matrix, KIND_M1, v0=v0)
+    return basis @ (a * np.exp(1j * values * t))
 
 
 def linear_evolution_second(matrix: DiophantineMatrix, v0, vdot0, t: float) -> np.ndarray:
@@ -429,16 +430,8 @@ def linear_evolution_second(matrix: DiophantineMatrix, v0, vdot0, t: float) -> n
     frequencies, hence 2*pi-periodic modes.  Eigenvalues must have positive
     real part for the square root to define a frequency.
     """
-    if matrix.kind != KIND_M2:
-        raise ValueError(f"second-order evolution needs kind {KIND_M2}, got {matrix.kind}")
-    v = as_complex_vector(v0, "v0")
-    vd = as_complex_vector(vdot0, "vdot0")
-    if v.size != matrix.n or vd.size != matrix.n:
-        raise DimensionMismatch("initial vectors do not match the matrix")
-    values, basis = _modal_basis(matrix.entries)
+    values, basis, (a, b) = _modal(matrix, KIND_M2, v0=v0, vdot0=vdot0)
     if np.any(values.real <= 0):
         raise DegenerateSpectrum("eigenvalues with non-positive real part have no frequency")
     omega = np.sqrt(values)
-    a = np.linalg.solve(basis, v)
-    b = np.linalg.solve(basis, vd)
     return basis @ (a * np.cos(omega * t) + b * np.sin(omega * t) / omega)

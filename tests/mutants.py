@@ -148,6 +148,41 @@ MUTANTS = [
            "        weights[:, 1:] = (h * _STAGE_WEIGHTS)[:, :, None]\n",
            "        weights[:, :-1] = (h * _STAGE_WEIGHTS)[:, :, None]\n",
            ("tests/test_dynamics_bits.py::test_stage_sums_keep_the_reference_bits[gamma1-3]",)),
+    Mutant("the residual test written as max(r1, r2) > bound, so NaN residuals pass",
+           "hermite.py",
+           "    if not (r1 <= _RESIDUAL_BOUND and r2 <= _RESIDUAL_BOUND):\n",
+           "    if max(r1, r2) > _RESIDUAL_BOUND:\n",
+           ("tests/test_hermite.py::TestZeros::test_nan_node_raises",)),
+    Mutant("the modal evolution's kind check skipped",
+           "dynamics.py",
+           "    if matrix.kind != kind:\n",
+           "    if False:\n",
+           ("tests/test_dynamics.py::TestLinearEvolution::test_kind_is_enforced",)),
+    Mutant("the polish divides by a vanishing derivative without its floor",
+           "polynomials.py",
+           "candidate = z - val / np.where(np.abs(der) < _TINY, _TINY, der)",
+           "candidate = z - val / der",
+           ("tests/test_polynomials.py::TestPolish::test_vanishing_derivative_keeps_the_start",)),
+    Mutant("the polish step kept even where it increases the residual",
+           "polynomials.py",
+           "return np.where(resid <= best, candidate, z), np.minimum(resid, best)",
+           "return candidate, np.minimum(resid, best)",
+           ("tests/test_polynomials.py::TestPolish::test_matches_the_two_full_pass_reference[5]",)),
+    Mutant("the cached coupling left writable",
+           "report.py",
+           "return _frozen(coupling[0].reshape(len(kinds), n * n), float), float(separation[0])",
+           "return coupling[0].reshape(len(kinds), n * n), float(separation[0])",
+           ("tests/test_matrices.py::TestPermutedCoupling::test_cached_coupling_is_read_only",)),
+    Mutant("hashlib imported at the top of report.py again",
+           "report.py",
+           "import math\nimport operator\n",
+           "import hashlib\nimport math\nimport operator\n",
+           ("tests/test_cli.py::TestModulesLoaded::test_run_loads_only_what_it_uses[csv]",)),
+    Mutant("the process pool imported at the top of report.py again",
+           "report.py",
+           "import math\nimport operator\n",
+           "import math\nimport operator\nfrom concurrent.futures import ProcessPoolExecutor\n",
+           ("tests/test_cli.py::TestModulesLoaded::test_run_loads_only_what_it_uses[csv]",)),
 ]
 
 

@@ -10,7 +10,6 @@ from diospec.errors import DimensionMismatch, NonConvergence
 from diospec.hermite import (
     PermutationId,
     _coefficient_rate,
-    hermite_recurrence,
     hermite_zeros,
     lexicographic_rank,
     permuted_polynomial,
@@ -37,38 +36,6 @@ def unit(n):
     """Hermite-series coefficients of H_n alone, as numpy's hermite module
     takes them."""
     return np.eye(n + 1)[n]
-
-
-class TestCoefficients:
-    """``hermite_recurrence`` against the dense monomial coefficients of H_n
-    and its derivative, and against numpy's Hermite series evaluation."""
-
-    xs = np.linspace(-2.0, 2.0, 9)
-
-    def check(self, n, coefficients):
-        value, deriv = hermite_recurrence(n, self.xs)
-        np.testing.assert_allclose(value, np.polyval(coefficients, self.xs), atol=1e-12)
-        np.testing.assert_allclose(deriv, np.polyval(np.polyder(coefficients), self.xs),
-                                   atol=1e-12)
-
-    def test_degree_two(self):
-        self.check(2, [4.0, 0.0, -2.0])
-
-    def test_degree_three(self):
-        self.check(3, [8.0, 0.0, -12.0, 0.0])
-
-    def test_degree_one(self):
-        self.check(1, [2.0, 0.0])
-
-    def test_matches_recurrence_evaluation(self):
-        for n in (4, 7, 12, 20, 30):
-            value, deriv = hermite_recurrence(n, self.xs)
-            reference = npherm.hermval(self.xs, unit(n))
-            scale = np.max(np.abs(reference))
-            assert np.max(np.abs(value - reference)) <= 1e-13 * scale
-            reference = npherm.hermval(self.xs, npherm.hermder(unit(n)))
-            scale = np.max(np.abs(reference))
-            assert np.max(np.abs(deriv - reference)) <= 1e-13 * scale
 
 
 class TestZeros:
@@ -100,12 +67,27 @@ class TestZeros:
 
     @pytest.mark.parametrize("n", range(2, 31))
     def test_matches_golub_welsch_nodes(self, n):
-        # numpy's Gauss-Hermite nodes: the eigenvalues of its own symmetric
-        # tridiagonal companion matrix, polished by a Newton step (Golub &
-        # Welsch 1969), an implementation independent of ours.
-        reference = npherm.hermgauss(n)[0]
+        # scipy's Gauss-Hermite nodes, an implementation independent of
+        # numpy's hermgauss, which ours are.
+        special = pytest.importorskip("scipy.special")
+        reference = special.roots_hermite(n)[0]
         zeros = hermite_zeros(n).zeros
         assert np.max(np.abs(zeros - reference)) <= 1e-14 * np.max(np.abs(reference))
+
+    def test_match_40_digit_zeros(self):
+        # Newton on the three-term recurrence H_{k+1} = 2x H_k - 2k H_{k-1},
+        # in 40-digit arithmetic, from each float zero.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for n in range(2, 31):
+                for zero in hermite_zeros(n).zeros:
+                    x = mpmath.mpf(float(zero))
+                    for _ in range(4):
+                        prev, cur = mpmath.mpf(0), mpmath.mpf(1)
+                        for k in range(n):
+                            prev, cur = cur, 2 * x * cur - 2 * k * prev
+                        x -= cur / (2 * n * prev)
+                    assert abs(x - mpmath.mpf(float(zero))) <= 1e-15, (n, float(zero))
 
     @pytest.mark.parametrize("n", range(2, 21))
     def test_residuals_recorded_and_small(self, n):
@@ -121,17 +103,28 @@ class TestZeros:
         with pytest.raises(ValueError):
             hermite_zeros(31)
 
-    def test_overflowed_recurrence_raises(self, monkeypatch):
-        # Past the order cap the unnormalised recurrence overflows at
-        # N = 206: two zeros and both residuals come back NaN, which a
-        # ``max(r1, r2) > bound`` test lets through.  N = 204 is still fine.
-        monkeypatch.setattr("diospec.hermite.MAX_ORDER", 206)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NonConvergence, match="n=206"):
-                hermite_zeros(206)
-            h = hermite_zeros(204)
+    @pytest.mark.parametrize("n", [206, 250, 300])
+    def test_past_the_cap(self, monkeypatch, n):
+        # hermgauss' recurrence is normalised, so it does not overflow where
+        # an unnormalised H_n does (N = 206).  Uncached, so that no zeros past
+        # the cap stay behind in hermite_zeros' cache.
+        monkeypatch.setattr("diospec.hermite.MAX_ORDER", n)
+        h = hermite_zeros.__wrapped__(n)
         assert np.isfinite(h.zeros).all()
+        assert np.all(np.diff(h.zeros) > 0)
         assert h.residual_first <= 1e-10 and h.residual_second <= 1e-10
+
+    def test_nan_node_raises(self, monkeypatch):
+        # Both residuals come back NaN, which a ``max(r1, r2) > bound`` test
+        # lets through.
+        def hermgauss(n):
+            nodes, weights = npherm.hermgauss(n)
+            nodes[1] = np.nan
+            return nodes, weights
+
+        monkeypatch.setattr("diospec.hermite.hermgauss", hermgauss)
+        with pytest.raises(NonConvergence, match="n=7"):
+            hermite_zeros.__wrapped__(7)
 
 
 class TestResiduals:

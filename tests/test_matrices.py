@@ -777,7 +777,7 @@ class TestLargeOrder:
 
     def test_sample_at_n200_needs_the_scaled_basis(self, monkeypatch):
         # The columns of V^T span 10^228 at N = 200.  Scaled by powers of
-        # two, every check of a sample passes (measured: worst 3.7e-10);
+        # two, every check of a sample passes (measured: worst 3.9e-10);
         # the same rows' T on the unscaled basis miss the tolerance
         # (measured: 4 of the 12 checks, worst 3.0e2).
         for module in ("hermite", "report"):

@@ -342,6 +342,16 @@ class TestPolish:
             assert_polish_matches_the_reference(c, companion_eigenvalues(c) + 1e-9)
 
 
+    def test_vanishing_derivative_keeps_the_start(self):
+        # At the double root of (x - 1)^2 both p and p' vanish exactly: the
+        # floor on |p'| makes the step 0 / tiny, not 0 / 0.
+        c = np.array([[-2.0, 1.0]])
+        z = np.array([[1.0 + 0j, 1.0 + 0j]])
+        zeros, residuals = _polish(c, z)
+        assert np.array_equal(zeros, z)
+        assert np.array_equal(residuals, np.zeros((1, 2)))
+
+
 class TestSigma:
     def test_void_product(self):
         assert esp_table(np.array([3.0, 4.0]))[0] == 1.0
