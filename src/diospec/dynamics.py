@@ -11,10 +11,9 @@ zero vector of a stationary coefficient configuration is an equilibrium of
 the corresponding zeta flow.
 
 A state is one packed complex vector: the N positions, followed for the
-second-order systems by the N velocities.  ``vector_field`` evaluates any of
-the four flows on such a state through the same kernels ``integrate`` steps
-with, and ``fd_jacobian`` differentiates the zero-picture velocity and the
-zero-velocity acceleration.
+second-order systems by the N velocities.  ``integrate`` steps any of the
+four flows on such a state, and ``fd_jacobian`` differentiates the
+zero-picture velocity and the zero-velocity acceleration.
 
 First-order pair:
 
@@ -57,7 +56,6 @@ __all__ = [
     "COLLISION_FLOOR",
     "STEP_FLOOR",
     "TrajectoryRecord",
-    "vector_field",
     "integrate",
     "central_difference_jacobian",
     "check_fd_step",
@@ -90,7 +88,6 @@ class TrajectoryRecord:
     eighth-order integrator takes large steps, which makes this sampling
     coarse."""
 
-    system: str
     samples: list
     step_stats: tuple
     min_separation_seen: float
@@ -158,31 +155,6 @@ _FIELDS = {
     "gamma2": lambda y, n: _packed(y, n, _gamma_rate(y[:n], 2)),
     "zeta2": lambda y, n: _packed(y, n, _zeta_rate(y[:n], 2, y[n:])),
 }
-
-
-def _check_system(system: str) -> None:
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
-
-
-def vector_field(system: str, y) -> np.ndarray:
-    """Time derivative of the packed state y under one of the four flows.
-
-    First-order systems take y as the N positions and return their velocity.
-    Second-order systems take the N positions followed by the N velocities
-    and return (velocities, accelerations), so the acceleration at rest is
-    the second half of ``vector_field(system, [z, 0])``.  Raises
-    NearCollision when the positions, or for the zeta flows their Vieta
-    coefficients, nearly coincide.
-    """
-    _check_system(system)
-    yy = as_complex_vector(y, "y")
-    n = yy.size
-    if system.endswith("2"):
-        if n % 2:
-            raise DimensionMismatch(f"second-order state has odd length {n}")
-        n //= 2
-    return _FIELDS[system](yy, n)[0]
 
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, after Prince & Dormand
@@ -272,7 +244,8 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
     """
     for name, value in (("t_end", t_end), ("rel_tol", rel_tol), ("abs_tol", abs_tol)):
         check_positive(name, value)
-    _check_system(system)
+    if system not in SYSTEMS:
+        raise ValueError(f"unknown system {system!r}; expected one of {SYSTEMS}")
 
     # Validate and copy the start once; the steps work on raw arrays.
     if system.endswith("1"):
@@ -350,7 +323,7 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
     else:
         raise StepFloorReached(f"step budget {_MAX_STEPS} exhausted at t={t:.6f}")
 
-    return TrajectoryRecord(system, samples, (accepted, rejected), float(min_sep))
+    return TrajectoryRecord(samples, (accepted, rejected), float(min_sep))
 
 
 def central_difference_jacobian(field: Callable[[np.ndarray], np.ndarray],

@@ -54,7 +54,6 @@ class HermiteZeros:
         object.__setattr__(self, "zeros", _frozen(self.zeros, float))
 
 
-@lru_cache(maxsize=None)
 def hermite_zeros(n: int) -> HermiteZeros:
     """Zeros of H_n as numpy's Gauss-Hermite nodes (``hermgauss``): the
     eigenvalues of the symmetric tridiagonal Jacobi matrix (Golub & Welsch

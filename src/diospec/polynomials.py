@@ -55,7 +55,7 @@ def as_complex_vector(values, name: str = "values") -> np.ndarray:
 
 def _frozen(values, dtype=complex) -> np.ndarray:
     """A read-only copy of values as an array of dtype, for a frozen
-    dataclass's array field; the ``hermite_zeros`` cache relies on it."""
+    dataclass's array field or a table that a cache shares between callers."""
     arr = np.array(values, dtype=dtype)
     arr.flags.writeable = False
     return arr

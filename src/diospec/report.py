@@ -229,20 +229,23 @@ def _chunks(n: int, count: int) -> list:
 @lru_cache(maxsize=None)
 def _sorted_coupling(n: int, kinds: tuple) -> tuple:
     """``coupling_stack`` of the ascending Hermite zeros, as one read-only
-    (K, N * N) array, and their separation, which is every ordering's: the
-    minimum over the same set of differences.  Every sweep chunk asks again."""
-    coupling, separation = coupling_stack(hermite_zeros(n).zeros[None], kinds)
-    return _frozen(coupling[0].reshape(len(kinds), n * n), float), float(separation[0])
+    (K, N * N) array; their separation, which is every ordering's: the
+    minimum over the same set of differences; and the read-only zeros
+    themselves.  Every sweep chunk asks again."""
+    zeros = hermite_zeros(n).zeros
+    coupling, separation = coupling_stack(zeros[None], kinds)
+    return _frozen(coupling[0].reshape(len(kinds), n * n), float), float(separation[0]), zeros
 
 
-def _ordering_coupling(n: int, word: np.ndarray, kinds: tuple) -> np.ndarray:
+def _ordering_coupling(coupling: np.ndarray, word: np.ndarray) -> np.ndarray:
     """Each ordering's coupling A_pi = P A P^T as a (B, K, N, N) stack, by
-    one gather from the sorted zeros' A for the (B, N) words.  Off the
-    diagonal an entry depends on one coefficient difference, so it has the
-    bits of A_pi built from the ordering's coefficients; the diagonal sums a
-    row in another order."""
+    one gather from the sorted zeros' A (``_sorted_coupling``'s table) for
+    the (B, N) words.  Off the diagonal an entry depends on one coefficient
+    difference, so it has the bits of A_pi built from the ordering's
+    coefficients; the diagonal sums a row in another order."""
+    n = word.shape[1]
     index = (word - 1)[:, :, None] * n + (word - 1)[:, None, :]
-    return _sorted_coupling(n, kinds)[0].take(index, axis=1).transpose(1, 0, 2, 3)
+    return coupling.take(index, axis=1).transpose(1, 0, 2, 3)
 
 
 def _verify_chunk(n: int, ranks: list, kinds: tuple, root_tol: float,
@@ -251,9 +254,11 @@ def _verify_chunk(n: int, ranks: list, kinds: tuple, root_tol: float,
     zeros into coefficient rows, solve for all zeros at once, build each
     requested matrix stack from the permuted couplings and check its
     spectra.  Returns the columns (word, eigenvalues, max_deviation, status,
-    zero_separation) laid out as ``VerificationReport`` holds them."""
+    zero_separation, coeff_separation) laid out as ``VerificationReport``
+    holds them."""
+    coupling, coeff_sep, hermite = _sorted_coupling(n, kinds)
     word = np.array([word_from_rank(n, rank) for rank in ranks])
-    zeros, failed = roots_stack(hermite_zeros(n).zeros[word - 1], tol=root_tol)
+    zeros, failed = roots_stack(hermite[word - 1], tol=root_tol)
     if failed.any():
         bad = [rank for rank, f in zip(ranks, failed) if f]
         more = f" (and {len(bad) - 1} more in its chunk)" if len(bad) > 1 else ""
@@ -261,12 +266,12 @@ def _verify_chunk(n: int, ranks: list, kinds: tuple, root_tol: float,
             f"polynomial zeros missed their backward-error bound at n={n} "
             f"rank={bad[0]}{more}")
 
-    entries, zero_sep = build_stack(zeros, _ordering_coupling(n, word, kinds))
+    entries, zero_sep = build_stack(zeros, _ordering_coupling(coupling, word))
     eigenvalues, deviation = spectrum_stack(entries, kinds)
-    warned = np.minimum(zero_sep, _sorted_coupling(n, kinds)[1]) < CONDITIONING_FLOOR
+    warned = np.minimum(zero_sep, coeff_sep) < CONDITIONING_FLOOR
     status = np.where(deviation <= pass_tol, "pass",
                       np.where(warned[:, None], "inconclusive", "fail"))
-    return word, eigenvalues, deviation, status, zero_sep
+    return word, eigenvalues, deviation, status, zero_sep, np.full(len(ranks), coeff_sep)
 
 
 def run_verification(config: RunConfig) -> VerificationReport:
@@ -309,9 +314,7 @@ def run_verification(config: RunConfig) -> VerificationReport:
         notes.append(_MU5_NOTE)
     if KIND_M2 in config.kinds:
         notes.append(_FREQUENCY_NOTE)
-
-    coeff_sep = np.full(len(ranks), _sorted_coupling(config.n, config.kinds)[1])
-    return VerificationReport(config, ranks, *columns, coeff_sep, aggregate=aggregate,
+    return VerificationReport(config, ranks, *columns, aggregate=aggregate,
                               notes=notes, timing_seconds=time.perf_counter() - started)
 
 

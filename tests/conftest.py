@@ -1,6 +1,7 @@
 """Shared fixtures and references: the per-order sweep cache used by several
-test modules, and the stacked elementary symmetric functions and Vieta
-Jacobian that the tests hold the library's closed forms to."""
+test modules, the flows evaluated on one packed state, and the stacked
+elementary symmetric functions and Vieta Jacobian that the tests hold the
+library's closed forms to."""
 
 import math
 from collections import namedtuple
@@ -8,6 +9,7 @@ from collections import namedtuple
 import numpy as np
 import pytest
 
+from diospec.dynamics import _FIELDS
 from diospec.hermite import PermutationId, hermite_zeros, permuted_polynomial
 from diospec.polynomials import ZeroVector, _off_diagonal, roots_stack
 
@@ -31,6 +33,14 @@ def sweep_records(n):
         _cache[n] = [SweepRecord(perm, poly, ZeroVector(row))
                      for perm, poly, row in zip(perms, polys, zeros)]
     return _cache[n]
+
+
+def field(system, y):
+    """Time derivative of the packed state y (the N positions, then for a
+    second-order system the N velocities) under one of the four flows, by
+    the kernel ``integrate`` steps with."""
+    y = np.asarray(y, dtype=complex)
+    return _FIELDS[system](y, y.size // 2 if system.endswith("2") else y.size)[0]
 
 
 @pytest.fixture(scope="session")

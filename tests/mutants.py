@@ -105,14 +105,19 @@ MUTANTS = [
            ("tests/test_matrices.py::TestBuildM1::test_matches_closed_form_n2",)),
     Mutant("the cached coupling built for the sorted kinds",
            "report.py",
-           "coupling_stack(hermite_zeros(n).zeros[None], kinds)",
-           "coupling_stack(hermite_zeros(n).zeros[None], tuple(sorted(kinds)))",
+           "coupling_stack(zeros[None], kinds)",
+           "coupling_stack(zeros[None], tuple(sorted(kinds)))",
            ("tests/test_cli.py::TestReportSerialization::test_caches_are_keyed_by_the_order_of_kinds",)),
     Mutant("the gather permutes the coupling's rows only",
            "report.py",
            "index = (word - 1)[:, :, None] * n + (word - 1)[:, None, :]",
            "index = (word - 1)[:, :, None] * n + np.arange(n)",
            ("tests/test_matrices.py::TestPermutedCoupling::test_gather_matches_the_direct_build",)),
+    Mutant("each sweep chunk cut one ordering short",
+           "report.py",
+           "return [slice(i, i + size) for i in range(0, count, size)]",
+           "return [slice(i, i + size - 1) for i in range(0, count, size)]",
+           ("tests/test_cli.py::TestReportSerialization::test_slices_match_the_dict[n5]",)),
     Mutant("the CSV layout looked up by the sorted kinds",
            "report.py",
            "    _, row, expected = _layout(n, kinds)\n",
@@ -153,6 +158,11 @@ MUTANTS = [
            "    if not (r1 <= _RESIDUAL_BOUND and r2 <= _RESIDUAL_BOUND):\n",
            "    if max(r1, r2) > _RESIDUAL_BOUND:\n",
            ("tests/test_hermite.py::TestZeros::test_nan_node_raises",)),
+    Mutant("hermite_zeros cached behind its order check again",
+           "hermite.py",
+           "\ndef hermite_zeros(n: int) -> HermiteZeros:\n",
+           "\n@lru_cache(maxsize=None)\ndef hermite_zeros(n: int) -> HermiteZeros:\n",
+           ("tests/test_hermite.py::TestZeros::test_restored_cap_holds_again",)),
     Mutant("the modal evolution's kind check skipped",
            "dynamics.py",
            "    if matrix.kind != kind:\n",

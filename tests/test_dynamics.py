@@ -6,6 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import field
+
 from diospec.dynamics import (
     _A,
     _B,
@@ -19,7 +21,6 @@ from diospec.dynamics import (
     integrate,
     linear_evolution_first,
     linear_evolution_second,
-    vector_field,
 )
 from diospec.errors import (
     CollisionAbort,
@@ -47,7 +48,7 @@ def acceleration(system, positions, velocities=None):
     unless velocities are given."""
     n = len(positions)
     moving = np.zeros(n) if velocities is None else velocities
-    return vector_field(system, np.concatenate([positions, moving]))[n:]
+    return field(system, np.concatenate([positions, moving]))[n:]
 
 
 def vieta_jacobian_reference(z):
@@ -79,12 +80,12 @@ def taylor_expm(a):
 
 class TestCoefficientFlows:
     def test_first_order_hand_value(self):
-        np.testing.assert_allclose(vector_field("gamma1", [1.0, -1.0]), [0.5j, -0.5j],
+        np.testing.assert_allclose(field("gamma1", [1.0, -1.0]), [0.5j, -0.5j],
                                    atol=1e-15)
 
     def test_first_order_stationary_at_hermite_zeros(self):
         for n in (2, 4, 7):
-            rate = vector_field("gamma1", hermite_zeros(n).zeros)
+            rate = field("gamma1", hermite_zeros(n).zeros)
             assert np.abs(rate).max() < 1e-10
 
     def test_second_order_hand_value(self):
@@ -98,13 +99,13 @@ class TestCoefficientFlows:
 
     def test_near_collision_raised(self):
         with pytest.raises(NearCollision):
-            vector_field("gamma1", [1.0, 1.0 + 1e-12])
+            field("gamma1", [1.0, 1.0 + 1e-12])
         with pytest.raises(NearCollision):
             acceleration("gamma2", [0.5, 0.5 + 1e-11, -1.0])
         # Well-separated zeros whose derived coefficients coincide:
         # (x - 1)(x + 0.5) = x^2 - 0.5 x - 0.5.
         with pytest.raises(NearCollision, match="gamma separation 0.000e"):
-            vector_field("zeta1", [1.0, -0.5])
+            field("zeta1", [1.0, -0.5])
         with pytest.raises(NearCollision, match="gamma separation 0.000e"):
             acceleration("zeta2", [1.0, -0.5])
 
@@ -117,7 +118,7 @@ class TestCoefficientFlows:
         y_h = integrate("gamma1", gamma0, h, rel_tol=1e-12, abs_tol=1e-14).final_state
         y_h2 = integrate("gamma1", gamma0, h / 2, rel_tol=1e-12, abs_tol=1e-14).final_state
         oracle = (4.0 * y_h2 - y_h - 3.0 * gamma0) / h
-        assert np.abs(oracle - vector_field("gamma1", gamma0)).max() < 1e-6
+        assert np.abs(oracle - field("gamma1", gamma0)).max() < 1e-6
 
     def test_second_order_acceleration_matches_short_step_oracle(self):
         # From rest, v(h) = h a + O(h^3); Richardson kills the cubic term:
@@ -135,22 +136,22 @@ class TestZeroFlows:
     @pytest.mark.parametrize("rank", [1, 3, 5])
     def test_first_order_stationary_at_permuted_zeros(self, rank):
         _, zeros = pipeline(4, rank)
-        assert np.abs(vector_field("zeta1", zeros.zeros)).max() < 1e-8
+        assert np.abs(field("zeta1", zeros.zeros)).max() < 1e-8
 
     def test_minimum_size_guard(self):
         with pytest.raises(ValueError):
-            vector_field("zeta1", [1.0])
+            field("zeta1", [1.0])
 
     def test_coefficients_are_checked_finite_before_the_separations(self):
         with pytest.raises(NearCollision, match="zeta separation 0.000e"):
-            vector_field("zeta1", [0.5, 0.5, -1.0])
+            field("zeta1", [0.5, 0.5, -1.0])
         # Coincident zeros whose coefficients overflow: the finiteness check
         # comes first, so the shared difference pass never subtracts
         # infinities, and no RuntimeWarning is raised.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="coefficients must have finite"):
-                vector_field("zeta1", [1e300, 1e300, 1.0])
+                field("zeta1", [1e300, 1e300, 1.0])
 
     def test_chain_rule_against_coefficient_flow(self):
         # Transporting the zero velocity through the Vieta Jacobian must
@@ -158,8 +159,8 @@ class TestZeroFlows:
         rng = np.random.default_rng(11)
         z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         gamma = np.poly(z)[1:]
-        via_jacobian = vieta_jacobian_reference(z) @ vector_field("zeta1", z)
-        direct = vector_field("gamma1", gamma)
+        via_jacobian = vieta_jacobian_reference(z) @ field("zeta1", z)
+        direct = field("gamma1", gamma)
         assert np.abs(via_jacobian - direct).max() < 1e-8 * max(1.0, np.abs(direct).max())
 
     def test_second_order_chain_rule(self):
@@ -177,7 +178,7 @@ class TestZeroFlows:
         _, zeros = pipeline(3, rank)
         # At rest the whole packed derivative, velocity and acceleration, vanishes.
         state = np.concatenate([zeros.zeros, np.zeros(3)])
-        assert np.abs(vector_field("zeta2", state)).max() < 1e-8
+        assert np.abs(field("zeta2", state)).max() < 1e-8
 
     def test_velocity_coupling_sign_structure(self):
         # zeta = (a, -a), zeta_dot = (b, b): the coupling term is
@@ -192,26 +193,25 @@ class TestZeroFlows:
         for n in range(2, 7):
             for record in ordering_sweep(n):
                 z = record.zeros.zeros
-                assert np.abs(vector_field("zeta1", z)).max() < 1e-8, record.perm.word
+                assert np.abs(field("zeta1", z)).max() < 1e-8, record.perm.word
                 assert np.abs(acceleration("zeta2", z)).max() < 1e-8, record.perm.word
 
 
 class TestStates:
     def test_second_order_state_validates_lengths(self):
-        # A packed second-order state splits into equal halves, and a
-        # (positions, velocities) start pairs vectors of equal length.
-        with pytest.raises(DimensionMismatch, match="odd length 3"):
-            vector_field("zeta2", [1.0, 2.0, 0.1])
-        with pytest.raises(DimensionMismatch):
+        # A (positions, velocities) start pairs vectors of equal length.
+        with pytest.raises(DimensionMismatch, match="lengths differ"):
             integrate("gamma2", ([1.0, 2.0], [0.1]), 1.0)
 
-    def test_vector_field_rejects_unknown_system_and_bad_state(self):
+    def test_integrate_rejects_unknown_system_and_bad_state(self):
         with pytest.raises(ValueError, match="unknown system 'zeta2_force'"):
-            vector_field("zeta2_force", [1.0, 2.0])
-        with pytest.raises(ValueError, match="finite"):
-            vector_field("gamma1", [1.0, np.nan])
-        with pytest.raises(ValueError, match="one-dimensional"):
-            vector_field("gamma1", [[1.0, 2.0]])
+            integrate("zeta2_force", [1.0, 2.0], 1.0)
+        with pytest.raises(ValueError, match="initial must have finite"):
+            integrate("gamma1", [1.0, np.nan], 1.0)
+        with pytest.raises(ValueError, match="initial velocity must have finite"):
+            integrate("zeta2", ([1.0, 2.0], [0.0, np.inf]), 1.0)
+        with pytest.raises(ValueError, match="initial must be one-dimensional"):
+            integrate("gamma1", [[1.0, 2.0]], 1.0)
 
 
 class TestIntegrate:
@@ -256,8 +256,8 @@ class TestIntegrate:
         checked = 0
         for _, state in record.samples[::stride]:
             gamma = np.poly(state)[1:]
-            via_jacobian = vieta_jacobian_reference(state) @ vector_field("zeta1", state)
-            direct = vector_field("gamma1", gamma)
+            via_jacobian = vieta_jacobian_reference(state) @ field("zeta1", state)
+            direct = field("gamma1", gamma)
             scale = max(1.0, float(np.abs(direct).max()))
             assert np.abs(via_jacobian - direct).max() < 1e-8 * scale
             checked += 1

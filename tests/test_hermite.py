@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import hermite as npherm
 
-from diospec.dynamics import vector_field
+from conftest import field
+
 from diospec.errors import DimensionMismatch, NonConvergence
 from diospec.hermite import (
     PermutationId,
@@ -103,13 +104,20 @@ class TestZeros:
         with pytest.raises(ValueError):
             hermite_zeros(31)
 
+    def test_restored_cap_holds_again(self, monkeypatch):
+        # Zeros computed while the cap was raised do not outlive it.
+        monkeypatch.setattr("diospec.hermite.MAX_ORDER", 100)
+        assert hermite_zeros(100).order == 100
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="order must be in 2..30, got 100"):
+            hermite_zeros(100)
+
     @pytest.mark.parametrize("n", [206, 250, 300])
     def test_past_the_cap(self, monkeypatch, n):
         # hermgauss' recurrence is normalised, so it does not overflow where
-        # an unnormalised H_n does (N = 206).  Uncached, so that no zeros past
-        # the cap stay behind in hermite_zeros' cache.
+        # an unnormalised H_n does (N = 206).
         monkeypatch.setattr("diospec.hermite.MAX_ORDER", n)
-        h = hermite_zeros.__wrapped__(n)
+        h = hermite_zeros(n)
         assert np.isfinite(h.zeros).all()
         assert np.all(np.diff(h.zeros) > 0)
         assert h.residual_first <= 1e-10 and h.residual_second <= 1e-10
@@ -124,7 +132,7 @@ class TestZeros:
 
         monkeypatch.setattr("diospec.hermite.hermgauss", hermgauss)
         with pytest.raises(NonConvergence, match="n=7"):
-            hermite_zeros.__wrapped__(7)
+            hermite_zeros(7)
 
 
 class TestResiduals:
@@ -158,8 +166,8 @@ class TestResiduals:
         c = np.random.default_rng(n).standard_normal(n)
         for values, first, second in ((h.zeros, h.residual_first, h.residual_second),
                                       (c, flow_residual(c, 1), flow_residual(c, 2))):
-            velocity = vector_field("gamma1", values)
-            acceleration = vector_field("gamma2", np.concatenate([values, np.zeros(n)]))[n:]
+            velocity = field("gamma1", values)
+            acceleration = field("gamma2", np.concatenate([values, np.zeros(n)]))[n:]
             for residual, rate in ((first, velocity), (second, acceleration)):
                 expected = float(np.max(np.abs(rate)))
                 assert abs(residual - expected) <= 1e-14 * max(1.0, expected)

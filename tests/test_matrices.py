@@ -427,7 +427,7 @@ class TestSpectrumStack:
         kinds = (KIND_M1, KIND_M2)
         z, failed = roots_stack(hermite_zeros(n).zeros[words - 1])
         assert not failed.any()
-        entries, _ = build_stack(z, _ordering_coupling(n, words, kinds))
+        entries, _ = build_stack(z, _ordering_coupling(_sorted_coupling(n, kinds)[0], words))
         lapack = np.linalg.eigvals(entries).astype(complex)
         monkeypatch.setattr(polynomials._umath_linalg, "eigvals",
                             lambda a, signature: lapack.copy())
@@ -745,7 +745,8 @@ class TestPermutedCoupling:
                          for rank in RunConfig(n=n, orderings=orderings).ordering_ranks()])
         coefficients = hermite_zeros(n).zeros[word - 1]
         kinds = (KIND_M1, KIND_M2)
-        gathered, separation = _ordering_coupling(n, word, kinds), _sorted_coupling(n, kinds)[1]
+        coupling, separation, _ = _sorted_coupling(n, kinds)
+        gathered = _ordering_coupling(coupling, word)
         direct, _ = coupling_stack(coefficients, kinds)
         assert gathered.shape == direct.shape == (len(word), 2, n, n)
         off = ~np.eye(n, dtype=bool)
@@ -757,12 +758,15 @@ class TestPermutedCoupling:
                               _bits(_differences(coefficients)[1]))
 
     def test_cached_coupling_is_read_only(self):
-        # One cached A per (n, kinds), shared by every chunk of every sweep.
-        coupling, separation = _sorted_coupling(4, (KIND_M2, KIND_M1))
+        # One cached A and one copy of the zeros per (n, kinds), shared by
+        # every chunk of every sweep.
+        coupling, separation, zeros = _sorted_coupling(4, (KIND_M2, KIND_M1))
         assert coupling is _sorted_coupling(4, (KIND_M2, KIND_M1))[0]
         assert isinstance(separation, float)
-        with pytest.raises(ValueError, match="read-only"):
-            coupling[0, 0] = 0.0
+        assert np.array_equal(zeros, hermite_zeros(4).zeros)
+        for table in (coupling, zeros):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
 
 
 class TestLargeOrder:
@@ -788,7 +792,7 @@ class TestLargeOrder:
         z, failed = roots_stack(hermite_zeros(200).zeros[report.word - 1])
         assert not failed.any()
         unscaled = _similarity(real_basis(z, unscaled_powers(z)),
-                               _ordering_coupling(200, report.word, kinds))
+                               _ordering_coupling(_sorted_coupling(200, kinds)[0], report.word))
         _, deviation = spectrum_stack(unscaled, kinds)
         assert (deviation > 1e-6).any()
 

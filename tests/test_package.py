@@ -9,7 +9,8 @@ import pytest
 import diospec
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(diospec.__path__))
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def readme_example():
@@ -25,6 +26,34 @@ def test_every_exported_name_resolves(name):
     assert len(set(exported)) == len(exported), f"diospec.{name}.__all__ repeats a name"
     missing = [item for item in exported if not hasattr(module, item)]
     assert not missing, f"diospec.{name}.__all__ names {missing}, which do not exist"
+
+
+def used_names(source: str) -> set:
+    """Names a module reads or imports, and attributes it reads: every name
+    in its AST but the ones it assigns, so a definition alone does not count."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+def test_every_exported_name_has_a_user():
+    # An export that only tests use is a test-only twin in src/: each name
+    # must be used by the library, the benchmark, the acceptance suite or
+    # the README example.
+    sources = [*sorted((ROOT / "src" / "diospec").glob("*.py")),
+               *sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    used = set().union(used_names(readme_example()), *(used_names(path.read_text())
+                                                      for path in sources))
+    unused = [f"diospec.{name}.{item}" for name in MODULES
+              for item in getattr(importlib.import_module(f"diospec.{name}"), "__all__", [])
+              if item not in used]
+    assert not unused, f"exported but used only by tests, if at all: {unused}"
 
 
 def test_eig_stub_defines_nothing():
