@@ -110,51 +110,59 @@ def _diff_gap(values: np.ndarray, *names: str):
     return diff, gaps
 
 
-def _gamma_rate(gamma: np.ndarray, order: int):
+def _gamma_first(y: np.ndarray, n: int, out: np.ndarray) -> float:
+    diff, gap = _diff_gap(y, "gamma")
+    _coefficient_rate(y, diff, 1, out)
+    return gap
+
+
+def _gamma_second(y: np.ndarray, n: int, out: np.ndarray) -> float:
+    gamma = y[:n]
     diff, gap = _diff_gap(gamma, "gamma")
-    return _coefficient_rate(gamma, diff, order), gap
+    out[:n] = y[n:]
+    _coefficient_rate(gamma, diff, 2, out[n:])
+    return gap
 
 
-def _zeta_rate(zeta: np.ndarray, order: int, zeta_dot=None):
+def _zeta_rate(zeta: np.ndarray, n: int, out: np.ndarray, order: int = 1,
+               zeta_dot=None) -> float:
     """Coefficient-flow rate at the Vieta coefficients of zeta, transported to
-    zero space: component n is -(sum_m rate_m zeta_n^(N-m)) / prod_{l != n}
-    (zeta_n - zeta_l).  ``zeta_dot`` adds the goldfish coupling
-    2 zdot_n zdot_l / (zeta_n - zeta_l) from the same difference matrix.
-    Coefficients are checked finite before their shared difference pass."""
+    zero space and written into ``out``: component k is -(sum_m rate_m
+    zeta_k^(N-m)) / prod_{l != k} (zeta_k - zeta_l).  ``zeta_dot`` adds the
+    goldfish coupling 2 zdot_k zdot_l / (zeta_k - zeta_l) from the same
+    difference matrix.  Coefficients are checked finite before their shared
+    difference pass."""
     coefficients = _vieta(zeta)
     if not all(map(cmath.isfinite, coefficients)):
         raise ValueError("coefficients must have finite components")
-    stack = np.empty((2, zeta.size), dtype=complex)
+    stack = np.empty((2, n), dtype=complex)
     stack[0] = zeta
     stack[1] = coefficients
     diff, (gap, _) = _diff_gap(stack, "zeta", "gamma")
     rate = _coefficient_rate(stack[1], diff[1], order).tolist()
     # Horner's rule in place on the negated rate, which negates every
     # rounding of np.polyval's arithmetic exactly.
-    transport = np.full(zeta.size, -rate[0])
+    out.fill(-rate[0])
     for c in rate[1:]:
-        transport *= zeta
-        transport -= c
-    field = transport / _derivative_at_zeros(diff[0])
-    if zeta_dot is None:
-        return field, gap
-    return 2.0 * zeta_dot * np.add.reduce(zeta_dot / diff[0], axis=1) + field, gap
+        out *= zeta
+        out -= c
+    out /= _derivative_at_zeros(diff[0])
+    if zeta_dot is not None:
+        out += 2.0 * zeta_dot * np.add.reduce(zeta_dot / diff[0], axis=1)
+    return gap
 
 
-def _packed(y: np.ndarray, n: int, accel_gap):
-    """Field of a second-order state y from its (acceleration, gap)."""
-    return np.concatenate([y[n:], accel_gap[0]]), accel_gap[1]
+def _zeta_second(y: np.ndarray, n: int, out: np.ndarray) -> float:
+    out[:n] = y[n:]
+    return _zeta_rate(y[:n], n, out[n:], 2, y[n:])
 
 
 # Fields of the packed state y (n positions, then any velocities), which the
-# caller has checked finite.  Each kernel returns (rate, gap): the time
-# derivative and the separation of the positions it was evaluated at.
-_FIELDS = {
-    "gamma1": lambda y, n: _gamma_rate(y, 1),
-    "zeta1": lambda y, n: _zeta_rate(y, 1),
-    "gamma2": lambda y, n: _packed(y, n, _gamma_rate(y[:n], 2)),
-    "zeta2": lambda y, n: _packed(y, n, _zeta_rate(y[:n], 2, y[n:])),
-}
+# caller has checked finite.  Each kernel writes the time derivative into
+# ``out``, an array of y's shape that it may fill in part before raising,
+# and returns the separation of the positions it was evaluated at.
+_FIELDS = {"gamma1": _gamma_first, "zeta1": _zeta_rate,
+           "gamma2": _gamma_second, "zeta2": _zeta_second}
 
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, after Prince & Dormand
@@ -265,15 +273,19 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
     accepted = rejected = 0
 
     # Row 0 of ``table`` is y, weighted 1 in every stage sum; rows 1..12 are
-    # the stages.  Complex weights of the table's shape spare each product a
-    # cast and a broadcast; numpy casts a real weight w to w + 0i anyway.
-    table = np.empty((13, y.size), dtype=complex)
+    # the stages, each written by the kernel evaluated at its stage sum.  The
+    # twelfth sum is the new state, whose field goes to the spare row 13 and
+    # into the first stage only once the step is accepted.  Complex weights
+    # of the table's shape spare each product a cast and a broadcast; numpy
+    # casts a real weight w to w + 0i anyway.
+    table = np.empty((14, y.size), dtype=complex)
     table[0] = y
-    stages = table[1:]
+    stages, new_stage = table[1:13], table[13]
     weights = np.ones((12, 13, y.size), dtype=complex)
-    prefixes = [(weights[i, :i + 2], table[:i + 2]) for i in range(12)]
+    prefixes = [(weights[i, :i + 2], table[:i + 2], table[i + 2] if i < 11 else None)
+                for i in range(12)]
     try:
-        stages[0], min_sep = field(y, n_pos)
+        min_sep = field(y, n_pos, stages[0])
     except NearCollision as exc:  # a collision at the start is not recoverable
         raise CollisionAbort(str(exc)) from exc
     h = min(t_end, 1e-2)
@@ -287,16 +299,16 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
 
         weights[:, 1:] = (h * _STAGE_WEIGHTS)[:, :, None]
         try:
-            for i, (w, rows) in enumerate(prefixes, start=1):
+            for w, rows, out in prefixes:
                 y_stage = np.add.reduce(w * rows, axis=0)
-                if not np.logical_and.reduce(np.isfinite(y_stage)):
+                if not all(map(cmath.isfinite, y_stage.tolist())):
                     raise ValueError("state must have finite components")
-                if i < 12:
-                    stages[i], _ = field(y_stage, n_pos)
+                if out is not None:
+                    field(y_stage, n_pos, out)
             scale = abs_tol + rel_tol * np.maximum(np.abs(y), np.abs(y_stage))
             err = _error_norm(stages, scale, h)
             if err <= 1.0:
-                first_stage, gap = field(y_stage, n_pos)
+                gap = field(y_stage, n_pos, new_stage)
         except NearCollision:
             rejected += 1
             h *= 0.5
@@ -308,7 +320,7 @@ def integrate(system: str, initial, t_end: float, rel_tol: float = 1e-10,
         if err <= 1.0:
             t = t_end if final_step else t + h
             y = table[0] = y_stage  # the eighth-order solution
-            stages[0] = first_stage
+            stages[0] = new_stage
             samples.append((t, y))
             accepted += 1
             min_sep = min(min_sep, gap)
@@ -359,7 +371,13 @@ def fd_jacobian(system: str, z, h: float = 1e-6) -> np.ndarray:
     if system not in orders:
         raise ValueError(f"unknown field {system!r}; expected one of {tuple(orders)}")
     order = orders[system]
-    return central_difference_jacobian(lambda y: _zeta_rate(y, order)[0], z, h)
+
+    def rate(y):
+        out = np.empty_like(y)
+        _zeta_rate(y, y.size, out, order)
+        return out
+
+    return central_difference_jacobian(rate, z, h)
 
 
 def _modal(matrix: DiophantineMatrix, kind: str, **vectors):

@@ -75,13 +75,14 @@ def hermite_zeros(n: int) -> HermiteZeros:
     return HermiteZeros(n, x, r1, r2)
 
 
-def _coefficient_rate(values: np.ndarray, diff: np.ndarray, order: int) -> np.ndarray:
-    """Velocity (order 1) or acceleration (order 2) of the coefficient flow, from
-    the sums over l != m of 1/diff_ml^(2 order - 1), diff from ``_differences``."""
+def _coefficient_rate(values: np.ndarray, diff: np.ndarray, order: int, out=None) -> np.ndarray:
+    """Velocity (order 1) or acceleration (order 2) of the coefficient flow, into
+    ``out`` if given, from the sums over l != m of 1/diff_ml^(2 order - 1), diff
+    from ``_differences``."""
     inv = 1.0 / diff
     if order == 1:
-        return 1j * (values - np.add.reduce(inv, axis=1))
-    return -values + 2.0 * np.add.reduce(inv ** 3, axis=1)
+        return np.multiply(1j, values - np.add.reduce(inv, axis=1), out=out)
+    return np.add(-values, 2.0 * np.add.reduce(inv ** 3, axis=1), out=out)
 
 
 @dataclass(frozen=True)

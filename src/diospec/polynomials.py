@@ -98,7 +98,8 @@ def _differences(values: np.ndarray):
     """Differences v_i - v_j along the last axis, as (..., N, N) with an
     infinite diagonal, so that dividing by them leaves a zero diagonal, and
     the separation min_{i != j} |v_i - v_j| of each (N, N) block."""
-    diff = _set_diagonals(values[..., :, None] - values[..., None, :], np.inf)
+    diff = values[..., :, None] - values[..., None, :]
+    diff.reshape(diff.shape[:-2] + (-1,))[..., ::values.shape[-1] + 1] = np.inf
     return diff, np.minimum.reduce(np.abs(diff), axis=(-2, -1))
 
 

@@ -140,8 +140,8 @@ MUTANTS = [
            ("tests/test_cli.py::TestReportSerialization::test_slices_match_the_dict[n12-one]",)),
     Mutant("the zeta transport's Horner adds the negated rate",
            "dynamics.py",
-           "        transport -= c\n",
-           "        transport += c\n",
+           "        out -= c\n",
+           "        out += c\n",
            ("tests/test_dynamics_bits.py::test_field_keeps_the_reference_bits[zeta1-5]",)),
     Mutant("the zeta field's finiteness check of the Vieta coefficients skipped",
            "dynamics.py",
@@ -153,6 +153,26 @@ MUTANTS = [
            "        weights[:, 1:] = (h * _STAGE_WEIGHTS)[:, :, None]\n",
            "        weights[:, :-1] = (h * _STAGE_WEIGHTS)[:, :, None]\n",
            ("tests/test_dynamics_bits.py::test_stage_sums_keep_the_reference_bits[gamma1-3]",)),
+    Mutant("the field at a step's new state written straight into the first stage",
+           "dynamics.py",
+           "    stages, new_stage = table[1:13], table[13]\n",
+           "    stages, new_stage = table[1:13], table[1]\n",
+           ("tests/test_dynamics.py::TestIntegrate::test_collision_at_the_new_state_rejects_the_step",)),
+    Mutant("the stage finiteness check skipped",
+           "dynamics.py",
+           "                if not all(map(cmath.isfinite, y_stage.tolist())):\n",
+           "                if False:\n",
+           ("tests/test_dynamics.py::TestIntegrate::test_non_finite_stage_state_is_refused",)),
+    Mutant("the stage finiteness check reads the positions only",
+           "dynamics.py",
+           "                if not all(map(cmath.isfinite, y_stage.tolist())):\n",
+           "                if not all(map(cmath.isfinite, y_stage[:n_pos].tolist())):\n",
+           ("tests/test_dynamics.py::TestIntegrate::test_non_finite_stage_state_is_refused",)),
+    Mutant("the stage finiteness check reads the real parts only",
+           "dynamics.py",
+           "                if not all(map(cmath.isfinite, y_stage.tolist())):\n",
+           "                if not all(map(math.isfinite, y_stage.real.tolist())):\n",
+           ("tests/test_dynamics.py::TestIntegrate::test_overflowing_stage_state_is_refused",)),
     Mutant("the residual test written as max(r1, r2) > bound, so NaN residuals pass",
            "hermite.py",
            "    if not (r1 <= _RESIDUAL_BOUND and r2 <= _RESIDUAL_BOUND):\n",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import field
+from dynamics_reference import stage_sums
 
 from diospec.dynamics import (
     _A,
@@ -293,23 +294,80 @@ class TestIntegrate:
         # below the 1e-12 floor, before t moves.
         calls = []
 
-        def colliding(y, n):
+        def colliding(y, n, out):
             calls.append(y)
             if len(calls) > 1:
                 raise NearCollision("stubbed collision")
-            return np.zeros_like(y), 1.0
+            out.fill(0.0)
+            return 1.0
 
         monkeypatch.setitem(_FIELDS, "gamma1", colliding)
         with pytest.raises(CollisionAbort, match="collision pressure .* at t=0.000000"):
             integrate("gamma1", np.array([1.0, -1.0]), 1.0)
         assert len(calls) == 1 + 34
 
+    def test_collision_at_the_new_state_rejects_the_step(self, monkeypatch):
+        # Evaluation 0 is at the start, 1..11 are the first step's stages and
+        # 12 is the field at its new state, which would be the next step's
+        # first stage.  A collision there, raised after the stub has written
+        # NaN over its row, rejects the step and halves h; the retried step
+        # starts from the first stage as it was.
+        kernel = _FIELDS["gamma1"]
+        states, rows, first_stage = [], [], []
+
+        def colliding_at_the_new_state(y, n, out):
+            states.append(y.copy())
+            rows.append(out)
+            if len(states) == 13:
+                out.fill(complex(math.nan, math.nan))
+                raise NearCollision("stubbed collision")
+            if len(states) == 14:
+                first_stage.append(rows[0].tobytes())
+            return kernel(y, n, out)
+
+        monkeypatch.setitem(_FIELDS, "gamma1", colliding_at_the_new_state)
+        y0 = hermite_zeros(3).zeros + 0.01 * unit_direction(3, 31)
+        record = integrate("gamma1", y0, 0.1)
+        assert record.step_stats[1] >= 1 and record.samples[-1][0] == 0.1
+        k1 = field("gamma1", y0)
+        assert first_stage == [k1.tobytes()]
+        stages = np.zeros((12, 3), dtype=complex)
+        stages[0] = k1
+        assert states[13].tobytes() == stage_sums(y0, stages, 0.5e-2)[0].tobytes()
+
     def test_non_finite_stage_state_is_refused(self, monkeypatch):
-        monkeypatch.setitem(_FIELDS, "gamma1", lambda y, n: (np.full(n, complex(np.inf)), 1.0))
-        # Scaling an infinite rate into the stage state makes inf * 0 = nan.
-        with np.errstate(invalid="ignore", over="ignore"), \
+        # The stub's rate is 0 but for its last component: for gamma2 an
+        # acceleration, so only the velocity half of the stage state turns
+        # non-finite.  Scaling a non-finite rate into the stage state makes
+        # inf * 0 = nan in its other part.
+        start = np.array([1.0, -1.0])
+        for bad in (math.nan, math.inf, -math.inf):
+            for rate in (complex(bad, 0.0), complex(0.0, bad)):
+                def non_finite(y, n, out, rate=rate):
+                    out.fill(0.0)
+                    out[-1] = rate
+                    return 1.0
+
+                for system, initial in (("gamma1", start), ("gamma2", (start, np.zeros(2)))):
+                    monkeypatch.setitem(_FIELDS, system, non_finite)
+                    with np.errstate(invalid="ignore", over="ignore"), \
+                            pytest.raises(ValueError, match="state must have finite components"):
+                        integrate(system, initial, 1.0)
+
+    @pytest.mark.parametrize("part", [1.0, 1j, -1.0, -1j], ids=["re", "im", "-re", "-im"])
+    def test_overflowing_stage_state_is_refused(self, monkeypatch, part):
+        # A finite rate that carries a finite start past the largest double
+        # makes one part of the stage state infinite and leaves the other 0.
+        def overflowing(y, n, out):
+            out.fill(0.0)
+            out[0] = 1e308 * part
+            return 1.0
+
+        monkeypatch.setitem(_FIELDS, "gamma1", overflowing)
+        start = np.array([np.finfo(float).max * part, -1.0])
+        with np.errstate(over="ignore"), \
                 pytest.raises(ValueError, match="state must have finite components"):
-            integrate("gamma1", np.array([1.0, -1.0]), 1.0)
+            integrate("gamma1", start, 1.0)
 
     def test_error_norm_of_zero_stages_is_zero(self):
         assert _error_norm(np.zeros((12, 3), dtype=complex), np.ones(3), 1e-2) == 0.0
