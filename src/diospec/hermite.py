@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, islice, permutations
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -137,6 +138,16 @@ def word_from_rank(n: int, ordinal: int) -> tuple:
         pos, rank = divmod(rank, radix)
         word.append(remaining.pop(pos))
     return tuple(word)
+
+
+def rank_ordered_words(n: int, sizes):
+    """The words of ranks 1..n! in rank order, as consecutive (size, n) uint8
+    arrays, one per entry of ``sizes``: ``permutations`` of 1..n emits them
+    in lexicographic order, so a full sweep decodes no rank."""
+    words = permutations(range(1, n + 1))
+    for size in sizes:
+        flat = chain.from_iterable(islice(words, size))
+        yield np.fromiter(flat, np.uint8, size * n).reshape(size, n)
 
 
 def permuted_polynomial(h: HermiteZeros, perm: PermutationId) -> MonicPolynomial:

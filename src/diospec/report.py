@@ -40,7 +40,13 @@ import numpy as np
 
 from . import __version__
 from .errors import NonConvergence
-from .hermite import MAX_ORDER, hermite_zeros, lexicographic_rank, word_from_rank
+from .hermite import (
+    MAX_ORDER,
+    hermite_zeros,
+    lexicographic_rank,
+    rank_ordered_words,
+    word_from_rank,
+)
 from .matrices import (
     CONDITIONING_FLOOR,
     KIND_M1,
@@ -248,16 +254,16 @@ def _ordering_coupling(coupling: np.ndarray, word: np.ndarray) -> np.ndarray:
     return coupling.take(index, axis=1).transpose(1, 0, 2, 3)
 
 
-def _verify_chunk(n: int, ranks: list, kinds: tuple, root_tol: float,
+def _verify_chunk(n: int, ranks: list, word: np.ndarray, kinds: tuple, root_tol: float,
                   pass_tol: float) -> tuple:
-    """The batched pipeline on one chunk of orderings: permute the Hermite
-    zeros into coefficient rows, solve for all zeros at once, build each
-    requested matrix stack from the permuted couplings and check its
-    spectra.  Returns the columns (word, eigenvalues, max_deviation, status,
-    zero_separation, coeff_separation) laid out as ``VerificationReport``
-    holds them."""
+    """The batched pipeline on one chunk of orderings, given their ranks and
+    (B, N) words, of any integer dtype: permute the Hermite zeros into
+    coefficient rows, solve for all zeros at once, build each requested
+    matrix stack from the permuted couplings and check its spectra.  Returns
+    the columns (word, eigenvalues, max_deviation, status, zero_separation,
+    coeff_separation) laid out as ``VerificationReport`` holds them."""
     coupling, coeff_sep, hermite = _sorted_coupling(n, kinds)
-    word = np.array([word_from_rank(n, rank) for rank in ranks])
+    word = word.astype(np.intp, copy=False)
     zeros, failed = roots_stack(hermite[word - 1], tol=root_tol)
     if failed.any():
         bad = [rank for rank, f in zip(ranks, failed) if f]
@@ -286,6 +292,13 @@ def run_verification(config: RunConfig) -> VerificationReport:
     started = time.perf_counter()
 
     chunks = [ranks[part] for part in _chunks(config.n, len(ranks))]
+    # A full sweep takes its words in rank order, a chunk at a time; other
+    # ranks are decoded one by one.
+    if config.orderings == "all":
+        words = rank_ordered_words(config.n, map(len, chunks))
+    else:
+        words = (np.array([word_from_rank(config.n, rank) for rank in chunk])
+                 for chunk in chunks)
     verify = partial(_verify_chunk, config.n, kinds=config.kinds,
                      root_tol=config.root_tol, pass_tol=config.pass_tol)
     # A fork-started pool launches all its workers at the first submit.
@@ -294,9 +307,9 @@ def run_verification(config: RunConfig) -> VerificationReport:
         # Imported here: only a pooled sweep loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            grouped = list(pool.map(verify, chunks))
+            grouped = list(pool.map(verify, chunks, words))
     else:
-        grouped = [verify(chunk) for chunk in chunks]
+        grouped = list(map(verify, chunks, words))
 
     # A single chunk's columns are used as they are: copying them costs a
     # single-ordering call about 1 % of its time.
@@ -375,8 +388,8 @@ def _float_tokens(values: np.ndarray) -> list:
     """``_format_float`` of every element of a float64 array, called once per
     distinct bit pattern: equal bits give equal tokens, -0.0 and 0.0 differ."""
     bits, where = np.unique(values.view(np.int64), return_inverse=True)
-    tokens = [_format_float(x) for x in bits.view(np.float64).tolist()]
-    return [tokens[i] for i in where.tolist()]
+    tokens = np.array([_format_float(x) for x in bits.view(np.float64).tolist()], dtype=object)
+    return tokens[where].tolist()
 
 
 def _inner_list(items) -> str:

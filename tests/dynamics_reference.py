@@ -4,7 +4,10 @@ kernels, the stage sum with real weights and the two-pass error norm, as
 
 ``test_dynamics_bits.py`` holds the library's kernels to these bit for bit,
 on the machine the tests run on, so that no pinned value from another
-machine is needed.
+machine is needed.  The twin takes no arithmetic from the library: the
+differences, the coefficient rate, p'(z) at the zeros and the Vieta
+recurrence are written out here, so an edit that moves a bit of the
+library's own helpers shows against them.
 """
 
 from __future__ import annotations
@@ -15,16 +18,46 @@ import numpy as np
 
 from diospec.dynamics import _E3, _E5, _STAGE_WEIGHTS, COLLISION_FLOOR
 from diospec.errors import NearCollision
-from diospec.hermite import _coefficient_rate
-from diospec.polynomials import _derivative_at_zeros, _differences, _vieta
 
 __all__ = ["FIELDS", "error_norm", "stage_sums"]
+
+
+def differences(values: np.ndarray):
+    """v_i - v_j along the last axis as (..., N, N), with an infinite
+    diagonal, and the separation min_{i != j} |v_i - v_j| of each block."""
+    n = values.shape[-1]
+    diff = values[..., :, None] - values[..., None, :]
+    diff[..., np.arange(n), np.arange(n)] = np.inf
+    return diff, np.min(np.abs(diff), axis=(-2, -1))
+
+
+def coefficient_rate(values: np.ndarray, diff: np.ndarray, order: int) -> np.ndarray:
+    """The coefficient flow's velocity (order 1) or acceleration (order 2)."""
+    inv = 1.0 / diff
+    if order == 1:
+        return 1j * (values - np.sum(inv, axis=1))
+    return -values + 2.0 * np.sum(inv ** 3, axis=1)
+
+
+def derivative_at_zeros(diff: np.ndarray) -> np.ndarray:
+    """p'(z_m), the product of the off-diagonal row m of ``differences``."""
+    n = diff.shape[-1]
+    return np.prod(diff[~np.eye(n, dtype=bool)].reshape(n, n - 1), axis=1)
+
+
+def vieta(zeros: np.ndarray) -> list:
+    """Trailing coefficients of prod (x - z_n), by the triangular recurrence."""
+    e = [1.0] + [0.0] * zeros.size
+    for i, z in enumerate(zeros.tolist(), start=1):
+        for k in range(i, 0, -1):
+            e[k] -= z * e[k - 1]
+    return e[1:]
 
 
 def diff_gap(values: np.ndarray, *names: str):
     if values.shape[-1] < 2:
         raise ValueError(f"{names[0]} needs at least two components")
-    diff, gaps = _differences(values)
+    diff, gaps = differences(values)
     for name, gap in zip(names, gaps.flat):
         if gap < COLLISION_FLOOR:
             raise NearCollision(f"{name} separation {gap:.3e} below {COLLISION_FLOOR}")
@@ -33,20 +66,20 @@ def diff_gap(values: np.ndarray, *names: str):
 
 def gamma_rate(gamma: np.ndarray, order: int):
     diff, gap = diff_gap(gamma, "gamma")
-    return _coefficient_rate(gamma, diff, order), gap
+    return coefficient_rate(gamma, diff, order), gap
 
 
 def zeta_rate(zeta: np.ndarray, order: int, zeta_dot=None):
-    stack = np.array([zeta, _vieta(zeta)])
+    stack = np.array([zeta, vieta(zeta)])
     if not np.logical_and.reduce(np.isfinite(stack[1])):
         raise ValueError("coefficients must have finite components")
     diff, (gap, _) = diff_gap(stack, "zeta", "gamma")
-    rate = _coefficient_rate(stack[1], diff[1], order)
+    rate = coefficient_rate(stack[1], diff[1], order)
     transport = np.zeros(zeta.size, dtype=complex)
     for c in rate.tolist():
         transport *= zeta
         transport += c
-    field = -transport / _derivative_at_zeros(diff[0])
+    field = -transport / derivative_at_zeros(diff[0])
     if zeta_dot is None:
         return field, gap
     return 2.0 * zeta_dot * np.add.reduce(zeta_dot / diff[0], axis=1) + field, gap

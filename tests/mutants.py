@@ -173,6 +173,21 @@ MUTANTS = [
            "                if not all(map(cmath.isfinite, y_stage.tolist())):\n",
            "                if not all(map(math.isfinite, y_stage.real.tolist())):\n",
            ("tests/test_dynamics.py::TestIntegrate::test_overflowing_stage_state_is_refused",)),
+    Mutant("a full sweep's words taken from the permutations of n..1",
+           "hermite.py",
+           "    words = permutations(range(1, n + 1))\n",
+           "    words = permutations(range(n, 0, -1))\n",
+           ("tests/test_cli.py::TestReportSerialization::test_full_sweep_words_are_the_decoded_ranks[4]",)),
+    Mutant("each chunk of a full sweep handed the first rows of words",
+           "hermite.py",
+           "        flat = chain.from_iterable(islice(words, size))\n",
+           "        flat = chain.from_iterable(islice(permutations(range(1, n + 1)), size))\n",
+           ("tests/test_cli.py::TestReportSerialization::test_full_sweep_words_are_the_decoded_ranks[7]",)),
+    Mutant("the second-order coefficient rate cubed by products",
+           "hermite.py",
+           "2.0 * np.add.reduce(inv ** 3, axis=1)",
+           "2.0 * np.add.reduce(inv * inv * inv, axis=1)",
+           ("tests/test_dynamics_bits.py::test_field_keeps_the_reference_bits[gamma2-3]",)),
     Mutant("the residual test written as max(r1, r2) > bound, so NaN residuals pass",
            "hermite.py",
            "    if not (r1 <= _RESIDUAL_BOUND and r2 <= _RESIDUAL_BOUND):\n",

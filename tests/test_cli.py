@@ -31,6 +31,7 @@ from diospec.errors import (
     SingularConfiguration,
     StepFloorReached,
 )
+from diospec.hermite import word_from_rank
 from diospec.matrices import expected_spectrum, spectrum_stack
 from diospec.report import (
     RunConfig,
@@ -50,6 +51,13 @@ _RESULT_FIELDS = ("rank", "word", "kind", "eigenvalues", "expected", "max_deviat
 
 # Full sweeps, as (n, kinds), that both renderings are held to the oracle on.
 _ORACLE_CASES = [(2, ("M1", "M2")), (3, ("M1",)), (6, ("M1", "M2")), (7, ("M1",))]
+
+# ``determinism_sha256`` of the full ``verify`` sweep at n = 6 and 7, both
+# kinds, default config (ROADMAP "Pinned hashes"; CI checks n = 8).
+_PINNED_HASHES = {
+    6: "20f1afedad226bfc830060360bd39d40ba1ab59edf996a5d62321f34b3ca0ec3",
+    7: "4990b746c92d23adc13ba2cb79beef8c76c37c6c67bb1ceb4ad64645557f3142",
+}
 
 # A ``_CHUNK_ENTRIES`` that cuts the 120 orderings at n = 5 into chunks of 37,
 # 37, 37 and 9, so a sweep's text comes in four slices.
@@ -647,6 +655,52 @@ class TestReportSerialization:
         run_verification(RunConfig(n=6, kinds=("M1",), jobs=10 ** 6))
         assert sizes == [4]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("n", sorted(_PINNED_HASHES))
+    def test_full_sweep_keeps_its_pinned_hash(self, n, jobs):
+        text = report_to_json(run_verification(RunConfig(n=n, jobs=jobs)))
+        assert json.loads(text)["determinism_sha256"] == _PINNED_HASHES[n]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_full_sweep_words_are_the_decoded_ranks(self, monkeypatch, n):
+        # A full sweep takes its words from itertools.permutations, and each
+        # chunk must get the rows of its own ranks.  The pipeline past the
+        # words is stubbed, so n = 7 and 8, which span several chunks, cost
+        # only the decoding here.
+        handed = []
+
+        def words_only(n, ranks, word, kinds, root_tol, pass_tol):
+            handed.append((ranks, word.tolist()))
+            shape = (len(ranks), len(kinds))
+            return (word, np.zeros(shape + (n,), complex), np.zeros(shape),
+                    np.full(shape, "pass"), np.ones(len(ranks)), np.ones(len(ranks)))
+
+        monkeypatch.setattr("diospec.report._verify_chunk", words_only)
+        report = run_verification(RunConfig(n=n))
+        decoded = [list(word_from_rank(n, rank)) for rank in range(1, math.factorial(n) + 1)]
+        assert report.word.tolist() == decoded
+        assert len(handed) == len(_chunks(n, len(decoded)))
+        for ranks, words in handed:
+            assert words == [decoded[rank - 1] for rank in ranks]
+
+    def test_only_a_full_sweep_takes_words_in_rank_order(self, monkeypatch):
+        # Explicit and sampled ranks are decoded one by one and build no
+        # table of words; a full sweep decodes no rank.
+        def refuse(*args):
+            raise AssertionError("not on this path")
+
+        sweep = run_verification(RunConfig(n=4))
+        monkeypatch.setattr("diospec.report.rank_ordered_words", refuse)
+        for n, orderings in ((8, (5,)), (4, (24, 1, 7)), (4, ("sample", 3))):
+            report = run_verification(RunConfig(n=n, orderings=orderings))
+            assert report.word.tolist() == [list(word_from_rank(n, rank))
+                                            for rank in report.rank]
+        monkeypatch.undo()
+        monkeypatch.setattr("diospec.report.word_from_rank", refuse)
+        report = run_verification(RunConfig(n=4))
+        np.testing.assert_array_equal(report.word, sweep.word)
+        np.testing.assert_array_equal(report.eigenvalues, sweep.eigenvalues)
+
     def test_ordering_alone_matches_its_sweep_row(self):
         # Each ordering's zeros, matrices and spectra are computed on their
         # own, so checking an ordering alone reproduces its row of the full
@@ -703,8 +757,12 @@ class TestReportSerialization:
         assert "".join(csv_parts) == dict_to_csv(report)
 
     def test_float_tokens_match_the_scalar_writer(self):
-        values = [0.0, -0.0, 2.0, 9.0, 1e16, 1e17, 5e-324, 1.5, -3.0]
+        # Repeated bit patterns share a token, -0.0 keeps its own next to
+        # 0.0, and an empty column has no tokens.
+        values = [0.0, -0.0, 2.0, 9.0, 1e16, 1e17, 5e-324, 1.5, -3.0,
+                  2.0, -0.0, 0.0, -0.0, 1.5, 5e-324, 2.0, -3.0, 0.0]
         assert _float_tokens(np.array(values)) == [_format_float(v) for v in values]
+        assert _float_tokens(np.array([])) == []
 
     @pytest.mark.parametrize("field, value", [
         ("max_deviation", math.nan),

@@ -14,6 +14,7 @@ from diospec.hermite import (
     hermite_zeros,
     lexicographic_rank,
     permuted_polynomial,
+    rank_ordered_words,
     word_from_rank,
 )
 from diospec.polynomials import _differences
@@ -189,6 +190,18 @@ class TestOrderings:
         # itertools.permutations.
         words = [word_from_rank(n, rank) for rank in range(1, math.factorial(n) + 1)]
         assert words == list(iter_permutations(range(1, n + 1)))
+
+    @pytest.mark.parametrize("n", [2, 6, 7])
+    def test_rank_ordered_words_are_cut_by_sizes(self, n):
+        # Consecutive uint8 blocks of the sizes asked for, empty ones too,
+        # that together list every word in rank order.
+        total = math.factorial(n)
+        sizes = [0, 1, total // 3, 0, total - 1 - total // 3]
+        blocks = list(rank_ordered_words(n, sizes))
+        assert [block.shape for block in blocks] == [(size, n) for size in sizes]
+        assert {block.dtype for block in blocks} == {np.dtype(np.uint8)}
+        words = [tuple(word) for block in blocks for word in block.tolist()]
+        assert words == [word_from_rank(n, rank) for rank in range(1, total + 1)]
 
     def test_rank_round_trip(self):
         for n in (2, 3, 5):
