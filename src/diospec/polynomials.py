@@ -167,15 +167,11 @@ def _vieta(zeros: np.ndarray) -> list:
     return e[1:]
 
 
-def _polish(c: np.ndarray, z: np.ndarray):
+def _polish(stack: np.ndarray, z: np.ndarray):
     """One guarded Newton step per zero, kept only where it does not increase
-    the residual.  Returns the zeros and their residuals |p(z)|.  No step
-    follows it, so its second Horner pass computes the value only.  Both
-    passes take slab k of one complex (N, B, N) stack, column k of c spread
-    over the zeros: an add of same-dtype, same-shape operands costs numpy no
-    cast and no broadcast, and a real c_k becomes c_k + 0i either way."""
-    stack = np.empty((c.shape[1],) + z.shape, dtype=complex)
-    stack[...] = c.T[:, :, None]
+    the residual.  Returns the zeros and their residuals |p(z)|.  ``stack``
+    holds ``roots_stack``'s Horner slabs for the rows of z.  No step follows,
+    so the second Horner pass computes the value only."""
     val, der = _horner(stack, z, derivative=True)
     candidate = z - val / np.where(np.abs(der) < _TINY, _TINY, der)
     resid = np.abs(_horner(stack, candidate, derivative=False)[0])
@@ -189,10 +185,12 @@ def roots_stack(coefficients, tol: float = 1e-12):
 
     The companion stack is built in the dtype of ``_exactly_real``'s
     coefficients, so real coefficients go through the real LAPACK routine,
-    whether they come from a sweep or a one-row ``roots`` call.  The
-    eigenvalues get a guarded Newton polish and each row is sorted by
-    (re, im) ascending.  Each matrix is solved on its own, so a row's zeros
-    have the same bits in any stack.
+    whether they come from a sweep or a one-row ``roots`` call.  A row whose
+    eigenvalues miss the backward-error bound below gets a guarded Newton
+    polish and is checked again; the rest keep LAPACK's backward-stable zeros
+    (Edelman & Murakami 1995) bit for bit.  Rows are solved and polished one
+    by one, so a row's zeros have the same bits in any stack, and each row is
+    sorted by (re, im) ascending.
 
     Returns (zeros, failed): a row fails, and its zeros are NaN, when any of
     its zeros misses the backward-error bound
@@ -210,14 +208,25 @@ def roots_stack(coefficients, tol: float = 1e-12):
     companion[:, 0, :] = -c
     companion.reshape(b, n * n)[:, n::n + 1] = 1.0  # the subdiagonal
     try:
-        eigenvalues = _lapack("eigvals", companion)
+        zeros = _lapack("eigvals", companion)
     except np.linalg.LinAlgError as exc:
         raise NonConvergence(f"companion eigenvalues failed: {exc}") from exc
 
-    zeros, resid = _polish(c, eigenvalues)
-    scale = 1.0 + np.abs(c).max(axis=1, keepdims=True)
-    bound = tol * scale * np.maximum(1.0, np.abs(zeros)) ** n
-    failed = ~((resid <= bound) & np.isfinite(resid)).all(axis=1)
+    # Horner slab k is column k of c spread over the zeros, as complex: numpy
+    # adds same-dtype, same-shape operands with no cast and no broadcast.
+    stack = np.empty((n,) + zeros.shape, dtype=complex)
+    stack[...] = c.T[:, :, None]
+    scale = tol * (1.0 + np.abs(c).max(axis=1, keepdims=True))
+
+    def misses(resid):
+        bound = scale * np.maximum(1.0, np.abs(zeros)) ** n
+        return ~((resid <= bound) & np.isfinite(resid)).all(axis=1)
+
+    resid = np.abs(_horner(stack, zeros, derivative=False)[0])
+    failed = misses(resid)
+    if failed.any():
+        zeros[failed], resid[failed] = _polish(stack[:, failed], zeros[failed])
+        failed = misses(resid)
     zeros.sort(axis=1, kind="stable")  # complex values sort by (re, im)
     zeros[failed] = np.nan
     return zeros, failed

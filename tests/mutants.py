@@ -55,11 +55,11 @@ MUTANTS = [
            "    if not np.isfinite(c).all():\n",
            "    if False:\n",
            ("tests/test_polynomials.py::TestRoots::test_rejects_non_finite_coefficients",)),
-    Mutant("the polish's Horner slabs in reverse order",
+    Mutant("roots_stack's Horner slabs in reverse order",
            "polynomials.py",
            "stack[...] = c.T[:, :, None]",
            "stack[...] = c.T[::-1, :, None]",
-           ("tests/test_polynomials.py::TestPolish::test_operand_stack_moves_no_bit_on_sweep_stacks[5]",)),
+           ("tests/test_polynomials.py::TestRescue::test_rescued_rows_are_the_polished_eigenvalues",)),
     Mutant("spectra ordered by a stable argsort of the real parts",
            "matrices.py",
            '    lam.sort(axis=-1, kind="stable")\n',
@@ -207,12 +207,52 @@ MUTANTS = [
            "polynomials.py",
            "candidate = z - val / np.where(np.abs(der) < _TINY, _TINY, der)",
            "candidate = z - val / der",
-           ("tests/test_polynomials.py::TestPolish::test_vanishing_derivative_keeps_the_start",)),
+           ("tests/test_polynomials.py::TestRescue::test_vanishing_derivative_in_a_rescued_row",)),
     Mutant("the polish step kept even where it increases the residual",
            "polynomials.py",
            "return np.where(resid <= best, candidate, z), np.minimum(resid, best)",
            "return candidate, np.minimum(resid, best)",
-           ("tests/test_polynomials.py::TestPolish::test_matches_the_two_full_pass_reference[5]",)),
+           ("tests/test_polynomials.py::TestRescue::test_rescued_rows_are_the_polished_eigenvalues",)),
+    Mutant("the rescue skipped, so a row that misses the bound is never polished",
+           "polynomials.py",
+           "    if failed.any():\n",
+           "    if False:\n",
+           ("tests/test_polynomials.py::TestRescue::test_every_rescued_row_passes",)),
+    Mutant("every row polished, whether or not it meets the bound",
+           "polynomials.py",
+           "    failed = misses(resid)\n    if failed.any():\n",
+           "    failed = np.ones(b, dtype=bool)\n    if failed.any():\n",
+           ("tests/test_polynomials.py::TestLapackZeros::test_sweep_rows_keep_the_lapack_bits[6]",)),
+    Mutant("roots' default tol raised from 1e-12 to 1",
+           "polynomials.py",
+           "def roots(p: MonicPolynomial, tol: float = 1e-12)",
+           "def roots(p: MonicPolynomial, tol: float = 1.0)",
+           ("tests/test_polynomials.py::TestBound::test_default_tol_rejects_a_row_that_passes_at_1e_11",)),
+    Mutant("roots_stack's default tol raised from 1e-12 to 1",
+           "polynomials.py",
+           "def roots_stack(coefficients, tol: float = 1e-12)",
+           "def roots_stack(coefficients, tol: float = 1.0)",
+           ("tests/test_polynomials.py::TestBound::test_default_tol_rejects_a_row_that_passes_at_1e_11",)),
+    Mutant("the backward-error bound's 1 + max|c| raised to 2 + max|c|",
+           "polynomials.py",
+           "scale = tol * (1.0 + np.abs(c).max(axis=1, keepdims=True))",
+           "scale = tol * (2.0 + np.abs(c).max(axis=1, keepdims=True))",
+           ("tests/test_polynomials.py::TestBound::test_residual_just_past_the_bound_fails[outside]",)),
+    Mutant("the backward-error bound's floor max(1, |z|) raised to max(2, |z|)",
+           "polynomials.py",
+           "np.maximum(1.0, np.abs(zeros)) ** n",
+           "np.maximum(2.0, np.abs(zeros)) ** n",
+           ("tests/test_polynomials.py::TestBound::test_residual_just_past_the_bound_fails[inside]",)),
+    Mutant("hermite_zeros' residual bound raised from 1e-10 to 1",
+           "hermite.py",
+           "_RESIDUAL_BOUND = 1e-10\n",
+           "_RESIDUAL_BOUND = 1.0\n",
+           ("tests/test_hermite.py::TestZeros::test_either_residual_alone_past_its_bound_raises[1]",)),
+    Mutant("hermite_zeros raises only when both residuals miss the bound",
+           "hermite.py",
+           "    if not (r1 <= _RESIDUAL_BOUND and r2 <= _RESIDUAL_BOUND):\n",
+           "    if not (r1 <= _RESIDUAL_BOUND or r2 <= _RESIDUAL_BOUND):\n",
+           ("tests/test_hermite.py::TestZeros::test_either_residual_alone_past_its_bound_raises[2]",)),
     Mutant("the cached coupling left writable",
            "report.py",
            "return _frozen(coupling[0].reshape(len(kinds), n * n), float), float(separation[0])",

@@ -55,8 +55,8 @@ _ORACLE_CASES = [(2, ("M1", "M2")), (3, ("M1",)), (6, ("M1", "M2")), (7, ("M1",)
 # ``determinism_sha256`` of the full ``verify`` sweep at n = 6 and 7, both
 # kinds, default config (ROADMAP "Pinned hashes"; CI checks n = 8).
 _PINNED_HASHES = {
-    6: "20f1afedad226bfc830060360bd39d40ba1ab59edf996a5d62321f34b3ca0ec3",
-    7: "4990b746c92d23adc13ba2cb79beef8c76c37c6c67bb1ceb4ad64645557f3142",
+    6: "cb9a12b9af104383b84e0c4f6675adc02f692468c3c8710ea408457048d4fa19",
+    7: "71e32a8493bedff04f2c6a28cf835b4aeb20a75679ef780499e05ccecdbf24cf",
 }
 
 # A ``_CHUNK_ENTRIES`` that cuts the 120 orderings at n = 5 into chunks of 37,

@@ -135,6 +135,20 @@ class TestZeros:
         with pytest.raises(NonConvergence, match="n=7"):
             hermite_zeros(7)
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_either_residual_alone_past_its_bound_raises(self, monkeypatch, order):
+        # One flow's rate is raised to 10 times the 1e-10 bound at one
+        # zero, and the other's is left as it is.
+        def raised(values, diff, rate_order, out=None):
+            rate = _coefficient_rate(values, diff, rate_order, out)
+            if rate_order == order:
+                rate[0] += 1e-9
+            return rate
+
+        monkeypatch.setattr("diospec.hermite._coefficient_rate", raised)
+        with pytest.raises(NonConvergence, match="n=7"):
+            hermite_zeros(7)
+
 
 class TestResiduals:
     def test_first_order_two_point_identity(self):

@@ -156,17 +156,20 @@ class TestRoots:
     def test_row_order_is_lexsort_by_real_then_imaginary(self, monkeypatch):
         # Each row is sorted as lexsort((imag, real)) sorts it, ties kept in
         # place: conjugate pairs that share a real part, and entries that
-        # differ only in the sign of a zero part.  The polish is replaced so
-        # that the rows to sort are exactly these.
+        # differ only in the sign of a zero part.  The eigenvalue source is
+        # replaced so that the rows to sort are exactly these.  They are the
+        # exact zeros of integer polynomials, at which Horner's rule gives 0,
+        # so every row meets the bound and none is polished.
         rows = np.array([
             [1 + 2j, 1 - 1j, 1 + 1j, 1 - 2j],
             [complex(2, -0.0), complex(2, 0.0), complex(-1, 0.0), complex(-1, -0.0)],
             [complex(0.0, 1), complex(-0.0, -1), complex(0.0, -0.0), complex(-0.0, 0.0)],
             [complex(3, 0.0), complex(3, -0.0), 1 + 1j, complex(1, -1)],
         ])
-        monkeypatch.setattr(polynomials, "_polish",
-                            lambda c, z: (rows.copy(), np.zeros(rows.shape)))
-        zeros, failed = roots_stack(np.ones((4, 4)))
+        coefficients = np.array([[-4.0, 11.0, -14.0, 10.0], [-2.0, -3.0, 4.0, 4.0],
+                                 [0.0, 1.0, 0.0, 0.0], [-8.0, 23.0, -30.0, 18.0]])
+        monkeypatch.setattr(polynomials, "_lapack", lambda name, a: rows.copy())
+        zeros, failed = roots_stack(coefficients)
         assert not failed.any()
         expected = np.take_along_axis(rows, np.lexsort((rows.imag, rows.real), axis=-1), axis=1)
         assert np.array_equal(zeros.view(np.uint64), expected.view(np.uint64))
@@ -280,7 +283,7 @@ def polish_reference(c, z):
 
 def companion_eigenvalues(c):
     """LAPACK eigenvalues of each row's companion matrix, as ``roots_stack``
-    computes them before the polish."""
+    computes them before any polish."""
     b, n = c.shape
     companion = np.zeros((b, n, n), dtype=c.dtype)
     companion[:, 0, :] = -c
@@ -288,9 +291,32 @@ def companion_eigenvalues(c):
     return np.linalg.eigvals(companion).astype(complex)
 
 
+def sample_stack(n, seed):
+    """Real coefficients of a ``sample:200`` stack, as the sweep draws it."""
+    ranks = report.RunConfig(n=n, orderings=("sample", 200), seed=seed).ordering_ranks()
+    words = np.array([word_from_rank(n, rank) for rank in ranks])
+    return hermite_zeros(n).zeros.real[words - 1]
+
+
+def horner_slabs(c, z):
+    """The complex (N, B, N) stack of Horner operands that ``roots_stack``
+    builds for z: slab k holds column k of c spread over the zeros."""
+    stack = np.empty((c.shape[1],) + z.shape, dtype=complex)
+    stack[...] = c.T[:, :, None]
+    return stack
+
+
+def sorted_rows(z):
+    return np.sort(z, axis=1, kind="stable")
+
+
+def assert_bits_equal(got, expected):
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 def assert_polish_matches_the_reference(c, z):
-    for got, expected in zip(_polish(c, z), polish_reference(c, z)):
-        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    for got, expected in zip(_polish(horner_slabs(c, z), z), polish_reference(c, z)):
+        assert_bits_equal(got, expected)
 
 
 class TestPolish:
@@ -325,9 +351,7 @@ class TestPolish:
     @pytest.mark.parametrize("n, seed", [(12, 1), (20, 1), (30, 7)])
     def test_operand_stack_moves_no_bit_on_samples(self, n, seed):
         # A ``sample:200`` stack as the sweep draws it, whole and row by row.
-        ranks = report.RunConfig(n=n, orderings=("sample", 200), seed=seed).ordering_ranks()
-        words = np.array([word_from_rank(n, rank) for rank in ranks])
-        real = hermite_zeros(n).zeros.real[words - 1]
+        real = sample_stack(n, seed)
         assert_polish_matches_the_reference(real, companion_eigenvalues(real))
         for c in real[::20]:
             assert_polish_matches_the_reference(c[None], companion_eigenvalues(c[None]))
@@ -341,15 +365,150 @@ class TestPolish:
             c = esp_table(-true)[:, 1:]
             assert_polish_matches_the_reference(c, companion_eigenvalues(c) + 1e-9)
 
-
     def test_vanishing_derivative_keeps_the_start(self):
         # At the double root of (x - 1)^2 both p and p' vanish exactly: the
         # floor on |p'| makes the step 0 / tiny, not 0 / 0.
         c = np.array([[-2.0, 1.0]])
         z = np.array([[1.0 + 0j, 1.0 + 0j]])
-        zeros, residuals = _polish(c, z)
+        zeros, residuals = _polish(horner_slabs(c, z), z)
         assert np.array_equal(zeros, z)
         assert np.array_equal(residuals, np.zeros((1, 2)))
+
+
+def misses_the_bound(c, z, tol):
+    """Rows of z with a zero that misses roots_stack's backward-error bound,
+    by the reference Horner pass."""
+    scale = tol * (1.0 + np.abs(c).max(axis=1, keepdims=True))
+    bound = scale * np.maximum(1.0, np.abs(z)) ** c.shape[1]
+    return ~(np.abs(_horner_reference(c, z)[0]) <= bound).all(axis=1)
+
+
+class TestLapackZeros:
+    """A row whose companion eigenvalues meet the bound keeps them, sorted,
+    bit for bit: no polish touches it."""
+
+    @pytest.mark.parametrize("n", [2, 5, 6])
+    def test_sweep_rows_keep_the_lapack_bits(self, n):
+        words = np.array(list(permutations(range(n))))
+        real = hermite_zeros(n).zeros.real[words]
+        zeros, failed = roots_stack(real)
+        assert not failed.any()
+        assert_bits_equal(zeros, sorted_rows(companion_eigenvalues(real)))
+
+    @pytest.mark.parametrize("n, seed", [(12, 1), (30, 7)])
+    def test_sampled_rows_keep_the_lapack_bits(self, n, seed):
+        real = sample_stack(n, seed)
+        zeros, failed = roots_stack(real)
+        assert not failed.any()
+        assert_bits_equal(zeros, sorted_rows(companion_eigenvalues(real)))
+        for i in range(0, len(real), 40):
+            assert_bits_equal(roots(MonicPolynomial(real[i])).zeros, zeros[i])
+
+    def test_complex_rows_keep_the_lapack_bits(self):
+        rng = np.random.default_rng(31)
+        true = rng.standard_normal((50, 8)) + 1j * rng.standard_normal((50, 8))
+        c = esp_table(-true)[:, 1:]
+        zeros, failed = roots_stack(c)
+        assert not failed.any()
+        assert_bits_equal(zeros, sorted_rows(companion_eigenvalues(c)))
+        for i in range(0, 50, 7):
+            assert_bits_equal(roots(MonicPolynomial(c[i])).zeros, zeros[i])
+
+
+class TestRescue:
+    """At N = 12, ``sample:200 --seed 3`` with tol 1e-14 has 47 rows whose
+    companion eigenvalues miss the bound; one Newton step brings each of
+    them within it."""
+
+    TOL = 1e-14
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        real = sample_stack(12, 3)
+        start = companion_eigenvalues(real)
+        rescued = misses_the_bound(real, start, self.TOL)
+        zeros, failed = roots_stack(real, tol=self.TOL)
+        return real, start, rescued, zeros, failed
+
+    def test_every_rescued_row_passes(self, case):
+        _, _, rescued, _, failed = case
+        assert rescued.sum() == 47
+        assert not failed.any()
+
+    def test_rescued_rows_are_the_polished_eigenvalues(self, case):
+        real, start, rescued, zeros, _ = case
+        c, z = real[rescued], start[rescued]
+        polished = _polish(horner_slabs(c, z), z)[0]
+        assert_bits_equal(zeros[rescued], sorted_rows(polished))
+        assert_bits_equal(zeros[rescued], sorted_rows(polish_reference(c, z)[0]))
+
+    def test_other_rows_keep_the_lapack_bits(self, case):
+        _, start, rescued, zeros, _ = case
+        assert_bits_equal(zeros[~rescued], sorted_rows(start[~rescued]))
+
+    def test_rescued_row_alone_matches_its_stack_row(self, case):
+        real, _, rescued, zeros, _ = case
+        for i in np.flatnonzero(rescued)[::6]:
+            alone = roots(MonicPolynomial(real[i]), tol=self.TOL).zeros
+            assert_bits_equal(alone, zeros[i])
+
+    def test_vanishing_derivative_in_a_rescued_row(self, monkeypatch):
+        # (x - 1)^2 (x - 3) from the starts 1, 1 and 3 + 1e-7: the last
+        # misses the bound, so the row is polished, and at the double root
+        # p and p' vanish exactly, where the floor on |p'| keeps the start.
+        start = np.array([[1.0, 1.0, 3.0 + 1e-7]], dtype=complex)
+        monkeypatch.setattr(polynomials, "_lapack", lambda name, a: start.copy())
+        c = np.array([[-5.0, 7.0, -3.0]])
+        assert misses_the_bound(c, start, 1e-12).all()
+        zeros, failed = roots_stack(c)
+        assert not failed.any()
+        assert zeros[0, :2].tolist() == [1.0, 1.0]
+        assert abs(zeros[0, 2] - 3.0) < 1e-13
+
+
+def unpolished(stack, z):
+    """A rescue that changes nothing: the zeros and their residuals."""
+    return z, np.abs(polynomials._horner(stack, z, derivative=False)[0])
+
+
+class TestBound:
+    """Rows just past the backward-error bound fail.  The rescue is a no-op
+    here, so each row's final zeros are the patched eigenvalues: the exact
+    zeros 0.5 and -3 of x^2 + 2.5 x - 1.5, one of them moved off."""
+
+    C = np.array([[2.5, -1.5]])
+
+    @pytest.fixture
+    def moved(self, monkeypatch):
+        def patch(z):
+            start = np.array([z], dtype=complex)
+            monkeypatch.setattr(polynomials, "_lapack", lambda name, a: start.copy())
+            monkeypatch.setattr(polynomials, "_polish", unpolished)
+        return patch
+
+    def test_default_tol_rejects_a_row_that_passes_at_1e_11(self, moved):
+        # |p(0.5 + 2^-38)| = 3.5 * 2^-38, 3.6 times the default bound.
+        moved([0.5 + 2.0 ** -38, -3.0])
+        assert roots_stack(self.C)[1].all()
+        assert not roots_stack(self.C, tol=1e-11)[1].any()
+        with pytest.raises(NonConvergence):
+            roots(MonicPolynomial(self.C[0]))
+        roots(MonicPolynomial(self.C[0]), tol=1e-11)
+
+    @pytest.mark.parametrize("moved_zero", [0, 1], ids=["inside", "outside"])
+    def test_residual_just_past_the_bound_fails(self, moved, moved_zero):
+        # |p'| is 3.5 at both zeros, so a move of 1.1 bound / 3.5 puts the
+        # residual 1.1 times past the bound at the default tol.  A
+        # 2 + max|c| in place of 1 + max|c| would raise the bound by 9/7,
+        # and max(2, |z|) in place of max(1, |z|) by 4 inside the unit disc.
+        z = np.array([0.5, -3.0])
+        bound = 1e-12 * 3.5 * max(1.0, abs(z[moved_zero])) ** 2
+        z[moved_zero] += 1.1 * bound / 3.5
+        moved(z)
+        ratio = abs(np.polyval([1.0, 2.5, -1.5], z[moved_zero])) / bound
+        assert 1.05 < ratio < 1.15
+        assert roots_stack(self.C)[1].all()
+        assert not roots_stack(self.C, tol=2e-12)[1].any()
 
 
 class TestSigma:
