@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice, permutations
+from itertools import chain, islice, permutations, repeat
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -140,14 +140,19 @@ def word_from_rank(n: int, ordinal: int) -> tuple:
     return tuple(word)
 
 
-def rank_ordered_words(n: int, sizes):
-    """The words of ranks 1..n! in rank order, as consecutive (size, n) uint8
-    arrays, one per entry of ``sizes``: ``permutations`` of 1..n emits them
-    in lexicographic order, so a full sweep decodes no rank."""
-    words = permutations(range(1, n + 1))
-    for size in sizes:
-        flat = chain.from_iterable(islice(words, size))
-        yield np.fromiter(flat, np.uint8, size * n).reshape(size, n)
+def ordering_chunks(n: int, ranks, parts):
+    """``(ranks[part], words)`` for each of the consecutive slices ``parts``,
+    words (B, n) of the least unsigned dtype for n, uint8 to 255.  The range
+    1..n! of a full sweep takes them in rank order from ``permutations`` of
+    1..n, decoding no rank; other ranks are decoded by ``word_from_rank``."""
+    if ranks == range(1, math.factorial(n) + 1):
+        words = permutations(range(1, n + 1))
+    else:
+        words = map(word_from_rank, repeat(n), ranks)
+    for part in parts:
+        chunk = ranks[part]
+        flat = chain.from_iterable(islice(words, len(chunk)))
+        yield chunk, np.fromiter(flat, np.min_scalar_type(n), n * len(chunk)).reshape(-1, n)
 
 
 def permuted_polynomial(h: HermiteZeros, perm: PermutationId) -> MonicPolynomial:

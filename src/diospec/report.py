@@ -40,13 +40,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NonConvergence
-from .hermite import (
-    MAX_ORDER,
-    hermite_zeros,
-    lexicographic_rank,
-    rank_ordered_words,
-    word_from_rank,
-)
+from .hermite import MAX_ORDER, hermite_zeros, lexicographic_rank, ordering_chunks
 from .matrices import (
     CONDITIONING_FLOOR,
     KIND_M1,
@@ -164,11 +158,12 @@ class RunConfig:
                 raise ValueError(f"ordering ranks must lie in 1..{total}")
         object.__setattr__(self, "orderings", spec)
 
-    def ordering_ranks(self) -> list:
-        """Resolve the orderings field to an explicit list of 1-based ranks."""
+    def ordering_ranks(self) -> Sequence[int]:
+        """The orderings field as ascending 1-based ranks: the range 1..n! for
+        a full sweep, a sorted list otherwise."""
         total, spec = math.factorial(self.n), self.orderings
         if spec == "all":
-            return list(range(1, total + 1))
+            return range(1, total + 1)
         if spec[0] != "sample":
             return sorted(set(spec))
         k, rng = spec[1], random.Random(self.seed)
@@ -206,13 +201,14 @@ class VerificationReport:
     """Everything one verification sweep produced.
 
     The checks are held as columns over the B orderings and the K kinds of
-    ``config.kinds``: ``rank`` is a list of B ints (ranks beyond N = 20
-    overflow int64), ``word`` is (B, N), ``eigenvalues`` (B, K, N),
+    ``config.kinds``: ``rank`` holds B ints, as the range 1..N! for a full
+    sweep and as a list otherwise (ranks beyond N = 20 overflow int64),
+    ``word`` is (B, N), ``eigenvalues`` (B, K, N),
     ``max_deviation`` and ``status`` are (B, K), and the separations are
     (B,), since they belong to the ordering and not to the kind."""
 
     config: RunConfig
-    rank: list
+    rank: Sequence[int]
     word: np.ndarray
     eigenvalues: np.ndarray
     max_deviation: np.ndarray
@@ -227,7 +223,8 @@ class VerificationReport:
 
 def _chunks(n: int, count: int) -> list:
     """The sweep's chunks of ``count`` orderings at order n, as slices of
-    ``_CHUNK_ENTRIES // n**2`` orderings: they cut the checks and the text."""
+    ``_CHUNK_ENTRIES // n**2`` orderings: they cut the ranks and words of
+    ``ordering_chunks``, the checks and the text."""
     size = max(1, _CHUNK_ENTRIES // n ** 2)
     return [slice(i, i + size) for i in range(0, count, size)]
 
@@ -254,16 +251,17 @@ def _ordering_coupling(coupling: np.ndarray, word: np.ndarray) -> np.ndarray:
     return coupling.take(index, axis=1).transpose(1, 0, 2, 3)
 
 
-def _verify_chunk(n: int, ranks: list, word: np.ndarray, kinds: tuple, root_tol: float,
+def _verify_chunk(n: int, chunk: tuple, kinds: tuple, root_tol: float,
                   pass_tol: float) -> tuple:
-    """The batched pipeline on one chunk of orderings, given their ranks and
-    (B, N) words, of any integer dtype: permute the Hermite zeros into
-    coefficient rows, solve for all zeros at once, build each requested
+    """The batched pipeline on one chunk of orderings, a (ranks, (B, N)
+    unsigned words) pair of ``ordering_chunks``: permute the Hermite zeros
+    into coefficient rows, solve for all zeros at once, build each requested
     matrix stack from the permuted couplings and check its spectra.  Returns
     the columns (word, eigenvalues, max_deviation, status, zero_separation,
     coeff_separation) laid out as ``VerificationReport`` holds them."""
+    ranks, word = chunk
     coupling, coeff_sep, hermite = _sorted_coupling(n, kinds)
-    word = word.astype(np.intp, copy=False)
+    word = word.astype(np.intp)
     zeros, failed = roots_stack(hermite[word - 1], tol=root_tol)
     if failed.any():
         bad = [rank for rank, f in zip(ranks, failed) if f]
@@ -291,25 +289,19 @@ def run_verification(config: RunConfig) -> VerificationReport:
     ranks = config.ordering_ranks()
     started = time.perf_counter()
 
-    chunks = [ranks[part] for part in _chunks(config.n, len(ranks))]
-    # A full sweep takes its words in rank order, a chunk at a time; other
-    # ranks are decoded one by one.
-    if config.orderings == "all":
-        words = rank_ordered_words(config.n, map(len, chunks))
-    else:
-        words = (np.array([word_from_rank(config.n, rank) for rank in chunk])
-                 for chunk in chunks)
+    parts = _chunks(config.n, len(ranks))
+    chunks = ordering_chunks(config.n, ranks, parts)
     verify = partial(_verify_chunk, config.n, kinds=config.kinds,
                      root_tol=config.root_tol, pass_tol=config.pass_tol)
     # A fork-started pool launches all its workers at the first submit.
-    workers = min(config.jobs, len(chunks))
+    workers = min(config.jobs, len(parts))
     if workers > 1:
         # Imported here: only a pooled sweep loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            grouped = list(pool.map(verify, chunks, words))
+            grouped = list(pool.map(verify, chunks))
     else:
-        grouped = list(map(verify, chunks, words))
+        grouped = list(map(verify, chunks))
 
     # A single chunk's columns are used as they are: copying them costs a
     # single-ordering call about 1 % of its time.

@@ -175,14 +175,24 @@ MUTANTS = [
            ("tests/test_dynamics.py::TestIntegrate::test_overflowing_stage_state_is_refused",)),
     Mutant("a full sweep's words taken from the permutations of n..1",
            "hermite.py",
-           "    words = permutations(range(1, n + 1))\n",
-           "    words = permutations(range(n, 0, -1))\n",
+           "        words = permutations(range(1, n + 1))\n",
+           "        words = permutations(range(n, 0, -1))\n",
            ("tests/test_cli.py::TestReportSerialization::test_full_sweep_words_are_the_decoded_ranks[4]",)),
     Mutant("each chunk of a full sweep handed the first rows of words",
            "hermite.py",
-           "        flat = chain.from_iterable(islice(words, size))\n",
-           "        flat = chain.from_iterable(islice(permutations(range(1, n + 1)), size))\n",
+           "        flat = chain.from_iterable(islice(words, len(chunk)))\n",
+           "        flat = chain.from_iterable(islice(permutations(range(1, n + 1)), len(chunk)))\n",
            ("tests/test_cli.py::TestReportSerialization::test_full_sweep_words_are_the_decoded_ranks[7]",)),
+    Mutant("a full sweep's words decoded rank by rank",
+           "hermite.py",
+           "    if ranks == range(1, math.factorial(n) + 1):\n",
+           "    if False:\n",
+           ("tests/test_cli.py::TestReportSerialization::test_only_a_full_sweep_takes_words_in_rank_order",)),
+    Mutant("a full sweep's ranks cut one rank short",
+           "report.py",
+           "            return range(1, total + 1)\n",
+           "            return range(1, total)\n",
+           ("tests/test_cli.py::TestVerifyCommand::test_n3_m1_all_orderings_pass",)),
     Mutant("the second-order coefficient rate cubed by products",
            "hermite.py",
            "2.0 * np.add.reduce(inv ** 3, axis=1)",

@@ -669,7 +669,8 @@ class TestReportSerialization:
         # only the decoding here.
         handed = []
 
-        def words_only(n, ranks, word, kinds, root_tol, pass_tol):
+        def words_only(n, chunk, kinds, root_tol, pass_tol):
+            ranks, word = chunk
             handed.append((ranks, word.tolist()))
             shape = (len(ranks), len(kinds))
             return (word, np.zeros(shape + (n,), complex), np.zeros(shape),
@@ -690,16 +691,27 @@ class TestReportSerialization:
             raise AssertionError("not on this path")
 
         sweep = run_verification(RunConfig(n=4))
-        monkeypatch.setattr("diospec.report.rank_ordered_words", refuse)
+        monkeypatch.setattr("diospec.hermite.permutations", refuse)
         for n, orderings in ((8, (5,)), (4, (24, 1, 7)), (4, ("sample", 3))):
             report = run_verification(RunConfig(n=n, orderings=orderings))
             assert report.word.tolist() == [list(word_from_rank(n, rank))
                                             for rank in report.rank]
         monkeypatch.undo()
-        monkeypatch.setattr("diospec.report.word_from_rank", refuse)
+        monkeypatch.setattr("diospec.hermite.word_from_rank", refuse)
         report = run_verification(RunConfig(n=4))
         np.testing.assert_array_equal(report.word, sweep.word)
         np.testing.assert_array_equal(report.eigenvalues, sweep.eigenvalues)
+
+    def test_every_rank_listed_keeps_the_full_sweep_bits(self):
+        # Every rank listed explicitly is decoded, where "all" takes its
+        # words from permutations; the two reports hold the same bits.
+        every = RunConfig(n=5, orderings=range(1, 121))
+        assert every.ordering_ranks() == list(range(1, 121))
+        listed, sweep = run_verification(every), run_verification(RunConfig(n=5))
+        assert sweep.rank == range(1, 121) and listed.rank == list(sweep.rank)
+        assert listed.word.dtype == sweep.word.dtype
+        for column in ("word", "eigenvalues", "max_deviation", "status"):
+            np.testing.assert_array_equal(getattr(listed, column), getattr(sweep, column))
 
     def test_ordering_alone_matches_its_sweep_row(self):
         # Each ordering's zeros, matrices and spectra are computed on their
@@ -910,7 +922,7 @@ class TestReportSerialization:
                    for config in configs}
         assert len(digests) == 1
         assert RunConfig(n=4).to_dict()["orderings"] == "all"
-        assert RunConfig(n=4).ordering_ranks() == list(range(1, 25))
+        assert RunConfig(n=4).ordering_ranks() == range(1, 25)
         sampled = RunConfig(n=4, orderings=("sample", 5), seed=3)
         assert sampled.to_dict()["orderings"] == {"sample": 5}
         assert len(set(sampled.ordering_ranks())) == 5

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import permutations as iter_permutations
 
 import numpy as np
@@ -13,11 +14,12 @@ from diospec.hermite import (
     _coefficient_rate,
     hermite_zeros,
     lexicographic_rank,
+    ordering_chunks,
     permuted_polynomial,
-    rank_ordered_words,
     word_from_rank,
 )
 from diospec.polynomials import _differences
+from diospec.report import RunConfig, _chunks
 
 SQRT32 = math.sqrt(1.5)
 
@@ -206,16 +208,52 @@ class TestOrderings:
         assert words == list(iter_permutations(range(1, n + 1)))
 
     @pytest.mark.parametrize("n", [2, 6, 7])
-    def test_rank_ordered_words_are_cut_by_sizes(self, n):
-        # Consecutive uint8 blocks of the sizes asked for, empty ones too,
-        # that together list every word in rank order.
+    def test_ordering_chunks_are_cut_by_parts(self, n):
+        # Consecutive uint8 blocks cut by the parts, empty ones too, each
+        # with its own ranks and their words: from permutations for the
+        # range 1..n!, decoded for a list, the same list of every rank too.
         total = math.factorial(n)
         sizes = [0, 1, total // 3, 0, total - 1 - total // 3]
-        blocks = list(rank_ordered_words(n, sizes))
-        assert [block.shape for block in blocks] == [(size, n) for size in sizes]
-        assert {block.dtype for block in blocks} == {np.dtype(np.uint8)}
-        words = [tuple(word) for block in blocks for word in block.tolist()]
-        assert words == [word_from_rank(n, rank) for rank in range(1, total + 1)]
+        starts = np.cumsum([0] + sizes).tolist()
+        parts = [slice(start, start + size) for start, size in zip(starts, sizes)]
+        every = range(1, total + 1)
+        for ranks in (every, list(every), list(every)[1::3]):
+            chunks = list(ordering_chunks(n, ranks, parts))
+            assert [chunk for chunk, _ in chunks] == [ranks[part] for part in parts]
+            assert [words.shape for _, words in chunks] == [
+                (len(ranks[part]), n) for part in parts]
+            assert {words.dtype for _, words in chunks} == {np.dtype(np.uint8)}
+            words = [tuple(word) for _, block in chunks for word in block.tolist()]
+            assert words == [word_from_rank(n, rank) for rank in ranks]
+
+    def test_decoded_words_hold_more_than_255_symbols(self):
+        # Past uint8 the words take the next unsigned dtype.
+        ranks = [1, math.factorial(300)]
+        (chunk, words), = ordering_chunks(300, ranks, [slice(0, 2)])
+        assert chunk == ranks and words.dtype == np.uint16
+        assert words.tolist() == [list(range(1, 301)), list(range(300, 0, -1))]
+
+    def test_full_source_holds_no_table(self):
+        # A full N = 9 sweep's ranks and words, walked chunk by chunk: every
+        # word once in rank order, at a traced peak of a few chunks.  A list
+        # of the 362,880 ranks alone would hold about 14 MiB.
+        n, total = 9, math.factorial(9)
+        place = 16 ** np.arange(n - 1, -1, -1)
+        tracemalloc.start()
+        try:
+            ranks = RunConfig(n=n, force=True).ordering_ranks()
+            rows, last = 0, 0
+            for chunk, words in ordering_chunks(n, ranks, _chunks(n, len(ranks))):
+                assert chunk == range(rows + 1, rows + 1 + len(words))
+                assert (np.sort(words, axis=1) == np.arange(1, n + 1)).all()
+                keys = words @ place
+                assert keys[0] > last and (np.diff(keys) > 0).all()
+                rows, last = rows + len(words), keys[-1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == total
+        assert peak < 2 ** 20
 
     def test_rank_round_trip(self):
         for n in (2, 3, 5):
