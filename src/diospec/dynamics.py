@@ -1,5 +1,5 @@
-"""The four isochronous flows, adaptive integration, finite-difference
-Jacobians, and modal (linearised) evolution.
+"""The four isochronous flows, adaptive integration and finite-difference
+Jacobians.
 
 Two companion pictures of the same dynamics are integrated here.  In the
 coefficient picture ("gamma" systems) the state is the coefficient vector of
@@ -38,16 +38,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    CollisionAbort,
-    DegenerateSpectrum,
-    DimensionMismatch,
-    NearCollision,
-    NonConvergence,
-    StepFloorReached,
-)
+from .errors import CollisionAbort, DimensionMismatch, NearCollision, StepFloorReached
 from .hermite import _coefficient_rate
-from .matrices import KIND_M1, KIND_M2, DiophantineMatrix
 from .polynomials import (_derivative_at_zeros, _differences, _vieta, as_complex_vector,
                           check_positive)
 
@@ -60,8 +52,6 @@ __all__ = [
     "central_difference_jacobian",
     "check_fd_step",
     "fd_jacobian",
-    "linear_evolution_first",
-    "linear_evolution_second",
 ]
 
 SYSTEMS = ("gamma1", "zeta1", "gamma2", "zeta2")
@@ -71,10 +61,6 @@ STEP_FLOOR = 1e-12
 _MAX_STEPS = 2_000_000  # steps, accepted or rejected, before integrate gives up
 
 _FD_STEP_RANGE = (1e-8, 1e-4)
-
-# Pairwise eigenvalue gap, relative to the spectrum scale, below which the
-# eigenvectors no longer form a trustworthy modal basis.
-_GAP_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -378,51 +364,3 @@ def fd_jacobian(system: str, z, h: float = 1e-6) -> np.ndarray:
         return out
 
     return central_difference_jacobian(rate, z, h)
-
-
-def _modal(matrix: DiophantineMatrix, kind: str, **vectors):
-    """LAPACK eigenvalues, unit-norm eigenvector columns and the amplitudes of
-    each initial vector in them; raises DegenerateSpectrum when two eigenvalues
-    lie within the gap floor."""
-    if matrix.kind != kind:
-        order = "first" if kind == KIND_M1 else "second"
-        raise ValueError(f"{order}-order evolution needs kind {kind}, got {matrix.kind}")
-    vectors = [as_complex_vector(v, name) for name, v in vectors.items()]
-    if any(v.size != matrix.n for v in vectors):
-        raise DimensionMismatch("initial vectors do not match the matrix")
-    try:
-        values, basis = np.linalg.eig(matrix.entries)
-    except np.linalg.LinAlgError as exc:
-        raise NonConvergence(f"eigen-decomposition failed: {exc}") from exc
-    gap = float(_differences(values)[1])
-    scale = max(1.0, float(np.max(np.abs(values))))
-    if gap <= _GAP_FLOOR * scale:
-        raise DegenerateSpectrum(
-            f"minimum eigenvalue gap {gap:.3e} below {_GAP_FLOOR} * {scale:.3e}")
-    return values, basis, [np.linalg.solve(basis, v) for v in vectors]
-
-
-def linear_evolution_first(matrix: DiophantineMatrix, v0, t: float) -> np.ndarray:
-    """Evolve v under dv/dt = i M v by eigen-reconstruction:
-    v(t) = sum_m a_m exp(i lambda_m t) u_m with U a = v(0).
-
-    Integer eigenvalues make every mode 2*pi-periodic, so v(2*pi) = v(0).
-    """
-    values, basis, (a,) = _modal(matrix, KIND_M1, v0=v0)
-    return basis @ (a * np.exp(1j * values * t))
-
-
-def linear_evolution_second(matrix: DiophantineMatrix, v0, vdot0, t: float) -> np.ndarray:
-    """Evolve v under d2v/dt2 = -M v by eigen-reconstruction:
-    v(t) = sum_m [a_m cos(w_m t) + b_m sin(w_m t)/w_m] u_m.
-
-    The modal frequency is taken as w_m = sqrt(eigenvalue); with the
-    squared-integer eigenvalues of an M2 matrix this gives integer
-    frequencies, hence 2*pi-periodic modes.  Eigenvalues must have positive
-    real part for the square root to define a frequency.
-    """
-    values, basis, (a, b) = _modal(matrix, KIND_M2, v0=v0, vdot0=vdot0)
-    if np.any(values.real <= 0):
-        raise DegenerateSpectrum("eigenvalues with non-positive real part have no frequency")
-    omega = np.sqrt(values)
-    return basis @ (a * np.cos(omega * t) + b * np.sin(omega * t) / omega)

@@ -26,10 +26,5 @@ class StepFloorReached(NumericalError):
     """Adaptive step control shrank the step below the hard floor."""
 
 
-class DegenerateSpectrum(NumericalError):
-    """Eigenvalues too close together, or without a frequency, for modal
-    reconstruction."""
-
-
 class DimensionMismatch(ValueError):
     """Inputs whose lengths do not agree."""

@@ -140,8 +140,8 @@ def word_from_rank(n: int, ordinal: int) -> tuple:
     return tuple(word)
 
 
-def ordering_chunks(n: int, ranks, parts):
-    """``(ranks[part], words)`` for each of the consecutive slices ``parts``,
+def ordering_chunks(n: int, ranks, cut: range):
+    """``(ranks[i:i + cut.step], words)`` for each chunk start i of ``cut``,
     words (B, n) of the least unsigned dtype for n, uint8 to 255.  The range
     1..n! of a full sweep takes them in rank order from ``permutations`` of
     1..n, decoding no rank; other ranks are decoded by ``word_from_rank``."""
@@ -149,8 +149,8 @@ def ordering_chunks(n: int, ranks, parts):
         words = permutations(range(1, n + 1))
     else:
         words = map(word_from_rank, repeat(n), ranks)
-    for part in parts:
-        chunk = ranks[part]
+    for i in cut:
+        chunk = ranks[i:i + cut.step]
         flat = chain.from_iterable(islice(words, len(chunk)))
         yield chunk, np.fromiter(flat, np.min_scalar_type(n), n * len(chunk)).reshape(-1, n)
 

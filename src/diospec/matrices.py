@@ -57,11 +57,8 @@ __all__ = [
     "build_m1",
     "build_m2",
     "expected_spectrum",
-    "expected_trace",
-    "expected_determinant",
     "spectrum_stack",
     "spectrum_check",
-    "permutation_similarity_check",
 ]
 
 KIND_M1 = "M1"
@@ -207,15 +204,14 @@ def _build(z, c, kind: str) -> DiophantineMatrix:
     return DiophantineMatrix(kind, n, x * derivative / derivative[:, None])
 
 
-def build_m1(z, c, source_perm=None) -> DiophantineMatrix:
-    """Matrix with spectrum 1..N: inverse-square coefficient coupling.  An
-    ordering label passed as ``source_perm`` is ignored."""
+def build_m1(z, c) -> DiophantineMatrix:
+    """Matrix with spectrum 1..N: inverse-square coefficient coupling."""
     return _build(z, c, KIND_M1)
 
 
-def build_m2(z, c, source_perm=None) -> DiophantineMatrix:
+def build_m2(z, c) -> DiophantineMatrix:
     """Matrix with spectrum 1, 4, ..., N^2: inverse-fourth-power coupling,
-    weighted by 6.  An ordering label passed as ``source_perm`` is ignored."""
+    weighted by 6."""
     return _build(z, c, KIND_M2)
 
 
@@ -228,14 +224,6 @@ def _expected_stack(n: int, kinds: tuple) -> np.ndarray:
     """The (K, N) expected integers of each kind, read-only: every sweep
     chunk and every render asks for them again."""
     return _frozen([expected_spectrum(kind, n) for kind in kinds], int)
-
-
-def expected_trace(kind: str, n: int) -> float:
-    return float(expected_spectrum(kind, n).sum())
-
-
-def expected_determinant(kind: str, n: int) -> float:
-    return float(expected_spectrum(kind, n).prod())
 
 
 def spectrum_stack(entries: np.ndarray, kinds: tuple):
@@ -269,22 +257,3 @@ def spectrum_check(matrix: DiophantineMatrix, tol: float = 1e-6) -> SpectrumRepo
     return SpectrumReport(matrix.kind, lam[0, 0],
                           tuple(expected_spectrum(matrix.kind, matrix.n)),
                           float(deviation[0, 0]), bool(deviation[0, 0] <= tol))
-
-
-def permutation_similarity_check(z, c, kind: str, swap: tuple) -> float:
-    """Max elementwise |build(P z) - P build(z) P^T| for the transposition P
-    swapping zero positions swap = (a, b), 1-based.
-
-    Relabelling two zeros must permute the matrix rows and columns and nothing
-    else; the returned deviation is floating-point noise when that holds.
-    """
-    a, b = swap
-    zz = _zeros_of(z)
-    n = zz.size
-    if not (1 <= a < b <= n):
-        raise ValueError(f"swap positions must satisfy 1 <= a < b <= {n}, got {swap}")
-    p = np.arange(n)
-    p[[a - 1, b - 1]] = b - 1, a - 1
-    rebuilt = _build(zz[p], c, kind).entries
-    conjugated = _build(zz, c, kind).entries[np.ix_(p, p)]
-    return float(np.max(np.abs(rebuilt - conjugated)))

@@ -221,12 +221,12 @@ class VerificationReport:
     timing_seconds: float = 0.0
 
 
-def _chunks(n: int, count: int) -> list:
-    """The sweep's chunks of ``count`` orderings at order n, as slices of
-    ``_CHUNK_ENTRIES // n**2`` orderings: they cut the ranks and words of
+def _chunks(n: int, count: int) -> range:
+    """The sweep's chunks of ``count`` orderings at order n, as the range of
+    their first indices, ``_CHUNK_ENTRIES // n**2`` apart: the chunk at i of
+    ``cut`` is [i:i + cut.step].  They cut the ranks and words of
     ``ordering_chunks``, the checks and the text."""
-    size = max(1, _CHUNK_ENTRIES // n ** 2)
-    return [slice(i, i + size) for i in range(0, count, size)]
+    return range(0, count, max(1, _CHUNK_ENTRIES // n ** 2))
 
 
 @lru_cache(maxsize=None)
@@ -289,12 +289,12 @@ def run_verification(config: RunConfig) -> VerificationReport:
     ranks = config.ordering_ranks()
     started = time.perf_counter()
 
-    parts = _chunks(config.n, len(ranks))
-    chunks = ordering_chunks(config.n, ranks, parts)
+    cut = _chunks(config.n, len(ranks))
+    chunks = ordering_chunks(config.n, ranks, cut)
     verify = partial(_verify_chunk, config.n, kinds=config.kinds,
                      root_tol=config.root_tol, pass_tol=config.pass_tol)
     # A fork-started pool launches all its workers at the first submit.
-    workers = min(config.jobs, len(parts))
+    workers = min(config.jobs, len(cut))
     if workers > 1:
         # Imported here: only a pooled sweep loads multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
@@ -457,7 +457,8 @@ def _rendered_chunks(report: VerificationReport, render):
     after ``_check_finite`` has run, when called: so neither format writes a
     byte of a report it cannot finish."""
     _check_finite(report)
-    return map(partial(render, report), _chunks(report.config.n, len(report.rank)))
+    cut = _chunks(report.config.n, len(report.rank))
+    return (render(report, slice(i, i + cut.step)) for i in cut)
 
 
 def json_slices(report: VerificationReport):

@@ -113,11 +113,16 @@ MUTANTS = [
            "index = (word - 1)[:, :, None] * n + (word - 1)[:, None, :]",
            "index = (word - 1)[:, :, None] * n + np.arange(n)",
            ("tests/test_matrices.py::TestPermutedCoupling::test_gather_matches_the_direct_build",)),
-    Mutant("each sweep chunk cut one ordering short",
+    Mutant("each rendered chunk cut one ordering short",
            "report.py",
-           "return [slice(i, i + size) for i in range(0, count, size)]",
-           "return [slice(i, i + size - 1) for i in range(0, count, size)]",
+           "    return (render(report, slice(i, i + cut.step)) for i in cut)\n",
+           "    return (render(report, slice(i, i + cut.step - 1)) for i in cut)\n",
            ("tests/test_cli.py::TestReportSerialization::test_slices_match_the_dict[n5]",)),
+    Mutant("each chunk of ranks and words cut one ordering short",
+           "hermite.py",
+           "        chunk = ranks[i:i + cut.step]\n",
+           "        chunk = ranks[i:i + cut.step - 1]\n",
+           ("tests/test_cli.py::TestReportSerialization::test_full_sweep_words_are_the_decoded_ranks[7]",)),
     Mutant("the CSV layout looked up by the sorted kinds",
            "report.py",
            "    _, row, expected = _layout(n, kinds)\n",
@@ -208,11 +213,6 @@ MUTANTS = [
            "\ndef hermite_zeros(n: int) -> HermiteZeros:\n",
            "\n@lru_cache(maxsize=None)\ndef hermite_zeros(n: int) -> HermiteZeros:\n",
            ("tests/test_hermite.py::TestZeros::test_restored_cap_holds_again",)),
-    Mutant("the modal evolution's kind check skipped",
-           "dynamics.py",
-           "    if matrix.kind != kind:\n",
-           "    if False:\n",
-           ("tests/test_dynamics.py::TestLinearEvolution::test_kind_is_enforced",)),
     Mutant("the polish divides by a vanishing derivative without its floor",
            "polynomials.py",
            "candidate = z - val / np.where(np.abs(der) < _TINY, _TINY, der)",

@@ -24,10 +24,10 @@ from diospec.cli import (
 )
 from diospec.errors import (
     CollisionAbort,
-    DegenerateSpectrum,
     DimensionMismatch,
     NearCollision,
     NonConvergence,
+    NumericalError,
     SingularConfiguration,
     StepFloorReached,
 )
@@ -398,7 +398,7 @@ class TestExitCodeTable:
         (NearCollision, EXIT_COLLISION),
         (NonConvergence, EXIT_NUMERICAL),
         (StepFloorReached, EXIT_NUMERICAL),
-        (DegenerateSpectrum, EXIT_NUMERICAL),
+        (NumericalError, EXIT_NUMERICAL),
         (SingularConfiguration, EXIT_USAGE),
         (DimensionMismatch, EXIT_USAGE),
         (ValueError, EXIT_USAGE),

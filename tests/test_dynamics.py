@@ -8,6 +8,7 @@ import pytest
 
 from conftest import field
 from dynamics_reference import stage_sums
+from linear_reference import DegenerateSpectrum, linear_evolution_first, linear_evolution_second
 
 from diospec.dynamics import (
     _A,
@@ -20,12 +21,9 @@ from diospec.dynamics import (
     central_difference_jacobian,
     fd_jacobian,
     integrate,
-    linear_evolution_first,
-    linear_evolution_second,
 )
 from diospec.errors import (
     CollisionAbort,
-    DegenerateSpectrum,
     DimensionMismatch,
     NearCollision,
     NonConvergence,

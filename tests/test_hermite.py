@@ -209,27 +209,27 @@ class TestOrderings:
 
     @pytest.mark.parametrize("n", [2, 6, 7])
     def test_ordering_chunks_are_cut_by_parts(self, n):
-        # Consecutive uint8 blocks cut by the parts, empty ones too, each
-        # with its own ranks and their words: from permutations for the
-        # range 1..n!, decoded for a list, the same list of every rank too.
-        total = math.factorial(n)
-        sizes = [0, 1, total // 3, 0, total - 1 - total // 3]
-        starts = np.cumsum([0] + sizes).tolist()
-        parts = [slice(start, start + size) for start, size in zip(starts, sizes)]
-        every = range(1, total + 1)
+        # Consecutive uint8 blocks [i:i + step] for each start i of the cut,
+        # the last one short or whole, each with its own ranks and their
+        # words: from permutations for the range 1..n!, decoded for a list,
+        # the same list of every rank too.
+        every = range(1, math.factorial(n) + 1)
         for ranks in (every, list(every), list(every)[1::3]):
-            chunks = list(ordering_chunks(n, ranks, parts))
-            assert [chunk for chunk, _ in chunks] == [ranks[part] for part in parts]
-            assert [words.shape for _, words in chunks] == [
-                (len(ranks[part]), n) for part in parts]
-            assert {words.dtype for _, words in chunks} == {np.dtype(np.uint8)}
-            words = [tuple(word) for _, block in chunks for word in block.tolist()]
-            assert words == [word_from_rank(n, rank) for rank in ranks]
+            for step in (1, len(ranks) // 3 + 1, len(ranks), len(ranks) + 1):
+                cut = range(0, len(ranks), step)
+                parts = [slice(i, i + step) for i in cut]
+                chunks = list(ordering_chunks(n, ranks, cut))
+                assert [chunk for chunk, _ in chunks] == [ranks[part] for part in parts]
+                assert [words.shape for _, words in chunks] == [
+                    (len(ranks[part]), n) for part in parts]
+                assert {words.dtype for _, words in chunks} == {np.dtype(np.uint8)}
+                words = [tuple(word) for _, block in chunks for word in block.tolist()]
+                assert words == [word_from_rank(n, rank) for rank in ranks]
 
     def test_decoded_words_hold_more_than_255_symbols(self):
         # Past uint8 the words take the next unsigned dtype.
         ranks = [1, math.factorial(300)]
-        (chunk, words), = ordering_chunks(300, ranks, [slice(0, 2)])
+        (chunk, words), = ordering_chunks(300, ranks, range(0, 2, 2))
         assert chunk == ranks and words.dtype == np.uint16
         assert words.tolist() == [list(range(1, 301)), list(range(300, 0, -1))]
 
@@ -254,6 +254,26 @@ class TestOrderings:
             tracemalloc.stop()
         assert rows == total
         assert peak < 2 ** 20
+
+    def test_chunk_cut_holds_no_slices(self):
+        # The N = 11 cut walked as the renderers walk it: 73,784 chunks of
+        # 541 orderings, the last one short, at a traced peak of a few
+        # hundred bytes.  A list of its slices would hold about 9.5 MB.
+        total = math.factorial(11)
+        tracemalloc.start()
+        try:
+            cut = _chunks(11, total)
+            chunks, end = 0, 0
+            for i in cut:
+                part = slice(i, i + cut.step)
+                assert part.start == end
+                chunks, end = chunks + 1, min(part.stop, total)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chunks == len(cut) == 73_784
+        assert cut.step == 541 and end == total
+        assert peak < 64 * 1024
 
     def test_rank_round_trip(self):
         for n in (2, 3, 5):

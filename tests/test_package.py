@@ -44,10 +44,10 @@ def used_names(source: str) -> set:
 
 def test_every_exported_name_has_a_user():
     # An export that only tests use is a test-only twin in src/: each name
-    # must be used by the library, the benchmark, the acceptance suite or
-    # the README example.
+    # must be used by the library, the benchmark or the README example.
+    # The acceptance suite is a test too, so its references live in tests/.
     sources = [*sorted((ROOT / "src" / "diospec").glob("*.py")),
-               *sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+               *sorted((ROOT / "perfbench").glob("*.py"))]
     used = set().union(used_names(readme_example()), *(used_names(path.read_text())
                                                       for path in sources))
     unused = [f"diospec.{name}.{item}" for name in MODULES
